@@ -25,7 +25,7 @@ from bicbf import (
     GPriorSpec,
     conditional_bf10,
     default_bf10,
-    effect_design,
+    fit_two_way,
 )
 
 
@@ -51,10 +51,10 @@ def main(argv=None) -> int:
         cell_n = int(rng.integers(3, 7))
         y = 0.5 * rng.normal(size=(2, 2, 1)) + rng.normal(size=(2, 2, cell_n))
         data = FactorialDataset(2, 2, cell_n, y)
-        design = effect_design(data, ("A",))
+        table = fit_two_way(data)
 
         def integrand(g):
-            return conditional_bf10(design, g) * invgamma.pdf(g, a=0.5, scale=r_sq / 2)
+            return conditional_bf10(table, ("A",), g) * invgamma.pdf(g, a=0.5, scale=r_sq / 2)
 
         quad, _ = integrate.quad(integrand, 0.0, np.inf, limit=200)
         mc = default_bf10(

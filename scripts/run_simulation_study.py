@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from bicbf import (
     GPriorSpec,
     SimulationConfig,
-    coupled_config,
     run_simulation,
     summarize,
     write_config,
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
             oracle=GPriorSpec(mc_samples=mc_samples, seed=args.oracle_seed),
         )
         for g in G_VALUES:
-            config = coupled_config(base, g)
+            config = replace(base, g=g)
             tag = f"cell{cell_n}_g{g:g}"
             start = time.perf_counter()
             records = run_simulation(config, n_jobs=args.jobs)

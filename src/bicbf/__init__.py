@@ -31,12 +31,10 @@ from .errors import (
 from .gprior import (
     DEFAULT_PRIOR_SCALE,
     MODEL_PAIRS,
-    EffectDesign,
     GPriorBayesFactor,
     GPriorSpec,
     conditional_bf10,
     default_bf10,
-    effect_design,
 )
 from .parsing import ParsedReport, parse_stat, render_stat
 from .rng import substream
@@ -46,7 +44,6 @@ from .simulate import (
     FiveNumber,
     SimulationConfig,
     SimulationRecord,
-    coupled_config,
     decide,
     emit_density_data,
     generate_dataset,
@@ -84,7 +81,6 @@ __all__ = [
     "DensitySeries",
     "DomainError",
     "EFFECTS",
-    "EffectDesign",
     "EffectSummary",
     "EvidenceClass",
     "FactorialDataset",
@@ -107,11 +103,9 @@ __all__ = [
     "bic_bf_for_effect",
     "classify",
     "conditional_bf10",
-    "coupled_config",
     "decide",
     "default_bf10",
     "delta_bic_10",
-    "effect_design",
     "emit_density_data",
     "fit_two_way",
     "generate_dataset",

@@ -189,19 +189,11 @@ def fit_two_way(data: FactorialDataset) -> AnovaTable:
     )
 
 
-def bic_bf_for_effect(
-    table: AnovaTable, effect: str, n_convention: str = "total_observations"
-) -> BayesFactorValue:
+def bic_bf_for_effect(table: AnovaTable, effect: str) -> BayesFactorValue:
     """BIC Bayes factor BF01 for one effect of a fitted table.
 
-    ``n`` in the BIC is the total observation count; this is the only
-    supported convention (per-cell or per-level counts change the answer and
-    are rejected explicitly rather than silently reinterpreted).
+    ``n`` in the BIC is the total observation count.
     """
-    if n_convention != "total_observations":
-        raise DomainError(
-            f"unsupported n convention {n_convention!r}; only 'total_observations'"
-        )
     if table.degenerate:
         raise DegenerateDataError(
             "zero error variance: F is undefined, no Bayes factor"

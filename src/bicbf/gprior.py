@@ -1,20 +1,28 @@
 """Default g-prior Bayes factors for balanced factorial designs.
 
 Independent reimplementation of the default Bayesian ANOVA used as the
-comparison standard.  Each effect contributes a block of contrast columns
-built from an orthonormal basis of the sum-to-zero subspace of its levels
-(the interaction block is the row-wise product of the two main-effect
-bases).  All coefficients in block e share a variance scale g_e, the grand
-mean and error variance are integrated out under the usual flat/right-Haar
-treatment, and conditional on g the Bayes factor against the intercept-only
+comparison standard (Rouder, Morey, Speckman & Province, 2012, "Default
+Bayes factors for ANOVA designs", J. Math. Psych. 56).  Each effect e
+contributes df_e contrast columns, an orthonormal basis of its sum-to-zero
+subspace, whose coefficients share a variance scale g_e; the grand mean and
+error variance are integrated out under the usual flat/right-Haar treatment.
+Conditional on g the Bayes factor of a model M against the intercept-only
 model is
 
-    BF10(g) = det(I + XGX')^(-1/2) * [ y'y / (y'(I + XGX')^(-1) y) ]^((N-1)/2)
+    BF10(g) = det(I + XGX')^(-1/2) * [ SST / (y'(I + XGX')^(-1) y) ]^((N-1)/2)
 
-with y centered and G diagonal, g_e repeated df_e times.  The N x N matrix
-is never formed: Sylvester's identity and the Woodbury formula reduce both
-factors to a p x p symmetric positive-definite solve, p being the total
-contrast-column count (at most a*b - 1).
+with y centered.  For balanced data the blocks are mutually orthogonal and
+X_e'X_e = c_e I, with c_A = b*n, c_B = a*n and c_AB = n (n observations per
+cell), so both factors depend on the data only through the ANOVA sums of
+squares:
+
+    log BF10(g) = -1/2 sum_{e in M} df_e log(1 + c_e g_e)
+                  + ((N-1)/2) log(SST / q),
+    q = SSE + sum_{e not in M} SS_e + sum_{e in M} SS_e / (1 + c_e g_e).
+
+q is summed from nonnegative terms rather than formed as
+SST - sum_{e in M} SS_e c_e g_e / (1 + c_e g_e), which cancels to nothing
+at large g when the error variance is small.
 
 ``default_bf10`` integrates over g by plain Monte Carlo with independent
 Inverse-Gamma(1/2, r^2/2) draws per effect block; r defaults to sqrt(2)/2,
@@ -26,13 +34,12 @@ parallel execution schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import helmert
 
-from .anova import EFFECTS, FactorialDataset
+from .anova import EFFECTS, AnovaTable, FactorialDataset, fit_two_way
 from .errors import DegenerateDataError, DomainError
 from .rng import substream
 from .summary import BayesFactorValue
@@ -40,10 +47,8 @@ from .summary import BayesFactorValue
 __all__ = [
     "DEFAULT_PRIOR_SCALE",
     "MODEL_PAIRS",
-    "EffectDesign",
     "GPriorSpec",
     "GPriorBayesFactor",
-    "effect_design",
     "conditional_bf10",
     "default_bf10",
 ]
@@ -59,145 +64,52 @@ MODEL_PAIRS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
-def _orthonormal_contrasts(levels: int) -> np.ndarray:
-    """(levels, levels-1) basis of the sum-to-zero subspace, orthonormal columns."""
-    return helmert(levels, full=False).T
+def _column_norms(table: AnovaTable) -> dict[str, int]:
+    """c_e per effect: X_e'X_e = c_e I for orthonormal contrasts of balanced data."""
+    a, b = table.df_a + 1, table.df_b + 1
+    return {"A": table.n_total // a, "B": table.n_total // b, "AB": table.n_total // (a * b)}
 
 
-@dataclass(frozen=True, eq=False)
-class EffectDesign:
-    """Centered response plus one contrast block per included effect.
+def conditional_bf10(table: AnovaTable, effects: Sequence[str], g) -> float:
+    """Bayes factor of the model with ``effects`` against the intercept-only model.
 
-    Every block column sums to zero over observations, and blocks of
-    distinct effects are mutually orthogonal for balanced data.  The Gram
-    matrix, X'y, and y'y are precomputed once so each conditional Bayes
-    factor evaluation costs O(p^3) with p = total columns.
+    ``g`` holds one positive variance scale per listed effect, in the order
+    listed; a bare scalar is accepted for a single effect.  The empty model
+    returns exactly 1.
     """
-
-    y: np.ndarray = field(repr=False)
-    effects: tuple[str, ...]
-    blocks: tuple[np.ndarray, ...] = field(repr=False)
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1:
-            raise DomainError(f"y must be one-dimensional, got shape {y.shape}")
-        if len(self.effects) != len(self.blocks):
-            raise DomainError("one block per effect required")
-        blocks = tuple(np.asarray(block, dtype=float) for block in self.blocks)
-        for name, block in zip(self.effects, blocks):
-            if block.ndim != 2 or block.shape[0] != y.shape[0]:
-                raise DomainError(
-                    f"block {name} has shape {block.shape}, expected ({y.shape[0]}, df)"
-                )
-        x = np.hstack(blocks) if blocks else np.empty((y.shape[0], 0))
-        if y.shape[0] <= x.shape[1] + 1:
-            raise DomainError(
-                f"need more than {x.shape[1] + 1} observations for {x.shape[1]} "
-                f"contrast columns, got {y.shape[0]}"
-            )
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_gram", x.T @ x)
-        object.__setattr__(self, "_xty", x.T @ y)
-        object.__setattr__(self, "_yty", float(y @ y))
-        object.__setattr__(
-            self, "_block_dfs", np.array([b.shape[1] for b in blocks], dtype=int)
-        )
-
-    @property
-    def n_obs(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return int(self._block_dfs.sum())
-
-
-def effect_design(data: FactorialDataset, effects: Iterable[str]) -> EffectDesign:
-    """Design for the listed effects, assembled in canonical A, B, AB order."""
-    requested = set(effects)
-    unknown = requested - set(EFFECTS)
+    effects = tuple(effects)
+    unknown = set(effects) - set(EFFECTS)
     if unknown:
         raise DomainError(f"unknown effects {sorted(unknown)}; choose from {EFFECTS}")
-    wanted = tuple(e for e in EFFECTS if e in requested)
-
-    a, b, cell_n = data.a_levels, data.b_levels, data.cell_n
-    yv = data.y.reshape(-1)  # (i, j, k) order
-    i_idx = np.repeat(np.arange(a), b * cell_n)
-    j_idx = np.tile(np.repeat(np.arange(b), cell_n), a)
-    qa = _orthonormal_contrasts(a)
-    qb = _orthonormal_contrasts(b)
-    builders = {
-        "A": lambda: qa[i_idx],
-        "B": lambda: qb[j_idx],
-        "AB": lambda: (qa[i_idx][:, :, None] * qb[j_idx][:, None, :]).reshape(
-            yv.shape[0], -1
-        ),
-    }
-    blocks = tuple(builders[name]() for name in wanted)
-    return EffectDesign(yv - yv.mean(), wanted, blocks)
-
-
-def conditional_bf10(design: EffectDesign, g) -> float:
-    """Bayes factor against the intercept-only model for a fixed g vector.
-
-    ``g`` holds one positive variance scale per block; a bare scalar is
-    accepted for single-block designs.  The empty design returns exactly 1.
-    """
+    if len(set(effects)) != len(effects):
+        raise DomainError(f"effects must be distinct, got {effects}")
     g_row = np.atleast_1d(np.asarray(g, dtype=float))
-    if g_row.shape != (len(design.blocks),):
-        raise DomainError(
-            f"need {len(design.blocks)} g components, got shape {g_row.shape}"
-        )
+    if g_row.shape != (len(effects),):
+        raise DomainError(f"need {len(effects)} g components, got shape {g_row.shape}")
     if g_row.size and not np.all(g_row > 0):
         raise DomainError("g components must be positive")
-    return float(np.exp(_log_conditional_bf10(design, g_row[None, :])[0]))
+    return float(np.exp(_log_conditional_bf10(table, effects, g_row[None, :])[0]))
 
 
-def _log_conditional_bf10(design: EffectDesign, g_matrix: np.ndarray) -> np.ndarray:
-    """log conditional BF10 for each row of g_matrix, shape (m, n_blocks)."""
-    m = g_matrix.shape[0]
-    p = design.n_columns
-    if p == 0:
-        return np.zeros(m)
-    yty = design._yty
-    if yty == 0.0:
+def _log_conditional_bf10(
+    table: AnovaTable, effects: tuple[str, ...], g_matrix: np.ndarray
+) -> np.ndarray:
+    """log conditional BF10 for each row of g_matrix, shape (m, len(effects))."""
+    if not effects:
+        return np.zeros(g_matrix.shape[0])
+    if table.ss_total == 0.0:
         raise DegenerateDataError("constant response: Bayes factor undefined")
-
-    # Sylvester: det(I_N + XGX') = det(G) det(G^-1 + X'X); Woodbury gives
-    # y'(I + XGX')^-1 y = y'y - (X'y)' M^-1 (X'y) with M = G^-1 + X'X.
-    col_g = np.repeat(g_matrix, design._block_dfs, axis=1)
-    mats = np.broadcast_to(design._gram, (m, p, p)).copy()
-    idx = np.arange(p)
-    mats[:, idx, idx] += 1.0 / col_g
-    chol = np.linalg.cholesky(mats)
-    z = _forward_substitute(chol, design._xty)
-    q = yty - np.einsum("mp,mp->m", z, z)
-    if not np.all(q > 0):
-        raise np.linalg.LinAlgError(
-            "quadratic form is not positive; system numerically singular"
-        )
-    log_det_m = 2.0 * np.sum(np.log(chol[:, idx, idx]), axis=1)
-    log_det_g = np.log(g_matrix) @ design._block_dfs.astype(float)
-    # yty/q first, then one log: exact under power-of-two rescaling of y
-    return -0.5 * (log_det_m + log_det_g) + 0.5 * (design.n_obs - 1) * np.log(yty / q)
-
-
-def _forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L z = rhs for every lower-triangular L in the batch.
-
-    p is tiny (at most a*b - 1), so explicit column recurrences vectorized
-    over the batch beat LAPACK dispatch and keep the operation order fixed.
-    """
-    m, p, _ = chol.shape
-    z = np.empty((m, p))
-    for i in range(p):
-        acc = np.full(m, rhs[i])
-        for j in range(i):
-            acc -= chol[:, i, j] * z[:, j]
-        z[:, i] = acc / chol[:, i, i]
-    return z
+    norms = _column_norms(table)
+    # q = y'(I + XGX')^-1 y as a sum of nonnegative terms; SST minus the
+    # shrunk effect sums would cancel catastrophically once q << SST.
+    q = table.ss_error + sum(table.ss(e) for e in EFFECTS if e not in effects)
+    log_det = 0.0
+    for column, effect in enumerate(effects):
+        cg = norms[effect] * g_matrix[:, column]
+        q += table.ss(effect) / (1.0 + cg)
+        log_det += table.df(effect) * np.log1p(cg)
+    # SST/q first, then one log: exact under power-of-two rescaling of y
+    return -0.5 * log_det + 0.5 * (table.n_total - 1) * np.log(table.ss_total / q)
 
 
 @dataclass(frozen=True)
@@ -258,22 +170,21 @@ def default_bf10(
     """
     if effect not in MODEL_PAIRS:
         raise DomainError(f"effect must be one of {EFFECTS}, got {effect!r}")
-    # checked exactly on the raw values: rounding in the centering step can
-    # leave y'y at ~1e-33 instead of 0 for constant input
+    # checked exactly on the raw values: rounding in the sums of squares can
+    # leave SST at ~1e-33 instead of 0 for constant input
     if np.all(data.y == data.y.flat[0]):
         raise DegenerateDataError("constant response: Bayes factor undefined")
     num_effects, den_effects = MODEL_PAIRS[effect]
-    numerator = effect_design(data, num_effects)
-    denominator = effect_design(data, den_effects)
+    table = fit_two_way(data)
 
     rng = substream(spec.seed, f"gprior/{effect}", stream_index)
     r_sq = spec.scale * spec.scale
     # 1/Gamma(1/2, scale=2/r^2) is Inverse-Gamma(1/2, scale=r^2/2)
     g = 1.0 / rng.gamma(0.5, 2.0 / r_sq, size=(spec.mc_samples, len(num_effects)))
 
-    w_num, log_mean_num = _shifted_weights(_log_conditional_bf10(numerator, g))
+    w_num, log_mean_num = _shifted_weights(_log_conditional_bf10(table, num_effects, g))
     w_den, log_mean_den = _shifted_weights(
-        _log_conditional_bf10(denominator, g[:, : len(den_effects)])
+        _log_conditional_bf10(table, den_effects, g[:, : len(den_effects)])
     )
     log_bf = log_mean_num - log_mean_den
     se = float(np.std(w_num - w_den, ddof=1) / math.sqrt(spec.mc_samples))

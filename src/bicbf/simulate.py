@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -42,7 +42,6 @@ __all__ = [
     "FiveNumber",
     "EffectSummary",
     "DensitySeries",
-    "coupled_config",
     "decide",
     "generate_dataset",
     "run_simulation",
@@ -465,8 +464,3 @@ def read_config(path: str | Path) -> SimulationConfig:
         b_levels=parse("b_levels", 3),
         oracle=oracle,
     )
-
-
-def coupled_config(config: SimulationConfig, g: float) -> SimulationConfig:
-    """The same study at a different g; shares noise and effect shapes."""
-    return replace(config, g=g)

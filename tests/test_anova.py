@@ -155,11 +155,6 @@ class TestInvariances:
 
 
 class TestBayesFactorRoutes:
-    def test_unsupported_n_convention(self):
-        table = fit_two_way(random_dataset(0))
-        with pytest.raises(DomainError, match="total_observations"):
-            bic_bf_for_effect(table, "A", n_convention="per_cell")
-
     @pytest.mark.parametrize("seed", range(20))
     def test_sse_route_agrees_with_f_route(self, seed):
         table = fit_two_way(random_dataset(seed, effect_scale=1.5))

@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bicbf
 from bicbf import GPriorSpec, SimulationConfig, run_simulation, write_config, write_records
 from bicbf.cli import FORMAT_ENV_VAR, main
 
@@ -360,3 +365,17 @@ class TestTopLevel:
         )
         payload = json.loads(out)
         assert payload["bf"] == pytest.approx(math.exp(payload["log_bf"]), rel=1e-15)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is needed by tests alone.
+    env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+    probe = (
+        "import sys, bicbf.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,40 +1,102 @@
 """g-prior Bayes factors: dense-matrix oracle, limits, Monte Carlo behavior."""
 
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import helmert
 from scipy.stats import invgamma
 
 from bicbf import (
     DEFAULT_PRIOR_SCALE,
+    EFFECTS,
     DegenerateDataError,
     DomainError,
-    EffectDesign,
     FactorialDataset,
     GPriorSpec,
     conditional_bf10,
     default_bf10,
-    effect_design,
+    fit_two_way,
 )
-from bicbf.gprior import _log_conditional_bf10, _orthonormal_contrasts
+from bicbf.gprior import _column_norms, _log_conditional_bf10
 from conftest import random_dataset
 
 
-def dense_log_bf10(design: EffectDesign, g) -> float:
+def contrasts(levels: int) -> np.ndarray:
+    """(levels, levels-1) basis of the sum-to-zero subspace, orthonormal columns."""
+    return helmert(levels, full=False).T
+
+
+def dense_design(data: FactorialDataset, effects) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Centered response and one contrast block per effect, in the listed order.
+
+    The interaction block is the row-wise product of the two main-effect
+    blocks.
+    """
+    a, b, cell_n = data.a_levels, data.b_levels, data.cell_n
+    y = data.y.reshape(-1)  # (i, j, k) order
+    qa = contrasts(a)[np.repeat(np.arange(a), b * cell_n)]
+    qb = contrasts(b)[np.tile(np.repeat(np.arange(b), cell_n), a)]
+    blocks = {
+        "A": qa,
+        "B": qb,
+        "AB": (qa[:, :, None] * qb[:, None, :]).reshape(y.shape[0], -1),
+    }
+    return y - y.mean(), [blocks[e] for e in effects]
+
+
+def dense_log_bf10(data: FactorialDataset, effects, g) -> float:
     """Reference evaluation that actually forms the N x N covariance."""
+    y, blocks = dense_design(data, effects)
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    x = np.hstack(design.blocks)
-    col_g = np.repeat(g, [b.shape[1] for b in design.blocks])
-    big = np.eye(design.n_obs) + (x * col_g) @ x.T
+    x = np.hstack(blocks)
+    col_g = np.repeat(g, [block.shape[1] for block in blocks])
+    big = np.eye(y.shape[0]) + (x * col_g) @ x.T
     _, logdet = np.linalg.slogdet(big)
-    y = design.y
     quad = float(y @ np.linalg.solve(big, y))
-    return -0.5 * logdet + 0.5 * (design.n_obs - 1) * math.log(float(y @ y) / quad)
+    return -0.5 * logdet + 0.5 * (y.shape[0] - 1) * math.log(float(y @ y) / quad)
 
 
-def quadrature_log_marginal(design: EffectDesign, nodes: int = 64) -> float:
+def exact_log_bf10(y: np.ndarray, effects, g) -> float:
+    """Closed-form log BF10 from sums of squares computed exactly from ``y``.
+
+    Every float is a dyadic rational, so Fraction arithmetic gives the sums
+    of squares and the quadratic form q of the float data without rounding;
+    only the final logarithms round.
+    """
+    a, b, cell_n = y.shape
+    cells = [[[Fraction(float(v)) for v in y[i, j]] for j in range(b)] for i in range(a)]
+    cell = [[sum(vals) / cell_n for vals in row] for row in cells]
+    a_mean = [sum(row) / b for row in cell]
+    b_mean = [sum(cell[i][j] for i in range(a)) / a for j in range(b)]
+    grand = sum(a_mean) / a
+    ss = {
+        "A": b * cell_n * sum((m - grand) ** 2 for m in a_mean),
+        "B": a * cell_n * sum((m - grand) ** 2 for m in b_mean),
+        "AB": cell_n * sum(
+            (cell[i][j] - a_mean[i] - b_mean[j] + grand) ** 2
+            for i in range(a) for j in range(b)
+        ),
+    }
+    ss_error = sum(
+        (v - cell[i][j]) ** 2 for i in range(a) for j in range(b) for v in cells[i][j]
+    )
+    ss_total = sum((v - grand) ** 2 for row in cells for vals in row for v in vals)
+    norms = {"A": b * cell_n, "B": a * cell_n, "AB": cell_n}
+    dfs = {"A": a - 1, "B": b - 1, "AB": (a - 1) * (b - 1)}
+    q = ss_error + sum(ss[e] for e in EFFECTS if e not in effects)
+    log_det = 0.0
+    for effect, g_e in zip(effects, g):
+        shrink = 1 + norms[effect] * Fraction(g_e)
+        q += ss[effect] / shrink
+        log_det += dfs[effect] * math.log(shrink)
+    return -0.5 * log_det + 0.5 * (a * b * cell_n - 1) * math.log(ss_total / q)
+
+
+def quadrature_log_marginal(table, effects, nodes: int = 64) -> float:
     """log of int BF10(g) p(g) dg by a product Gauss-Legendre rule on log g.
 
     Every block gets the same rule on u = log g over [-12, 30]; the
@@ -50,13 +112,13 @@ def quadrature_log_marginal(design: EffectDesign, nodes: int = 64) -> float:
     log_node = (np.log(0.5 * (hi - lo) * w) + 0.5 * math.log(r_sq / 2)
                 - math.lgamma(0.5) - 0.5 * u - r_sq / (2 * np.exp(u)))
     grid = np.stack(
-        np.meshgrid(*[np.arange(nodes)] * len(design.blocks), indexing="ij"), axis=-1
-    ).reshape(-1, len(design.blocks))
+        np.meshgrid(*[np.arange(nodes)] * len(effects), indexing="ij"), axis=-1
+    ).reshape(-1, len(effects))
     g = np.exp(u)[grid]
-    log_bf = _log_conditional_bf10(design, g)
+    log_bf = _log_conditional_bf10(table, effects, g)
     for row in (0, len(g) // 2, len(g) - 1):
         assert log_bf[row] == pytest.approx(
-            math.log(conditional_bf10(design, g[row])), abs=1e-10
+            math.log(conditional_bf10(table, effects, g[row])), abs=1e-10
         )
     terms = log_bf + log_node[grid].sum(axis=1)
     top = float(np.max(terms))
@@ -73,63 +135,71 @@ def mc_dataset():
 class TestContrasts:
     @pytest.mark.parametrize("levels", range(2, 7))
     def test_orthonormal_and_sum_to_zero(self, levels):
-        q = _orthonormal_contrasts(levels)
+        q = contrasts(levels)
         assert q.shape == (levels, levels - 1)
         assert np.allclose(q.T @ q, np.eye(levels - 1), atol=1e-12)
         assert np.allclose(q.sum(axis=0), 0.0, atol=1e-12)
 
     def test_design_gram_is_block_diagonal_with_known_norms(self):
         data = random_dataset(3, a=2, b=3, cell_n=4)
-        design = effect_design(data, ("A", "B", "AB"))
-        gram = design._gram
+        _, blocks = dense_design(data, EFFECTS)
+        x = np.hstack(blocks)
         # Balanced data: A columns have squared norm b*cell_n, B columns
         # a*cell_n, AB columns cell_n, and distinct columns are orthogonal.
         want = np.diag([12.0, 8.0, 8.0, 4.0, 4.0])
-        assert np.allclose(gram, want, atol=1e-10)
-        assert np.allclose(np.hstack(design.blocks).sum(axis=0), 0.0, atol=1e-10)
-
-    def test_effects_assemble_in_canonical_order(self):
-        data = random_dataset(4)
-        design = effect_design(data, ("AB", "A"))
-        assert design.effects == ("A", "AB")
+        assert np.allclose(x.T @ x, want, atol=1e-10)
+        assert np.allclose(x.sum(axis=0), 0.0, atol=1e-10)
+        norms = _column_norms(fit_two_way(data))
+        assert [norms[e] for e in EFFECTS] == [12, 8, 4]
 
 
 class TestConditionalAgainstDense:
-    def test_single_column_six_observations(self):
-        y = np.array([1.2, -0.4, 0.3, 0.8, -1.1, 0.2])
-        y = y - y.mean()
-        x = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None]
-        design = EffectDesign(y, ("A",), (x,))
+    def test_single_column_eight_observations(self):
+        y = np.array([1.2, -0.4, 0.3, 0.8, -1.1, 0.2, 0.5, -0.9]).reshape(2, 2, 2)
+        data = FactorialDataset(2, 2, 2, y)
+        table = fit_two_way(data)
         for g in (0.7, 0.05, 3.0):
-            got = conditional_bf10(design, g)
-            want = math.exp(dense_log_bf10(design, g))
+            got = conditional_bf10(table, ("A",), g)
+            want = math.exp(dense_log_bf10(data, ("A",), g))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_three_blocks_twelve_observations(self):
         data = random_dataset(21, a=2, b=3, cell_n=2)
-        design = effect_design(data, ("A", "B", "AB"))
-        assert design.n_columns == 5
+        table = fit_two_way(data)
         for g in ((0.7, 0.3, 1.5), (0.01, 0.01, 0.01), (12.0, 0.2, 4.0)):
-            got = conditional_bf10(design, g)
-            want = math.exp(dense_log_bf10(design, g))
+            got = conditional_bf10(table, ("A", "B", "AB"), g)
+            want = math.exp(dense_log_bf10(data, ("A", "B", "AB"), g))
             assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_designs(self, seed):
         data = random_dataset(seed + 400, cell_n=3)
         rng = np.random.default_rng(seed)
-        design = effect_design(data, ("A", "B"))
         g = rng.gamma(1.0, 1.0, size=2) + 0.01
-        assert conditional_bf10(design, g) == pytest.approx(
-            math.exp(dense_log_bf10(design, g)), rel=1e-10
+        assert conditional_bf10(fit_two_way(data), ("A", "B"), g) == pytest.approx(
+            math.exp(dense_log_bf10(data, ("A", "B"), g)), rel=1e-10
         )
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 4)], ids=["2x2", "2x3", "3x4"])
+    def test_every_model_on_each_shape(self, shape):
+        # On 3x4 every block has several columns and c_A, c_B, c_AB differ.
+        a, b = shape
+        data = random_dataset(77 + a * b, a=a, b=b, cell_n=3)
+        table = fit_two_way(data)
+        rng = np.random.default_rng(a * b)
+        for size in (1, 2, 3):
+            for effects in combinations(EFFECTS, size):
+                g = rng.gamma(1.0, 1.0, size=size) + 0.01
+                assert math.log(conditional_bf10(table, effects, g)) == pytest.approx(
+                    dense_log_bf10(data, effects, g), abs=1e-10
+                ), effects
 
 
 class TestConditionalProperties:
     def test_vanishing_g_gives_unit_bayes_factor(self):
-        design = effect_design(random_dataset(8), ("A", "B", "AB"))
+        table = fit_two_way(random_dataset(8))
         g = np.full(3, 1e-10)
-        assert conditional_bf10(design, g) == pytest.approx(1.0, abs=1e-6)
+        assert conditional_bf10(table, ("A", "B", "AB"), g) == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal_response_reduces_to_determinant_penalty(self):
         # Zero cell means with a +-1 within-cell pattern: X'y = 0 exactly,
@@ -137,12 +207,12 @@ class TestConditionalProperties:
         y = np.zeros((2, 3, 4))
         y[:, :, 0::2] = 1.0
         y[:, :, 1::2] = -1.0
-        design = effect_design(FactorialDataset(2, 3, 4, y), ("A", "B", "AB"))
+        table = fit_two_way(FactorialDataset(2, 3, 4, y))
         g = np.array([0.9, 0.4, 2.0])
         col_g = np.repeat(g, [1, 2, 2])
         col_norms = np.array([12.0, 8.0, 8.0, 4.0, 4.0])
         want = float(np.prod(1.0 + col_g * col_norms) ** -0.5)
-        got = conditional_bf10(design, g)
+        got = conditional_bf10(table, ("A", "B", "AB"), g)
         assert got == pytest.approx(want, rel=1e-12)
         assert got < 1.0
 
@@ -151,13 +221,30 @@ class TestConditionalProperties:
         data = random_dataset(15, a=2, b=2, cell_n=3)
         scaled = FactorialDataset(2, 2, 3, data.y * scale)
         for g in (0.3, 1.0, 7.5):
-            base = conditional_bf10(effect_design(data, ("A", "AB")), (g, 2 * g))
-            moved = conditional_bf10(effect_design(scaled, ("A", "AB")), (g, 2 * g))
+            base = conditional_bf10(fit_two_way(data), ("A", "AB"), (g, 2 * g))
+            moved = conditional_bf10(fit_two_way(scaled), ("A", "AB"), (g, 2 * g))
             assert moved == base
 
     def test_empty_design_is_exactly_one(self):
-        design = effect_design(random_dataset(2), ())
-        assert conditional_bf10(design, np.empty(0)) == 1.0
+        table = fit_two_way(random_dataset(2))
+        assert conditional_bf10(table, (), np.empty(0)) == 1.0
+
+    def test_g_follows_the_listed_effect_order(self):
+        table = fit_two_way(random_dataset(4, a=2, b=3))
+        assert conditional_bf10(table, ("AB", "A"), (0.3, 2.0)) == pytest.approx(
+            conditional_bf10(table, ("A", "AB"), (2.0, 0.3)), rel=1e-14
+        )
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    @pytest.mark.parametrize("g", [1e10, 1e14, 1e18])
+    def test_extreme_g_matches_exact_sums_of_squares(self, noise, g):
+        # Constant (or nearly constant) cells leave q far below SST at large
+        # g; the quadratic form must not be obtained by cancellation.
+        rng = np.random.default_rng(55)
+        y = rng.normal(size=(2, 3, 1)) + noise * rng.normal(size=(2, 3, 4))
+        table = fit_two_way(FactorialDataset(2, 3, 4, y))
+        got = math.log(conditional_bf10(table, EFFECTS, (g, g, g)))
+        assert got == pytest.approx(exact_log_bf10(y, EFFECTS, (g, g, g)), abs=1e-9)
 
 
 class TestValidation:
@@ -175,21 +262,18 @@ class TestValidation:
         data = random_dataset(0)
         with pytest.raises(DomainError, match="effect"):
             default_bf10(data, "C")
+        table = fit_two_way(data)
         with pytest.raises(DomainError, match="unknown effects"):
-            effect_design(data, ("A", "Q"))
+            conditional_bf10(table, ("A", "Q"), (0.5, 0.5))
+        with pytest.raises(DomainError, match="distinct"):
+            conditional_bf10(table, ("A", "A"), (0.5, 0.5))
 
     def test_g_shape_and_sign_checks(self):
-        design = effect_design(random_dataset(1), ("A", "B"))
+        table = fit_two_way(random_dataset(1))
         with pytest.raises(DomainError, match="g components"):
-            conditional_bf10(design, 0.5)
+            conditional_bf10(table, ("A", "B"), 0.5)
         with pytest.raises(DomainError, match="positive"):
-            conditional_bf10(design, (0.5, -0.5))
-
-    def test_too_few_observations(self):
-        y = np.array([0.4, -0.4])
-        x = np.array([[1.0], [-1.0]])
-        with pytest.raises(DomainError, match="need more than"):
-            EffectDesign(y, ("A",), (x,))
+            conditional_bf10(table, ("A", "B"), (0.5, -0.5))
 
     def test_constant_data_rejected(self):
         data = FactorialDataset(2, 2, 2, np.full((2, 2, 2), 0.1))
@@ -197,10 +281,9 @@ class TestValidation:
             default_bf10(data, "A")
 
     def test_zero_response_rejected_in_conditional(self):
-        x = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None]
-        design = EffectDesign(np.zeros(6), ("A",), (x,))
+        table = fit_two_way(FactorialDataset(2, 2, 2, np.zeros((2, 2, 2))))
         with pytest.raises(DegenerateDataError, match="constant response"):
-            conditional_bf10(design, 0.5)
+            conditional_bf10(table, ("A",), 0.5)
 
 
 class TestDefaultBf10:
@@ -264,20 +347,21 @@ class TestDefaultBf10:
         # int BF_full p / int BF_A+B p.  On these 2x2 datasets the mean of
         # per-draw ratios BF_full/BF_A+B misses that by 0.03 to 0.3 in log BF.
         data = random_dataset(seed, a=2, b=2, cell_n=3)
+        table = fit_two_way(data)
         want = quadrature_log_marginal(
-            effect_design(data, ("A", "B", "AB"))
-        ) - quadrature_log_marginal(effect_design(data, ("A", "B")))
+            table, ("A", "B", "AB")
+        ) - quadrature_log_marginal(table, ("A", "B"))
         got = default_bf10(data, "AB", GPriorSpec(mc_samples=50_000, seed=5))
         assert got.log_bf == pytest.approx(want, abs=0.02)
 
     def test_matches_quadrature_for_main_effect(self, mc_dataset):
         # Effect A has an empty denominator model, so the Monte Carlo mean
         # estimates the single integral int BF10(g) p(g) dg directly.
-        design = effect_design(mc_dataset, ("A",))
+        table = fit_two_way(mc_dataset)
         r_sq = DEFAULT_PRIOR_SCALE**2
 
         def integrand(g):
-            return conditional_bf10(design, g) * invgamma.pdf(g, a=0.5, scale=r_sq / 2)
+            return conditional_bf10(table, ("A",), g) * invgamma.pdf(g, a=0.5, scale=r_sq / 2)
 
         want, err = integrate.quad(integrand, 0.0, np.inf, limit=200)
         assert err < 1e-6

@@ -1,6 +1,7 @@
 """Simulation harness: generation, determinism, summaries, file formats."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from bicbf import (
     SimulationConfig,
     SimulationError,
     SimulationRecord,
-    coupled_config,
     decide,
     emit_density_data,
     generate_dataset,
@@ -59,13 +59,6 @@ class TestConfig:
         with pytest.raises(DomainError, match="levels"):
             SimulationConfig(cell_n=2, g=0.0, trials=1, seed=0, a_levels=1)
 
-    def test_coupled_config_changes_only_g(self):
-        base = SimulationConfig(cell_n=4, g=0.05, trials=7, seed=3)
-        other = coupled_config(base, 0.2)
-        assert other.g == 0.2
-        assert (other.cell_n, other.trials, other.seed) == (4, 7, 3)
-        assert other.oracle == base.oracle
-
 
 class TestGeneration:
     def test_zero_g_dataset_is_exactly_the_noise_stream(self):
@@ -77,8 +70,8 @@ class TestGeneration:
     def test_coupling_shares_noise_and_scales_effects(self):
         base = SimulationConfig(cell_n=5, g=0.0, trials=4, seed=17)
         d0 = generate_dataset(base, 1)
-        d_small = generate_dataset(coupled_config(base, 0.05), 1)
-        d_large = generate_dataset(coupled_config(base, 0.2), 1)
+        d_small = generate_dataset(replace(base, g=0.05), 1)
+        d_large = generate_dataset(replace(base, g=0.2), 1)
         # Effect contributions are cell-constant, so the difference from the
         # null dataset has no within-cell spread beyond rounding.
         diff_small = d_small.y - d0.y
