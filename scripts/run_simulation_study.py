@@ -10,8 +10,9 @@ visible trial by trial.  Results files compatible with `bicbf report` are
 written next to a config file per condition.
 
 The full study (three cell sizes, 1000 trials, 10000 oracle draws per
-Bayes factor) takes on the order of ten minutes on one core; pass --quick
-for a reduced smoke run, or --jobs to parallelize.
+Bayes factor) runs in one process, in about a minute on one core; pass
+--quick for a reduced smoke run.  The nine conditions are independent, so
+for more cores run them as separate `bicbf simulate` calls.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ def parse_args(argv=None):
                         help="oracle draws per Bayes factor")
     parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--oracle-seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--quick", action="store_true",
                         help="100 trials, 1000 oracle draws: a fast smoke run")
     return parser.parse_args(argv)
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
             config = replace(base, g=g)
             tag = f"cell{cell_n}_g{g:g}"
             start = time.perf_counter()
-            records = run_simulation(config, n_jobs=args.jobs)
+            records = run_simulation(config)
             elapsed = time.perf_counter() - start
             write_records(records, out_dir / f"results_{tag}.csv")
             write_config(config, out_dir / f"config_{tag}.txt")

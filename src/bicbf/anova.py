@@ -156,20 +156,24 @@ def fit_two_way(data: FactorialDataset) -> AnovaTable:
     a_means = y.mean(axis=(1, 2))
     b_means = y.mean(axis=(0, 2))
 
-    ss_a = b * cell_n * float(np.sum((a_means - grand) ** 2))
-    ss_b = a * cell_n * float(np.sum((b_means - grand) ** 2))
-    interaction = cell_means - a_means[:, None] - b_means[None, :] + grand
-    ss_ab = cell_n * float(np.sum(interaction**2))
-    ss_total = float(np.sum((y - grand) ** 2))
+    # Zero error variance means every cell is constant; decide that exactly
+    # rather than from the computed residuals, whose rounding can leave a
+    # spurious 1e-30-ish sum for constant input.  A constant response gets
+    # exact zeros in every sum of squares for the same reason.
+    degenerate = bool(np.all(y == y[:, :, :1]))
+    if degenerate and np.all(y == y.flat[0]):
+        ss_a = ss_b = ss_ab = ss_total = 0.0
+    else:
+        ss_a = b * cell_n * float(np.sum((a_means - grand) ** 2))
+        ss_b = a * cell_n * float(np.sum((b_means - grand) ** 2))
+        interaction = cell_means - a_means[:, None] - b_means[None, :] + grand
+        ss_ab = cell_n * float(np.sum(interaction**2))
+        ss_total = float(np.sum((y - grand) ** 2))
 
     df_a, df_b = a - 1, b - 1
     df_ab = df_a * df_b
     df_error = a * b * (cell_n - 1)
 
-    # Zero error variance means every cell is constant; decide that exactly
-    # rather than from the computed residuals, whose rounding can leave a
-    # spurious 1e-30-ish sum for constant input.
-    degenerate = bool(np.all(y == y[:, :, :1]))
     ss_error = 0.0 if degenerate else float(np.sum((y - cell_means[:, :, None]) ** 2))
     if degenerate:
         f_a = f_b = f_ab = math.nan

@@ -102,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo draws per Bayes factor (default 10000)")
     p_sim.add_argument("--oracle-seed", type=_nonnegative_int,
                        help="seed of the Monte Carlo oracle (default 0)")
-    p_sim.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes (results are identical for any count)")
     p_sim.add_argument("--out", required=True, help="results file to write")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -290,7 +288,7 @@ def cmd_simulate(args) -> int:
         if done == total or done % step == 0:
             print(f"\r{done}/{total} trials", end="", file=sys.stderr, flush=True)
 
-    records = run_simulation(config, n_jobs=args.jobs, progress=progress)
+    records = run_simulation(config, progress=progress)
     print(file=sys.stderr)
     write_records(records, args.out)
     elapsed = time.perf_counter() - start

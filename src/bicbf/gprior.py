@@ -27,8 +27,9 @@ at large g when the error variance is small.
 ``default_bf10`` integrates over g by plain Monte Carlo with independent
 Inverse-Gamma(1/2, r^2/2) draws per effect block; r defaults to sqrt(2)/2,
 the conventional "wide" scale.  Draws come from a deterministic substream
-(see ``bicbf.rng``), so estimates are reproducible and independent of any
-parallel execution schedule.
+(see ``bicbf.rng``) keyed by the oracle seed, the effect and a stream index,
+so an estimate is reproducible and does not depend on what was computed
+before it.
 """
 
 from __future__ import annotations
@@ -165,18 +166,19 @@ def default_bf10(
     Deterministic for fixed (data, effect, spec, stream_index): draws come
     from the substream keyed by (spec.seed, "gprior/<effect>", stream_index).
     ``stream_index`` distinguishes datasets evaluated under one oracle seed;
-    the simulation harness passes its trial index, which keeps estimates
-    independent of execution order.
+    the simulation harness passes its trial index, so a trial's estimates
+    depend only on the config and the trial number.
     """
     if effect not in MODEL_PAIRS:
         raise DomainError(f"effect must be one of {EFFECTS}, got {effect!r}")
-    # checked exactly on the raw values: rounding in the sums of squares can
-    # leave SST at ~1e-33 instead of 0 for constant input
-    if np.all(data.y == data.y.flat[0]):
-        raise DegenerateDataError("constant response: Bayes factor undefined")
-    num_effects, den_effects = MODEL_PAIRS[effect]
-    table = fit_two_way(data)
+    return _table_bf10(fit_two_way(data), effect, spec, stream_index)
 
+
+def _table_bf10(
+    table: AnovaTable, effect: str, spec: GPriorSpec, stream_index: int
+) -> GPriorBayesFactor:
+    """``default_bf10`` of a fitted table, for a known effect."""
+    num_effects, den_effects = MODEL_PAIRS[effect]
     rng = substream(spec.seed, f"gprior/{effect}", stream_index)
     r_sq = spec.scale * spec.scale
     # 1/Gamma(1/2, scale=2/r^2) is Inverse-Gamma(1/2, scale=r^2/2)

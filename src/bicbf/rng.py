@@ -11,7 +11,8 @@ platform independent, so a run is reproducible anywhere given the same numpy
 version.  Distinct labels give independent streams; the simulation harness
 uses separate labels for effect draws, noise draws, and the Monte Carlo
 oracle so that, for example, changing the effect variance never reorders the
-noise draws of a coupled run, and parallel execution cannot change results.
+noise draws of a coupled run, and a trial's draws depend only on its seed and
+trial index, never on the trials computed before it.
 """
 
 from __future__ import annotations

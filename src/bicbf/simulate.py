@@ -12,18 +12,18 @@ the two routes reach the same decision.
 
 Determinism: every draw comes from a substream keyed by (seed, label,
 trial), with separate labels for effect draws, noise draws, and the Monte
-Carlo oracle.  Consequences relied on elsewhere: trials can run in any
-order or in parallel without changing a single bit of output, and two
-configs differing only in g share their noise (and, up to the sqrt(g)
-scale, their effects), which makes evidence monotone in g testable on
-coupled trials.
+Carlo oracle.  Consequences relied on elsewhere: a rerun is bitwise
+identical, a trial's records depend only on the config and the trial
+number (so a shorter run is a prefix of a longer one), and two configs
+differing only in g share their noise (and, up to the sqrt(g) scale,
+their effects), which makes evidence monotone in g testable on coupled
+trials.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -32,7 +32,7 @@ import numpy as np
 
 from .anova import EFFECTS, FactorialDataset, bic_bf_for_effect, fit_two_way
 from .errors import BicbfError, DomainError, SimulationError
-from .gprior import GPriorSpec, default_bf10
+from .gprior import GPriorSpec, _table_bf10
 from .rng import substream
 from .summary import invert
 
@@ -158,7 +158,7 @@ def _trial_records(config: SimulationConfig, trial: int) -> list[SimulationRecor
         records = []
         for effect in EFFECTS:
             bic = invert(bic_bf_for_effect(table, effect))
-            oracle = default_bf10(data, effect, config.oracle, stream_index=trial)
+            oracle = _table_bf10(table, effect, config.oracle, trial)
             records.append(
                 SimulationRecord(
                     trial=trial,
@@ -176,42 +176,19 @@ def _trial_records(config: SimulationConfig, trial: int) -> list[SimulationRecor
 
 def run_simulation(
     config: SimulationConfig,
-    n_jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> list[SimulationRecord]:
     """All records of the configured study, in (trial, effect) order.
 
-    ``n_jobs`` > 1 farms trials out to worker processes; substream keying
-    makes the output identical for every job count.  ``progress`` is called
-    with (finished_trials, total_trials) as trials complete.
+    ``progress`` is called with (finished_trials, total_trials) after each
+    trial.
     """
-    if n_jobs < 1:
-        raise DomainError(f"n_jobs must be at least 1, got {n_jobs}")
-    per_trial: list[list[SimulationRecord] | None] = [None] * config.trials
-    if n_jobs == 1:
-        for trial in range(config.trials):
-            per_trial[trial] = _trial_records(config, trial)
-            if progress is not None:
-                progress(trial + 1, config.trials)
-    else:
-        # submit in bounded waves so huge runs do not queue every trial up front
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            pending = {}
-            done_count = 0
-            next_trial = 0
-            limit = 4 * n_jobs
-            while done_count < config.trials:
-                while next_trial < config.trials and len(pending) < limit:
-                    future = pool.submit(_trial_records, config, next_trial)
-                    pending[future] = next_trial
-                    next_trial += 1
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    per_trial[pending.pop(future)] = future.result()
-                    done_count += 1
-                    if progress is not None:
-                        progress(done_count, config.trials)
-    return [record for group in per_trial for record in group]  # type: ignore[union-attr]
+    records = []
+    for trial in range(config.trials):
+        records += _trial_records(config, trial)
+        if progress is not None:
+            progress(trial + 1, config.trials)
+    return records
 
 
 @dataclass(frozen=True)

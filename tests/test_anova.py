@@ -84,8 +84,8 @@ class TestHandOracle:
         data = FactorialDataset(2, 2, 2, np.full((2, 2, 2), constant))
         table = fit_two_way(data)
         assert table.degenerate
-        assert table.ss_error == 0.0
-        assert table.ss_a == pytest.approx(0.0, abs=1e-12)
+        ss = (table.ss_a, table.ss_b, table.ss_ab, table.ss_error, table.ss_total)
+        assert ss == (0.0, 0.0, 0.0, 0.0, 0.0)
         assert math.isnan(table.f_a)
         assert math.isnan(table.f_ab)
         with pytest.raises(DegenerateDataError, match="zero error variance"):

@@ -285,6 +285,15 @@ class TestValidation:
         with pytest.raises(DegenerateDataError, match="constant response"):
             conditional_bf10(table, ("A",), 0.5)
 
+    @pytest.mark.parametrize(
+        "value, shape", [(0.1, (2, 3, 3)), (0.3, (3, 4, 5)), (1 / 3, (3, 4, 5))]
+    )
+    def test_constant_nonzero_response_rejected_in_conditional(self, value, shape):
+        # Rounding in the means must not leave a tiny SST that passes for data.
+        table = fit_two_way(FactorialDataset(*shape, np.full(shape, value)))
+        with pytest.raises(DegenerateDataError, match="constant response"):
+            conditional_bf10(table, ("A", "B", "AB"), (0.5, 0.5, 0.5))
+
 
 class TestDefaultBf10:
     def test_deterministic_and_stream_sensitive(self, mc_dataset):

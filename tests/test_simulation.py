@@ -16,6 +16,7 @@ from bicbf import (
     SimulationError,
     SimulationRecord,
     decide,
+    default_bf10,
     emit_density_data,
     generate_dataset,
     read_config,
@@ -122,14 +123,6 @@ class TestRunSimulation:
         again = run_simulation(small)
         assert again == records[: 3 * 5]
 
-    def test_parallel_schedule_does_not_change_output(self):
-        config = SimulationConfig(
-            cell_n=3, g=0.1, trials=6, seed=8, oracle=GPriorSpec(mc_samples=1000, seed=1)
-        )
-        serial = run_simulation(config, n_jobs=1)
-        parallel = run_simulation(config, n_jobs=2)
-        assert parallel == serial
-
     def test_progress_callback(self):
         config = SimulationConfig(cell_n=2, g=0.0, trials=3, seed=0,
                                   oracle=GPriorSpec(mc_samples=1000, seed=0))
@@ -137,10 +130,15 @@ class TestRunSimulation:
         run_simulation(config, progress=lambda done, total: seen.append((done, total)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
-    def test_bad_n_jobs(self, null_run):
-        config, _ = null_run
-        with pytest.raises(DomainError, match="n_jobs"):
-            run_simulation(config, n_jobs=0)
+    def test_oracle_column_is_the_public_default_bf10(self):
+        # The harness evaluates the oracle on the table it already fitted;
+        # that must give exactly what the public entry point gives.
+        config = SimulationConfig(cell_n=3, g=0.1, trials=4, seed=8,
+                                  oracle=GPriorSpec(mc_samples=1000, seed=1))
+        for r in run_simulation(config):
+            data = generate_dataset(config, r.trial)
+            want = default_bf10(data, r.effect, config.oracle, stream_index=r.trial)
+            assert r.log_bf10_default == want.log_bf
 
     def test_bic_floors_hold_on_every_record(self, null_run):
         config, records = null_run
