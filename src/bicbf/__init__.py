@@ -11,15 +11,8 @@ harness that compares the two, plus a small parser for reported-statistic
 text and a command-line front end (``bicbf``).
 """
 
-from .anova import (
-    EFFECTS,
-    AnovaTable,
-    FactorialDataset,
-    bic_bf_for_effect,
-    fit_two_way,
-    load_dataset,
-    write_dataset,
-)
+import importlib
+
 from .errors import (
     BicbfError,
     DegenerateDataError,
@@ -28,34 +21,7 @@ from .errors import (
     SimulationError,
     UnbalancedDataError,
 )
-from .gprior import (
-    DEFAULT_PRIOR_SCALE,
-    MODEL_PAIRS,
-    GPriorBayesFactor,
-    GPriorSpec,
-    conditional_bf10,
-    default_bf10,
-)
 from .parsing import ParsedReport, parse_stat, render_stat
-from .rng import substream
-from .simulate import (
-    DensitySeries,
-    EffectSummary,
-    FiveNumber,
-    SimulationConfig,
-    SimulationRecord,
-    decide,
-    emit_density_data,
-    generate_dataset,
-    read_config,
-    read_records,
-    run_simulation,
-    silverman_bandwidth,
-    summarize,
-    write_config,
-    write_density_data,
-    write_records,
-)
 from .summary import (
     BayesFactorValue,
     EvidenceClass,
@@ -69,6 +35,58 @@ from .summary import (
     delta_bic_10,
     invert,
 )
+
+# The modules below need numpy.  Their names resolve on first access
+# (PEP 562), so the summary-statistic path (``bicbf bf``, ``bicbf parse``)
+# starts without importing numpy.
+_LAZY_NAMES = {
+    "EFFECTS": "anova",
+    "AnovaTable": "anova",
+    "FactorialDataset": "anova",
+    "bic_bf_for_effect": "anova",
+    "fit_two_way": "anova",
+    "load_dataset": "anova",
+    "write_dataset": "anova",
+    "DEFAULT_PRIOR_SCALE": "gprior",
+    "MODEL_PAIRS": "gprior",
+    "GPriorBayesFactor": "gprior",
+    "GPriorSpec": "gprior",
+    "conditional_bf10": "gprior",
+    "default_bf10": "gprior",
+    "substream": "rng",
+    "DensitySeries": "simulate",
+    "EffectSummary": "simulate",
+    "FiveNumber": "simulate",
+    "SimulationConfig": "simulate",
+    "SimulationRecord": "simulate",
+    "decide": "simulate",
+    "emit_density_data": "simulate",
+    "generate_dataset": "simulate",
+    "read_config": "simulate",
+    "read_records": "simulate",
+    "run_simulation": "simulate",
+    "silverman_bandwidth": "simulate",
+    "summarize": "simulate",
+    "write_config": "simulate",
+    "write_density_data": "simulate",
+    "write_records": "simulate",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES.values():  # the submodule itself, e.g. bicbf.simulate
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

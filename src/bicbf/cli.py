@@ -18,24 +18,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
 from typing import Sequence
 
 from .errors import BicbfError
-from .gprior import DEFAULT_PRIOR_SCALE, GPriorSpec
 from .parsing import parse_stat, render_stat
-from .simulate import (
-    SimulationConfig,
-    emit_density_data,
-    read_config,
-    read_records,
-    run_simulation,
-    summarize,
-    write_density_data,
-    write_records,
-)
 from .summary import bf01_from_f, bf01_from_stat, bf01_from_t, classify
 
 FORMATS = ("plain", "csv", "json")
@@ -97,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--a-levels", type=_positive_int, help="levels of factor A (default 2)")
     p_sim.add_argument("--b-levels", type=_positive_int, help="levels of factor B (default 3)")
     p_sim.add_argument("--prior-scale", type=_positive_float,
-                       help=f"g-prior scale r (default {DEFAULT_PRIOR_SCALE:.6g})")
+                       help="g-prior scale r (default sqrt(2)/2)")
     p_sim.add_argument("--mc-samples", type=_positive_int,
                        help="Monte Carlo draws per Bayes factor (default 10000)")
     p_sim.add_argument("--oracle-seed", type=_nonnegative_int,
@@ -218,7 +208,7 @@ def cmd_bf(args) -> int:
     else:
         print(json.dumps({
             "direction": value.direction,
-            "bf": value.bf,
+            "bf": value.bf if math.isfinite(value.bf) else None,  # strict JSON has no inf
             "log_bf": value.log_bf,
             "favored": evidence.favored,
             "category": evidence.category,
@@ -255,6 +245,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .gprior import DEFAULT_PRIOR_SCALE, GPriorSpec
+    from .simulate import SimulationConfig, read_config, run_simulation, write_records
+
     base = read_config(args.config) if args.config else None
 
     def pick(flag_value, file_value, flag_name):
@@ -297,13 +290,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .simulate import emit_density_data, read_records, summarize, write_density_data
+
+    if args.density and not args.out:
+        raise _UsageError("--density needs --out")
+    if not args.density and (args.out is not None or args.bandwidth is not None):
+        raise _UsageError("--out and --bandwidth need --density")
     fmt = _resolve_format(args)
     records = read_records(args.results)
 
     wrote_density = False
     if args.density:
-        if not args.out:
-            raise _UsageError("--density needs --out")
         series = emit_density_data(records, bandwidth=args.bandwidth)
         write_density_data(series, args.out)
         print(f"wrote {args.out} ({len(series)} series)", file=sys.stderr)

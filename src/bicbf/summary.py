@@ -47,6 +47,14 @@ _CATEGORY_BOUNDS = (
 )
 
 
+def _exp(log_value: float) -> float:
+    """exp(log_value), saturating to inf where the double overflows."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SummaryStat:
     """A reported test statistic with its degrees of freedom.
@@ -115,10 +123,7 @@ class BayesFactorValue:
     @property
     def bf(self) -> float:
         """The Bayes factor on the natural scale (inf if exp overflows)."""
-        try:
-            return math.exp(self.log_bf)
-        except OverflowError:
-            return math.inf
+        return _exp(self.log_bf)
 
     def in_direction(self, direction: str) -> "BayesFactorValue":
         """The same evidence expressed in the requested direction."""
@@ -235,7 +240,7 @@ def classify(bf: BayesFactorValue) -> EvidenceClass:
             break
     else:
         category = "very strong"
-    return EvidenceClass(favored, category, math.exp(magnitude))
+    return EvidenceClass(favored, category, _exp(magnitude))
 
 
 def invert(bf: BayesFactorValue) -> BayesFactorValue:

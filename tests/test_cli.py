@@ -330,6 +330,17 @@ class TestReport:
         assert code == 2
         assert "--out" in err
 
+    @pytest.mark.parametrize("flags", [["--out", "dens.csv"], ["--bandwidth", "0.3"],
+                                       ["--out", "dens.csv", "--bandwidth", "0.3"]])
+    def test_density_flags_require_density(self, capsys, results_file, tmp_path,
+                                           monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "report", str(results_file), *flags)
+        assert code == 2
+        assert "--density" in err
+        assert out == ""
+        assert not (tmp_path / "dens.csv").exists()
+
     def test_table_and_density_together(self, capsys, results_file, tmp_path):
         out_path = tmp_path / "density.csv"
         code, out, _ = run_cli(
@@ -364,16 +375,45 @@ class TestTopLevel:
         payload = json.loads(out)
         assert payload["bf"] == pytest.approx(math.exp(payload["log_bf"]), rel=1e-15)
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("direction", ["01", "10"])
+    def test_bayes_factor_beyond_a_double(self, capsys, fmt, direction):
+        # log BF01 = -23071: BF10 overflows a double, BF01 underflows to 0
+        code, out, err = run_cli(
+            capsys, "bf", "--f", "1000", "--df1", "1", "--df2", "10", "--n", "10000",
+            "--direction", direction, "--format", fmt,
+        )
+        assert code == 0, err
+        if fmt == "json":
+            payload = json.loads(out, parse_constant=_reject_constant)
+            assert payload["bf"] == (None if direction == "10" else 0.0)
+            assert payload["log_bf"] == pytest.approx(23070.997414020312 *
+                                                      (1 if direction == "10" else -1))
+            assert (payload["favored"], payload["category"]) == ("H1", "very strong")
+        else:
+            assert "very strong" in out
 
-def test_importing_the_cli_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is needed by tests alone.
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_bf_and_parse_load_no_numpy_or_scipy():
+    # numpy is needed by simulate/report alone, scipy by tests alone.
     env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
     probe = (
-        "import sys, bicbf.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import contextlib, io, sys\n"
+        "def heavy(): return sorted(m for m in sys.modules\n"
+        "                           if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "from bicbf.cli import main\n"
+        "print(heavy())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['bf', 'F(1,17)=2.584', '--n', '18', '--format', 'json']),\n"
+        "             main(['parse', 't(71)=2.0, n=73', '--format', 'csv'])]\n"
+        "print(codes, heavy())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     ).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[0, 0] []"]

@@ -222,6 +222,13 @@ class TestClassify:
         with pytest.raises(DomainError):
             BayesFactorValue(math.inf, "01")
 
+    def test_saturates_where_exp_overflows(self):
+        # exp overflows a double above log 709.78; the fold saturates like .bf
+        for value in (BayesFactorValue(800.0, "01"), BayesFactorValue(-800.0, "10")):
+            evidence = classify(value)
+            assert (evidence.favored, evidence.category) == ("H0", "very strong")
+            assert evidence.bf_in_favored_direction == math.inf
+
 
 class TestInvert:
     def test_negates_and_flips(self):
