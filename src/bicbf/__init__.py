@@ -45,8 +45,6 @@ _LAZY_NAMES = {
     "FactorialDataset": "anova",
     "bic_bf_for_effect": "anova",
     "fit_two_way": "anova",
-    "load_dataset": "anova",
-    "write_dataset": "anova",
     "DEFAULT_PRIOR_SCALE": "gprior",
     "MODEL_PAIRS": "gprior",
     "GPriorBayesFactor": "gprior",
@@ -128,7 +126,6 @@ __all__ = [
     "fit_two_way",
     "generate_dataset",
     "invert",
-    "load_dataset",
     "parse_stat",
     "read_config",
     "read_records",
@@ -138,7 +135,6 @@ __all__ = [
     "substream",
     "summarize",
     "write_config",
-    "write_dataset",
     "write_density_data",
     "write_records",
 ]

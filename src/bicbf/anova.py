@@ -10,11 +10,8 @@ the total observation count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,8 +24,6 @@ __all__ = [
     "AnovaTable",
     "fit_two_way",
     "bic_bf_for_effect",
-    "load_dataset",
-    "write_dataset",
 ]
 
 EFFECTS = ("A", "B", "AB")
@@ -67,44 +62,6 @@ class FactorialDataset:
     @property
     def n_total(self) -> int:
         return self.a_levels * self.b_levels * self.cell_n
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[int, int, float]]) -> "FactorialDataset":
-        """Build a dataset from (a, b, y) triples with 1-based levels.
-
-        The design must be complete and balanced; within a cell, observations
-        keep their arrival order.
-        """
-        cells: dict[tuple[int, int], list[float]] = {}
-        for a, b, value in rows:
-            cells.setdefault((int(a), int(b)), []).append(float(value))
-        if not cells:
-            raise UnbalancedDataError("no observations")
-        bad = [key for key in cells if key[0] < 1 or key[1] < 1]
-        if bad:
-            raise DomainError(f"levels must be 1-based positive integers, got cell {bad[0]}")
-        a_levels = max(key[0] for key in cells)
-        b_levels = max(key[1] for key in cells)
-        counts = {key: len(vals) for key, vals in cells.items()}
-        cell_n = max(counts.values())
-        for i in range(1, a_levels + 1):
-            for j in range(1, b_levels + 1):
-                got = counts.get((i, j), 0)
-                if got != cell_n:
-                    raise UnbalancedDataError(
-                        f"cell ({i},{j}) has {got} observations, expected {cell_n}"
-                    )
-        y = np.empty((a_levels, b_levels, cell_n))
-        for (i, j), vals in cells.items():
-            y[i - 1, j - 1, :] = vals
-        return cls(a_levels, b_levels, cell_n, y)
-
-    def iter_rows(self) -> Iterator[tuple[int, int, float]]:
-        """(a, b, y) triples with 1-based levels, in (i, j, k) order."""
-        for i in range(self.a_levels):
-            for j in range(self.b_levels):
-                for k in range(self.cell_n):
-                    yield i + 1, j + 1, float(self.y[i, j, k])
 
 
 @dataclass(frozen=True)
@@ -204,33 +161,3 @@ def bic_bf_for_effect(table: AnovaTable, effect: str) -> BayesFactorValue:
         )
     return bf01_from_f(table.f(effect), table.df(effect), table.df_error, table.n_total)
 
-
-def load_dataset(path: str | Path) -> FactorialDataset:
-    """Read a dataset from delimited text with header ``a,b,y``."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [col.strip().lower() for col in header] != ["a", "b", "y"]:
-            raise DomainError(f"{path}: expected header 'a,b,y', got {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DomainError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                rows.append((int(row[0]), int(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from exc
-    return FactorialDataset.from_rows(rows)
-
-
-def write_dataset(data: FactorialDataset, path: str | Path) -> None:
-    """Write a dataset in the ``a,b,y`` format that load_dataset reads."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["a", "b", "y"])
-        for a, b, value in data.iter_rows():
-            writer.writerow([a, b, "%.17g" % value])

@@ -115,44 +115,27 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
                         help=f"output format (default: ${FORMAT_ENV_VAR} or plain)")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _number(kind: type, positive: bool):
+    """An argparse type: an int or float above zero, or at least zero."""
+    article, noun = ("an", "integer") if kind is int else ("a", "number")
+    bound = "positive" if positive else "nonnegative"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {article} {noun}, got {text!r}")
+        if not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(f"expected a {bound} {noun}, got {text}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text}")
-    return value
+_positive_int = _number(int, positive=True)
+_nonnegative_int = _number(int, positive=False)
+_positive_float = _number(float, positive=True)
+_nonnegative_float = _number(float, positive=False)
 
 
 def _resolve_format(args) -> str:
@@ -245,34 +228,28 @@ def cmd_parse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .gprior import DEFAULT_PRIOR_SCALE, GPriorSpec
+    from dataclasses import MISSING, fields, replace
+
+    from .gprior import GPriorSpec
     from .simulate import SimulationConfig, read_config, run_simulation, write_records
 
-    base = read_config(args.config) if args.config else None
+    def given(**flags):
+        return {name: value for name, value in flags.items() if value is not None}
 
-    def pick(flag_value, file_value, flag_name):
-        if flag_value is not None:
-            return flag_value
-        if file_value is not None:
-            return file_value
-        raise _UsageError(f"missing {flag_name} (give the flag or a --config file)")
-
-    oracle = GPriorSpec(
-        scale=pick(args.prior_scale, base.oracle.scale if base else DEFAULT_PRIOR_SCALE,
-                   "--prior-scale"),
-        mc_samples=pick(args.mc_samples, base.oracle.mc_samples if base else 10_000,
-                        "--mc-samples"),
-        seed=pick(args.oracle_seed, base.oracle.seed if base else 0, "--oracle-seed"),
-    )
-    config = SimulationConfig(
-        cell_n=pick(args.cell_n, base.cell_n if base else None, "--cell-n"),
-        g=pick(args.g, base.g if base else None, "--g"),
-        trials=pick(args.trials, base.trials if base else None, "--trials"),
-        seed=pick(args.seed, base.seed if base else None, "--seed"),
-        a_levels=pick(args.a_levels, base.a_levels if base else 2, "--a-levels"),
-        b_levels=pick(args.b_levels, base.b_levels if base else 3, "--b-levels"),
-        oracle=oracle,
-    )
+    settings = given(cell_n=args.cell_n, g=args.g, trials=args.trials, seed=args.seed,
+                     a_levels=args.a_levels, b_levels=args.b_levels)
+    oracle_settings = given(scale=args.prior_scale, mc_samples=args.mc_samples,
+                            seed=args.oracle_seed)
+    if args.config:
+        base = read_config(args.config)
+        config = replace(base, **settings, oracle=replace(base.oracle, **oracle_settings))
+    else:
+        oracle = GPriorSpec(**oracle_settings)  # a bad value outranks a missing flag
+        for f in fields(SimulationConfig):
+            if f.default is MISSING and f.name not in settings:
+                flag = "--" + f.name.replace("_", "-")
+                raise _UsageError(f"missing {flag} (give the flag or a --config file)")
+        config = SimulationConfig(**settings, oracle=oracle)
 
     start = time.perf_counter()
     step = max(1, config.trials // 20)

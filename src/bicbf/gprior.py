@@ -123,7 +123,7 @@ class GPriorSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
-            raise DomainError(f"scale must be positive, got {self.scale}")
+            raise DomainError(f"scale must be finite and positive, got {self.scale}")
         if self.mc_samples < 1000:
             raise DomainError(f"mc_samples must be at least 1000, got {self.mc_samples}")
         if self.seed < 0:

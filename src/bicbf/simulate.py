@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -365,40 +365,39 @@ def write_density_data(series: Iterable[DensitySeries], path: str | Path) -> Non
                 writer.writerow([s.effect, s.bf_type, "%.17g" % x, "%.17g" % d])
 
 
-_CONFIG_INT_KEYS = ("a_levels", "b_levels", "cell_n", "trials", "seed")
-_CONFIG_REQUIRED = ("cell_n", "g", "trials", "seed")
-_CONFIG_KEYS = (
-    "a_levels",
-    "b_levels",
-    "cell_n",
-    "g",
-    "trials",
-    "seed",
-    "oracle.scale",
-    "oracle.mc_samples",
-    "oracle.seed",
-)
+# Field annotations are strings under ``from __future__ import annotations``.
+_FIELD_TYPES = {"int": int, "float": float}
+
+
+def _config_items(config=SimulationConfig, prefix: str = ""):
+    """(key, type, value) per config-file key, in dataclass field order.
+
+    Fields of the nested oracle spec get dotted keys.  Given the class
+    instead of a config, value is the field's default, MISSING where the
+    field is required.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name, f.default)
+        if is_dataclass(value):
+            yield from _config_items(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, _FIELD_TYPES[f.type], value
 
 
 def write_config(config: SimulationConfig, path: str | Path) -> None:
     """Write a config as flat ``key = value`` lines, oracle fields dotted."""
-    lines = [
-        f"a_levels = {config.a_levels}",
-        f"b_levels = {config.b_levels}",
-        f"cell_n = {config.cell_n}",
-        f"g = {config.g!r}",
-        f"trials = {config.trials}",
-        f"seed = {config.seed}",
-        f"oracle.scale = {config.oracle.scale!r}",
-        f"oracle.mc_samples = {config.oracle.mc_samples}",
-        f"oracle.seed = {config.oracle.seed}",
-    ]
+    lines = [f"{key} = {value}" for key, _, value in _config_items(config)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_config(path: str | Path) -> SimulationConfig:
-    """Read a ``key = value`` config file; unknown or repeated keys are errors."""
+    """Read a ``key = value`` config file; unknown or repeated keys are errors.
+
+    Keys missing from the file take the dataclass defaults; every error
+    names the file.
+    """
     path = Path(path)
+    schema = {key: (kind, default) for key, kind, default in _config_items()}
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
@@ -408,36 +407,27 @@ def read_config(path: str | Path) -> SimulationConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in schema:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         if key in pairs:
             raise DomainError(f"{path}:{lineno}: repeated key {key!r}")
         pairs[key] = value
-    missing = [key for key in _CONFIG_REQUIRED if key not in pairs]
+    missing = [key for key, (_, default) in schema.items()
+               if default is MISSING and key not in pairs]
     if missing:
         raise DomainError(f"{path}: missing required keys {missing}")
-
-    def parse(key: str, default):
-        if key not in pairs:
-            return default
-        kind = int if key in _CONFIG_INT_KEYS or key.endswith(("mc_samples", "seed")) else float
+    values = {}
+    for key, value in pairs.items():
+        kind, _ = schema[key]
         try:
-            return kind(pairs[key])
+            values[key] = kind(value)
         except ValueError as exc:
             raise DomainError(f"{path}: key {key!r}: {exc}") from exc
-
-    base_oracle = GPriorSpec()
-    oracle = GPriorSpec(
-        scale=parse("oracle.scale", base_oracle.scale),
-        mc_samples=parse("oracle.mc_samples", base_oracle.mc_samples),
-        seed=parse("oracle.seed", base_oracle.seed),
-    )
-    return SimulationConfig(
-        cell_n=parse("cell_n", None),
-        g=parse("g", None),
-        trials=parse("trials", None),
-        seed=parse("seed", None),
-        a_levels=parse("a_levels", 2),
-        b_levels=parse("b_levels", 3),
-        oracle=oracle,
-    )
+    oracle = {key.removeprefix("oracle."): v for key, v in values.items() if "." in key}
+    try:
+        return SimulationConfig(
+            **{key: v for key, v in values.items() if "." not in key},
+            oracle=GPriorSpec(**oracle),
+        )
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc

@@ -158,29 +158,43 @@ def bf01_from_f(f: float, df1: int, df2: int, n: int) -> BayesFactorValue:
     """
     if not math.isfinite(f) or f < 0:
         raise DomainError(f"f must be finite and nonnegative, got {f}")
-    if df1 < 1:
-        raise DomainError(f"df1 must be at least 1, got {df1}")
-    if df2 < 1:
-        raise DomainError(f"df2 must be at least 1, got {df2}")
-    if n < 2:
-        raise DomainError(f"n must be at least 2, got {n}")
+    _check_counts(df1, df2, n)
     log_bf = 0.5 * df1 * math.log(n) - 0.5 * n * math.log1p(f * df1 / df2)
     return BayesFactorValue(log_bf, "01")
 
 
 def bf01_from_t(t: float, df2: int, n: int) -> BayesFactorValue:
-    """BF01 for a reported t statistic; identical to an F test with F = t**2."""
+    """BF01 for a reported t statistic; identical to an F test with F = t**2.
+
+    Where t**2 overflows a double, log1p(t**2/df2) is evaluated as
+    2 ln|t| - ln(df2) + log1p(df2/t**2).
+    """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
-    return bf01_from_f(t * t, 1, df2, n)
+    f = t * t
+    if math.isfinite(f):
+        return bf01_from_f(f, 1, df2, n)
+    _check_counts(1, df2, n)
+    log1p_f_ratio = 2.0 * math.log(abs(t)) - math.log(df2) + math.log1p(df2 / t / t)
+    return BayesFactorValue(0.5 * math.log(n) - 0.5 * n * log1p_f_ratio, "01")
 
 
 def bf01_from_stat(stat: SummaryStat) -> BayesFactorValue:
     """BF01 for a parsed summary statistic; requires ``stat.n``."""
     if stat.n is None:
         raise DomainError("no sample size: supply n before computing a Bayes factor")
-    f = stat.as_f()
-    return bf01_from_f(f.statistic, f.df1, f.df2, f.n)
+    if stat.kind == "t":
+        return bf01_from_t(stat.statistic, stat.df2, stat.n)
+    return bf01_from_f(stat.statistic, stat.df1, stat.df2, stat.n)
+
+
+def _check_counts(df1: int, df2: int, n: int) -> None:
+    if df1 < 1:
+        raise DomainError(f"df1 must be at least 1, got {df1}")
+    if df2 < 1:
+        raise DomainError(f"df2 must be at least 1, got {df2}")
+    if n < 2:
+        raise DomainError(f"n must be at least 2, got {n}")
 
 
 def delta_bic_10(sse1: float, sse0: float, n: int, dk: int) -> float:

@@ -15,8 +15,6 @@ from bicbf import (
     bic_bf_for_effect,
     delta_bic_10,
     fit_two_way,
-    load_dataset,
-    write_dataset,
 )
 from conftest import random_dataset
 
@@ -198,69 +196,6 @@ class TestBayesFactorRoutes:
         # Reference BF01 computed independently from the radical form in
         # high-precision decimal arithmetic.
         assert got.bf == pytest.approx(13.631574782469988, rel=1e-9)
-
-
-class TestRowsAndFiles:
-    def test_from_rows_round_trip_preserves_order(self):
-        data = random_dataset(5, a=2, b=3, cell_n=4)
-        again = FactorialDataset.from_rows(data.iter_rows())
-        assert np.array_equal(again.y, data.y)
-
-    def test_from_rows_interleaved_input_keeps_arrival_order(self):
-        rows = [
-            (1, 1, 10.0), (2, 2, 40.0), (1, 2, 20.0), (2, 1, 30.0),
-            (1, 1, 11.0), (2, 2, 41.0), (1, 2, 21.0), (2, 1, 31.0),
-        ]
-        data = FactorialDataset.from_rows(rows)
-        assert data.y[0, 0].tolist() == [10.0, 11.0]
-        assert data.y[1, 1].tolist() == [40.0, 41.0]
-
-    def test_from_rows_unbalanced(self):
-        rows = [(1, 1, 0.0), (1, 1, 1.0), (1, 2, 0.0), (1, 2, 1.0),
-                (2, 1, 0.0), (2, 1, 1.0), (2, 2, 0.0)]
-        with pytest.raises(UnbalancedDataError, match=r"cell \(2,2\) has 1"):
-            FactorialDataset.from_rows(rows)
-
-    def test_from_rows_missing_cell(self):
-        rows = [(1, 1, 0.0), (1, 1, 1.0), (2, 2, 0.0), (2, 2, 1.0),
-                (1, 2, 0.0), (1, 2, 1.0)]
-        with pytest.raises(UnbalancedDataError, match=r"cell \(2,1\) has 0"):
-            FactorialDataset.from_rows(rows)
-
-    def test_from_rows_zero_based_levels_rejected(self):
-        rows = [(0, 1, 0.0), (0, 2, 1.0), (1, 1, 0.0), (1, 2, 1.0)]
-        with pytest.raises(DomainError, match="1-based"):
-            FactorialDataset.from_rows(rows)
-
-    def test_from_rows_empty(self):
-        with pytest.raises(UnbalancedDataError, match="no observations"):
-            FactorialDataset.from_rows([])
-
-    def test_file_round_trip(self, tmp_path):
-        data = random_dataset(9, a=3, b=3, cell_n=2)
-        path = tmp_path / "data.csv"
-        write_dataset(data, path)
-        assert path.read_text().splitlines()[0] == "a,b,y"
-        again = load_dataset(path)
-        assert np.array_equal(again.y, data.y)
-
-    def test_load_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,y,z\n1,1,0.5\n")
-        with pytest.raises(DomainError, match="expected header"):
-            load_dataset(path)
-
-    def test_load_reports_line_number_for_bad_value(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,y\n1,1,0.5\n1,1,oops\n")
-        with pytest.raises(DomainError, match="bad.csv:3"):
-            load_dataset(path)
-
-    def test_load_reports_line_number_for_short_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,y\n1,1\n")
-        with pytest.raises(DomainError, match="bad.csv:2.*expected 3 fields"):
-            load_dataset(path)
 
 
 class TestDatasetValidation:

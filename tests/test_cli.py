@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,16 @@ class TestBf:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("t", ["1e200", "-1e200"])
+    def test_t_whose_square_overflows(self, capsys, t):
+        code, out, err = run_cli(
+            capsys, "bf", f"--t={t}", "--df2", "10", "--n", "20", "--format", "json"
+        )
+        assert code == 0, err
+        # log1p(t**2/df2) = ln(1e400/10) to double precision
+        want = 0.5 * math.log(20) - 0.5 * 20 * 399 * math.log(10)
+        assert json.loads(out)["log_bf"] == pytest.approx(want, rel=1e-15)
 
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run_cli(
@@ -363,6 +374,44 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["bf", "--help"]) == 0
+
+    def test_simulate_help_states_the_dataclass_defaults(self, capsys):
+        # The parser is built without numpy, so its help text restates the
+        # defaults of SimulationConfig and GPriorSpec; hold them equal.
+        assert main(["simulate", "--help"]) == 0
+        options = " ".join(capsys.readouterr().out.split()).partition("options:")[2]
+        printed = {}
+        for chunk in re.split(r" (?=--[a-z])", options):
+            match = re.fullmatch(r"(--[a-z-]+) [A-Z_]+ .*\(default (.+)\)", chunk)
+            if match:
+                printed[match[1]] = match[2]
+        spec = GPriorSpec()
+        want = {
+            "--a-levels": SimulationConfig.a_levels,
+            "--b-levels": SimulationConfig.b_levels,
+            "--prior-scale": spec.scale,
+            "--mc-samples": spec.mc_samples,
+            "--oracle-seed": spec.seed,
+        }
+        assert printed.keys() == want.keys()
+        for flag, text in printed.items():
+            value = math.sqrt(2) / 2 if text == "sqrt(2)/2" else float(text)
+            assert value == pytest.approx(want[flag], rel=1e-15), flag
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("simulate", "--trials", "0"), "expected a positive integer, got 0"),
+            (("simulate", "--seed", "-1"), "expected a nonnegative integer, got -1"),
+            (("report", "r.csv", "--bandwidth", "0"), "expected a positive number, got 0"),
+            (("simulate", "--g", "-0.5"), "expected a nonnegative number, got -0.5"),
+            (("bf", "--df1", "x"), "expected an integer, got 'x'"),
+        ],
+    )
+    def test_number_flags_reject_bad_values(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"argument {argv[-2]}: {message}" in err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

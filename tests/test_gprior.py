@@ -125,6 +125,24 @@ def quadrature_log_marginal(table, effects, nodes: int = 64) -> float:
     return top + math.log(float(np.sum(np.exp(terms - top))))
 
 
+def assert_main_effect_matches_quadrature(data: FactorialDataset, spec: GPriorSpec) -> None:
+    """Monte Carlo BF10 of effect A within 2% of adaptive quadrature.
+
+    Effect A has an empty denominator model, so the Monte Carlo mean
+    estimates the single integral int BF10(g) p(g) dg directly.
+    """
+    table = fit_two_way(data)
+    r_sq = spec.scale**2
+
+    def integrand(g):
+        return conditional_bf10(table, ("A",), g) * invgamma.pdf(g, a=0.5, scale=r_sq / 2)
+
+    want, err = integrate.quad(integrand, 0.0, np.inf, limit=200)
+    assert err < 1e-6
+    got = default_bf10(data, "A", spec)
+    assert math.exp(got.log_bf) == pytest.approx(want, rel=0.02)
+
+
 @pytest.fixture(scope="module")
 def mc_dataset():
     rng = np.random.default_rng(314)
@@ -251,7 +269,7 @@ class TestValidation:
     def test_spec_rejects_bad_values(self):
         with pytest.raises(DomainError, match="scale"):
             GPriorSpec(scale=0.0)
-        with pytest.raises(DomainError, match="scale"):
+        with pytest.raises(DomainError, match="scale must be finite and positive, got inf"):
             GPriorSpec(scale=math.inf)
         with pytest.raises(DomainError, match="mc_samples"):
             GPriorSpec(mc_samples=999)
@@ -364,15 +382,14 @@ class TestDefaultBf10:
         assert got.log_bf == pytest.approx(want, abs=0.02)
 
     def test_matches_quadrature_for_main_effect(self, mc_dataset):
-        # Effect A has an empty denominator model, so the Monte Carlo mean
-        # estimates the single integral int BF10(g) p(g) dg directly.
-        table = fit_two_way(mc_dataset)
-        r_sq = DEFAULT_PRIOR_SCALE**2
+        assert_main_effect_matches_quadrature(mc_dataset, GPriorSpec(mc_samples=20_000, seed=5))
 
-        def integrand(g):
-            return conditional_bf10(table, ("A",), g) * invgamma.pdf(g, a=0.5, scale=r_sq / 2)
+    @pytest.mark.parametrize("seed", range(7000, 7010))
+    def test_matches_quadrature_on_single_contrast_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        cell_n = int(rng.integers(3, 7))
+        y = 0.5 * rng.normal(size=(2, 2, 1)) + rng.normal(size=(2, 2, cell_n))
+        assert_main_effect_matches_quadrature(
+            FactorialDataset(2, 2, cell_n, y), GPriorSpec(mc_samples=100_000, seed=13)
+        )
 
-        want, err = integrate.quad(integrand, 0.0, np.inf, limit=200)
-        assert err < 1e-6
-        got = default_bf10(mc_dataset, "A", GPriorSpec(mc_samples=20_000, seed=5))
-        assert math.exp(got.log_bf) == pytest.approx(want, rel=0.02)

@@ -375,3 +375,43 @@ class TestConfigFiles:
         path.write_text("cell_n = ten\ng = 0.0\ntrials = 5\nseed = 0\n")
         with pytest.raises(DomainError, match="'cell_n'"):
             read_config(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("cell_n = 1\n", "cell_n must be at least 2, got 1"),
+            ("cell_n = 10\noracle.scale = inf\n", "scale must be finite and positive, got inf"),
+            ("cell_n = 10\noracle.mc_samples = 10\n", "mc_samples must be at least 1000, got 10"),
+        ],
+        ids=["cell_n", "oracle.scale", "oracle.mc_samples"],
+    )
+    def test_invalid_value_names_the_file(self, tmp_path, lines, message):
+        path = tmp_path / "c1.txt"
+        path.write_text("g = 0.0\ntrials = 5\nseed = 0\n" + lines)
+        with pytest.raises(DomainError) as caught:
+            read_config(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_reads_the_key_order_of_earlier_files(self, tmp_path):
+        # Files written before the keys followed the dataclass field order.
+        path = tmp_path / "config.txt"
+        path.write_text(
+            "a_levels = 3\nb_levels = 4\ncell_n = 50\ng = 0.05\ntrials = 1000\n"
+            "seed = 2026\noracle.scale = 1.0\noracle.mc_samples = 2000\noracle.seed = 7\n"
+        )
+        assert read_config(path) == SimulationConfig(
+            cell_n=50, g=0.05, trials=1000, seed=2026, a_levels=3, b_levels=4,
+            oracle=GPriorSpec(scale=1.0, mc_samples=2000, seed=7),
+        )
+
+    def test_keys_follow_the_dataclass_fields(self, tmp_path):
+        path = tmp_path / "config.txt"
+        config = SimulationConfig(
+            cell_n=20, g=0.2, trials=10, seed=1, a_levels=3, b_levels=4,
+            oracle=GPriorSpec(scale=0.5, mc_samples=2000, seed=7),
+        )
+        write_config(config, path)
+        assert path.read_text() == (
+            "cell_n = 20\ng = 0.2\ntrials = 10\nseed = 1\na_levels = 3\nb_levels = 4\n"
+            "oracle.scale = 0.5\noracle.mc_samples = 2000\noracle.seed = 7\n"
+        )

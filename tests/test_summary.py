@@ -6,6 +6,7 @@ a different arithmetic path than the log-space implementation under test.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -102,6 +103,33 @@ class TestBf01FromT:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             bf01_from_t(math.inf, 71, 73)
+        with pytest.raises(DomainError, match="t must be finite"):
+            bf01_from_t(math.nan, 71, 73)
+
+    @pytest.mark.parametrize("t", [1e200, -1e200])
+    def test_t_whose_square_overflows(self, t):
+        # t**2 = 1e400 overflows, and log1p(t**2/df2) = ln(1e400/10) to
+        # double precision.
+        want = 0.5 * math.log(20) - 0.5 * 20 * 399 * math.log(10)
+        assert bf01_from_t(t, 10, 20).log_bf == pytest.approx(want, rel=1e-15)
+        stat = SummaryStat("t", t, None, 10, 20)
+        assert bf01_from_stat(stat).log_bf == bf01_from_t(t, 10, 20).log_bf
+
+    def test_continuous_where_the_square_overflows(self):
+        below = math.sqrt(sys.float_info.max)
+        while not math.isfinite(below * below):
+            below = math.nextafter(below, 0.0)
+        above = math.nextafter(below, math.inf)
+        assert not math.isfinite(above * above)
+        assert bf01_from_t(above, 7, 30).log_bf == pytest.approx(
+            bf01_from_t(below, 7, 30).log_bf, rel=1e-14
+        )
+
+    def test_overflow_route_checks_counts(self):
+        with pytest.raises(DomainError, match="df2"):
+            bf01_from_t(1e200, 0, 20)
+        with pytest.raises(DomainError, match="n must be"):
+            bf01_from_t(1e200, 10, 1)
 
 
 class TestDeltaBic:
