@@ -20,13 +20,14 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 from typing import Sequence
 
 from .errors import BicbfError
 from .parsing import parse_stat, render_stat
-from .summary import bf01_from_f, bf01_from_stat, bf01_from_t, classify
+from .summary import SummaryStat, bf01_from_stat, classify
 
 FORMATS = ("plain", "csv", "json")
 
@@ -53,8 +54,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-1e200" and "-1e-3" as negative numbers, not as unknown options.
+
+    The pattern argparse itself uses on Python 3.10 and 3.11 knows only the
+    -1 and -1.5 forms.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bicbf",
         description="Approximate Bayes factors from ANOVA and t-test summaries",
     )
@@ -158,24 +171,23 @@ def cmd_bf(args) -> int:
         if args.f is not None or args.t is not None:
             raise _UsageError("give a statistic string or --f/--t flags, not both")
         report = parse_stat(args.stat, n=args.n)
-        warnings = report.warnings
-        value = bf01_from_stat(report.stat)
+        stat, warnings = report.stat, report.warnings
     elif args.f is not None:
         if args.t is not None:
             raise _UsageError("--f and --t are mutually exclusive")
         if args.df1 is None or args.df2 is None or args.n is None:
             raise _UsageError("--f needs --df1, --df2, and --n")
-        value = bf01_from_f(args.f, args.df1, args.df2, args.n)
+        stat = SummaryStat("F", args.f, args.df1, args.df2, args.n)
     elif args.t is not None:
         if args.df1 is not None and args.df1 != 1:
             raise _UsageError("--t fixes df1 to 1; drop --df1")
         if args.df2 is None or args.n is None:
             raise _UsageError("--t needs --df2 and --n")
-        value = bf01_from_t(args.t, args.df2, args.n)
+        stat = SummaryStat("t", args.t, None, args.df2, args.n)
     else:
         raise _UsageError("give a statistic string or --f/--t flags")
 
-    value = value.in_direction(args.direction)
+    value = bf01_from_stat(stat).in_direction(args.direction)
     evidence = classify(value)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -327,31 +327,34 @@ def read_records(path: str | Path) -> list[SimulationRecord]:
     """Read a results file back; the first malformed row is named on error."""
     path = Path(path)
     records = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(col.strip() for col in header) != RESULTS_HEADER:
-            raise DomainError(
-                f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 6:
-                    raise DomainError(f"expected 6 fields, got {len(row)}")
-                records.append(
-                    SimulationRecord(
-                        trial=int(row[0]),
-                        effect=row[1],
-                        log_bf10_bic=float(row[2]),
-                        log_bf10_default=float(row[3]),
-                        decision_bic=row[4],
-                        decision_default=row[5],
-                    )
+    try:
+        with path.open(newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or tuple(col.strip() for col in header) != RESULTS_HEADER:
+                raise DomainError(
+                    f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}"
                 )
-            except (BicbfError, ValueError) as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from exc
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    if len(row) != 6:
+                        raise DomainError(f"expected 6 fields, got {len(row)}")
+                    records.append(
+                        SimulationRecord(
+                            trial=int(row[0]),
+                            effect=row[1],
+                            log_bf10_bic=float(row[2]),
+                            log_bf10_default=float(row[3]),
+                            decision_bic=row[4],
+                            decision_default=row[5],
+                        )
+                    )
+                except (BicbfError, ValueError) as exc:
+                    raise DomainError(f"{path}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     return records
 
 
@@ -399,7 +402,11 @@ def read_config(path: str | Path) -> SimulationConfig:
     path = Path(path)
     schema = {key: (kind, default) for key, kind, default in _config_items()}
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

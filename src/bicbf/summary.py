@@ -19,6 +19,7 @@ All arithmetic stays in natural-log space.  The radical form
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -62,7 +63,9 @@ class SummaryStat:
     ``n`` may be None when the source text did not state a sample size; it
     must be filled in before a Bayes factor can be computed.  ``p_reported``
     is carried for provenance only and never enters any computation.  For a
-    t statistic ``df1`` is absent (it becomes 1 on conversion to F).
+    t statistic ``df1`` is absent (or 1): it enters as F = t**2 with df1 = 1.
+    Construction is the one validation of a reported statistic, whichever
+    route (``bf01_from_f``, ``bf01_from_t``, parsed text, CLI flags) built it.
     """
 
     kind: str  # "F" or "t"
@@ -73,34 +76,24 @@ class SummaryStat:
     p_reported: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("F", "t"):
-            raise DomainError(f"kind must be 'F' or 't', got {self.kind!r}")
-        if not math.isfinite(self.statistic):
-            raise DomainError("statistic must be finite")
         if self.kind == "F":
-            if self.statistic < 0:
-                raise DomainError(f"F statistic must be nonnegative, got {self.statistic}")
+            if not math.isfinite(self.statistic) or self.statistic < 0:
+                raise DomainError(f"f must be finite and nonnegative, got {self.statistic}")
             if self.df1 is None or self.df1 < 1:
                 raise DomainError(f"df1 must be a positive integer, got {self.df1}")
-        elif self.df1 not in (None, 1):
-            raise DomainError("a t statistic carries no df1 (it is fixed to 1 on conversion)")
+        elif self.kind == "t":
+            if not math.isfinite(self.statistic):
+                raise DomainError(f"t must be finite, got {self.statistic}")
+            if self.df1 not in (None, 1):
+                raise DomainError("a t statistic carries no df1 (it is fixed to 1 on conversion)")
+        else:
+            raise DomainError(f"kind must be 'F' or 't', got {self.kind!r}")
         if self.df2 < 1:
             raise DomainError(f"df2 must be a positive integer, got {self.df2}")
         if self.n is not None and self.n < 2:
             raise DomainError(f"n must be at least 2, got {self.n}")
         if self.p_reported is not None and not 0.0 <= self.p_reported <= 1.0:
             raise DomainError(f"p_reported must lie in [0, 1], got {self.p_reported}")
-
-    def as_f(self) -> "SummaryStat":
-        """The equivalent F-test statistic (F = t**2, df1 = 1)."""
-        if self.kind == "F":
-            return self
-        return SummaryStat("F", self.statistic * self.statistic, 1, self.df2,
-                           self.n, self.p_reported)
-
-    def with_n(self, n: int) -> "SummaryStat":
-        return SummaryStat(self.kind, self.statistic, self.df1, self.df2, n,
-                           self.p_reported)
 
 
 @dataclass(frozen=True)
@@ -144,57 +137,39 @@ class EvidenceClass:
 
 
 def bf01_from_f(f: float, df1: int, df2: int, n: int) -> BayesFactorValue:
-    """BF01 for a reported F statistic.
-
-    Args:
-        f: the F ratio, nonnegative.
-        df1: numerator degrees of freedom.
-        df2: denominator (error) degrees of freedom.
-        n: number of observations that entered the analysis.
-
-    Returns:
-        Direction-01 value with
-        log_bf = (df1/2)*ln(n) - (n/2)*ln(1 + f*df1/df2).
-    """
-    if not math.isfinite(f) or f < 0:
-        raise DomainError(f"f must be finite and nonnegative, got {f}")
-    _check_counts(df1, df2, n)
-    log_bf = 0.5 * df1 * math.log(n) - 0.5 * n * math.log1p(f * df1 / df2)
-    return BayesFactorValue(log_bf, "01")
+    """BF01 for a reported F(df1, df2) = f from n observations (see bf01_from_stat)."""
+    return bf01_from_stat(SummaryStat("F", f, df1, df2, n))
 
 
 def bf01_from_t(t: float, df2: int, n: int) -> BayesFactorValue:
-    """BF01 for a reported t statistic; identical to an F test with F = t**2.
-
-    Where t**2 overflows a double, log1p(t**2/df2) is evaluated as
-    2 ln|t| - ln(df2) + log1p(df2/t**2).
-    """
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
-    f = t * t
-    if math.isfinite(f):
-        return bf01_from_f(f, 1, df2, n)
-    _check_counts(1, df2, n)
-    log1p_f_ratio = 2.0 * math.log(abs(t)) - math.log(df2) + math.log1p(df2 / t / t)
-    return BayesFactorValue(0.5 * math.log(n) - 0.5 * n * log1p_f_ratio, "01")
+    """BF01 for a reported t statistic; identical to an F test with F = t**2."""
+    return bf01_from_stat(SummaryStat("t", t, None, df2, n))
 
 
 def bf01_from_stat(stat: SummaryStat) -> BayesFactorValue:
-    """BF01 for a parsed summary statistic; requires ``stat.n``."""
+    """BF01 for a summary statistic; requires ``stat.n``.
+
+    Returns a direction-01 value with
+    log_bf = (df1/2)*ln(n) - (n/2)*ln(1 + F*df1/df2), where a t enters as
+    F = t**2 with df1 = 1.  Where F*df1/df2 overflows a double, the log term
+    is taken as ln F + ln df1 - ln df2 + log1p(df2/(df1*F)), with
+    ln F = 2 ln|t| for a t, so every finite statistic has a finite log BF.
+    """
     if stat.n is None:
         raise DomainError("no sample size: supply n before computing a Bayes factor")
-    if stat.kind == "t":
-        return bf01_from_t(stat.statistic, stat.df2, stat.n)
-    return bf01_from_f(stat.statistic, stat.df1, stat.df2, stat.n)
-
-
-def _check_counts(df1: int, df2: int, n: int) -> None:
-    if df1 < 1:
-        raise DomainError(f"df1 must be at least 1, got {df1}")
-    if df2 < 1:
-        raise DomainError(f"df2 must be at least 1, got {df2}")
-    if n < 2:
-        raise DomainError(f"n must be at least 2, got {n}")
+    s, df1, df2 = stat.statistic, stat.df1 or 1, stat.df2
+    is_t = stat.kind == "t"
+    ratio = (s * s if is_t else s) * df1 / df2
+    if math.isfinite(ratio):
+        log1p_ratio = math.log1p(ratio)
+    else:  # ln(1 + R) = ln R + log1p(1/R), with R = F*df1/df2 taken apart
+        log_f = 2.0 * math.log(abs(s)) if is_t else math.log(s)
+        inv_ratio = df2 / df1 / s / s if is_t else df2 / df1 / s
+        log1p_ratio = log_f + math.log(df1) - math.log(df2) + math.log1p(inv_ratio)
+        # R is above every ratio the finite branch sees; rounding must not put
+        # its log term below theirs, or log BF01 would rise with F
+        log1p_ratio = max(log1p_ratio, math.log1p(sys.float_info.max / df2))
+    return BayesFactorValue(0.5 * df1 * math.log(stat.n) - 0.5 * stat.n * log1p_ratio, "01")
 
 
 def delta_bic_10(sse1: float, sse0: float, n: int, dk: int) -> float:

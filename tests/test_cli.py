@@ -123,14 +123,30 @@ class TestBf:
         assert code == 2
         assert err.startswith("usage error:")
 
-    @pytest.mark.parametrize("t", ["1e200", "-1e200"])
-    def test_t_whose_square_overflows(self, capsys, t):
+    @pytest.mark.parametrize(
+        "t_flag",
+        [("--t=1e200",), ("--t=-1e200",), ("--t", "-1e200")],
+        ids=["1e200", "-1e200", "split--1e200"],
+    )
+    def test_t_whose_square_overflows(self, capsys, t_flag):
         code, out, err = run_cli(
-            capsys, "bf", f"--t={t}", "--df2", "10", "--n", "20", "--format", "json"
+            capsys, "bf", *t_flag, "--df2", "10", "--n", "20", "--format", "json"
         )
         assert code == 0, err
         # log1p(t**2/df2) = ln(1e400/10) to double precision
         want = 0.5 * math.log(20) - 0.5 * 20 * 399 * math.log(10)
+        assert json.loads(out)["log_bf"] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--f", "1e308", "--df1", "5", "--df2", "1"), ("F(5,1)=1e308",)],
+        ids=["flags", "text"],
+    )
+    def test_f_whose_ratio_overflows(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bf", *argv, "--n", "10", "--format", "json")
+        assert code == 0, err
+        # F*df1/df2 = 5e308 overflows; ln(1 + 5e308) = ln 5 + 308 ln 10
+        want = 2.5 * math.log(10) - 5 * (math.log(5) + 308 * math.log(10))
         assert json.loads(out)["log_bf"] == pytest.approx(want, rel=1e-15)
 
     def test_domain_error_exits_one(self, capsys):
@@ -139,6 +155,13 @@ class TestBf:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_negative_exponent_value_reaches_the_domain_check(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bf", "--f", "-1e-3", "--df1", "1", "--df2", "17", "--n", "18"
+        )
+        assert code == 1
+        assert err.startswith("error: f must be finite and nonnegative")
 
     def test_parse_error_reports_position(self, capsys):
         code, _, err = run_cli(capsys, "bf", "F(1,17=2.584", "--n", "18")
@@ -412,6 +435,18 @@ class TestTopLevel:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"argument {argv[-2]}: {message}" in err
+
+    @pytest.mark.parametrize("argv", [["report"], ["simulate", "--out", "o.csv", "--config"]],
+                             ids=["report", "simulate"])
+    def test_file_that_is_not_utf8(self, tmp_path, argv):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1\x00")  # a UTF-16 byte-order mark
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "bicbf.cli", *argv, str(path)], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

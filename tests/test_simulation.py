@@ -301,6 +301,12 @@ class TestResultsFiles:
         with pytest.raises(DomainError, match="results.csv:3"):
             read_records(path)
 
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"\xff\xfet\x00r\x00")  # a UTF-16 byte-order mark
+        with pytest.raises(DomainError, match="results.csv: 'utf-8' codec can't decode"):
+            read_records(path)
+
     def test_tampered_decision_is_caught(self, tmp_path):
         path = tmp_path / "results.csv"
         write_records([record(0, "A", -1.0, 1.0)], path)
@@ -362,6 +368,12 @@ class TestConfigFiles:
         path = tmp_path / "config.txt"
         path.write_text("cell_n = 10\ng = 0.0\nseed = 0\n")
         with pytest.raises(DomainError, match="missing required keys.*trials"):
+            read_config(path)
+
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"\xff\xfec\x00e\x00")  # a UTF-16 byte-order mark
+        with pytest.raises(DomainError, match="config.txt: 'utf-8' codec can't decode"):
             read_config(path)
 
     def test_malformed_line(self, tmp_path):

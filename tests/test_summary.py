@@ -7,6 +7,7 @@ a different arithmetic path than the log-space implementation under test.
 
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -78,6 +79,39 @@ class TestBf01FromF:
     def test_strictly_decreasing_in_f(self, f, bump, df1, df2, n):
         assert bf01_from_f(f + bump, df1, df2, n).log_bf < bf01_from_f(f, df1, df2, n).log_bf
 
+    def test_f_whose_ratio_overflows(self):
+        # F*df1/df2 = 5e308 overflows; ln(1 + 5e308) = ln 5 + 308 ln 10
+        want = 2.5 * math.log(10) - 5 * (math.log(5) + 308 * math.log(10))
+        assert bf01_from_f(1e308, 5, 1, 10).log_bf == pytest.approx(want, rel=1e-15)
+
+    @given(
+        f=st.floats(0.0, allow_infinity=False),
+        other=st.floats(0.0, allow_infinity=False),
+        df1=st.integers(1, 10**300),
+        df2=st.integers(1, 10**300),
+        n=st.integers(2, 10**300),
+    )
+    def test_finite_and_nonincreasing_over_every_double(self, f, other, df1, df2, n):
+        low, high = sorted((f, other))
+        at_low = bf01_from_f(low, df1, df2, n).log_bf
+        at_high = bf01_from_f(high, df1, df2, n).log_bf
+        assert math.isfinite(at_high)
+        assert at_high <= at_low
+
+    @pytest.mark.parametrize("df1, df2", [(2, 3), (7, 3), (3, 10**300)],
+                             ids=["2-3", "7-3", "3-1e300"])
+    def test_nonincreasing_where_the_ratio_starts_to_overflow(self, df1, df2):
+        # F*df1 overflows a double from about max/df1 on; walk 16 doubles across
+        f = sys.float_info.max / df1
+        for _ in range(8):
+            f = math.nextafter(f, 0.0)
+        values = []
+        for _ in range(16):
+            values.append(bf01_from_f(f, df1, df2, 30).log_bf)
+            f = math.nextafter(f, math.inf)
+        assert not math.isfinite(f * df1)
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
     @given(n=st.integers(2, 10_000), df1=st.integers(1, 6))
     def test_increasing_in_n_at_zero_f(self, n, df1):
         low = bf01_from_f(0.0, df1, 10, n).log_bf
@@ -114,6 +148,17 @@ class TestBf01FromT:
         assert bf01_from_t(t, 10, 20).log_bf == pytest.approx(want, rel=1e-15)
         stat = SummaryStat("t", t, None, 10, 20)
         assert bf01_from_stat(stat).log_bf == bf01_from_t(t, 10, 20).log_bf
+
+    @given(
+        t=st.floats(allow_nan=False, allow_infinity=False),
+        df2=st.integers(1, 10**300),
+        n=st.integers(2, 10**300),
+    )
+    def test_is_the_f_route_bitwise_over_every_double(self, t, df2, n):
+        value = bf01_from_t(t, df2, n).log_bf
+        assert math.isfinite(value)
+        if math.isfinite(t * t):
+            assert value == bf01_from_f(t * t, 1, df2, n).log_bf
 
     def test_continuous_where_the_square_overflows(self):
         below = math.sqrt(sys.float_info.max)
@@ -189,17 +234,11 @@ class TestBf01FromPartialEtaSq:
 
 
 class TestSummaryStat:
-    def test_t_converts_to_f(self):
-        stat = SummaryStat("t", 2.0, None, 71, 73)
-        f = stat.as_f()
-        assert (f.kind, f.statistic, f.df1, f.df2, f.n) == ("F", 4.0, 1, 71, 73)
-        assert f.as_f() is f
-
     def test_bf_from_stat_needs_n(self):
         stat = SummaryStat("t", 2.0, None, 71)
         with pytest.raises(DomainError, match="n"):
             bf01_from_stat(stat)
-        assert bf01_from_stat(stat.with_n(73)).bf == pytest.approx(BF_T_20_71_73, rel=1e-12)
+        assert bf01_from_stat(replace(stat, n=73)).bf == pytest.approx(BF_T_20_71_73, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
