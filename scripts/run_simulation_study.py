@@ -3,16 +3,16 @@
 
 For every (cell size, effect variance g) condition this runs the configured
 number of trials, prints per-effect five-number summaries of log BF10 for
-both the BIC route and the Monte Carlo default-prior oracle, and reports
+both the BIC route and the default-prior oracle, and reports
 their decision consistency.  Conditions with the same cell size share a
 seed, so the g = 0, 0.05, 0.2 runs are coupled and the evidence ordering is
 visible trial by trial.  Results files compatible with `bicbf report` are
 written next to a config file per condition.
 
-The full study (three cell sizes, 1000 trials, 10000 oracle draws per
-Bayes factor) runs in one process, in about a minute on one core; pass
---quick for a reduced smoke run.  The nine conditions are independent, so
-for more cores run them as separate `bicbf simulate` calls.
+The full study (three cell sizes, 1000 trials) runs in one process, in
+about 10 s on one core; pass --quick for a 100-trial smoke run.  The
+nine conditions are independent, so for more cores run them as separate
+`bicbf simulate` calls.
 """
 
 from __future__ import annotations
@@ -23,14 +23,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from bicbf import (
-    GPriorSpec,
-    SimulationConfig,
-    run_simulation,
-    summarize,
-    write_config,
-    write_records,
-)
+from bicbf import SimulationConfig, run_simulation, summarize, write_config, write_records
 
 G_VALUES = (0.0, 0.05, 0.2)
 
@@ -42,12 +35,9 @@ def parse_args(argv=None):
     parser.add_argument("--cell-sizes", type=int, nargs="+", default=[20, 50, 80],
                         help="cell sizes to run (default: 20 50 80)")
     parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--mc-samples", type=int, default=10_000,
-                        help="oracle draws per Bayes factor")
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--oracle-seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
-                        help="100 trials, 1000 oracle draws: a fast smoke run")
+                        help="100 trials: a fast smoke run")
     return parser.parse_args(argv)
 
 
@@ -64,15 +54,11 @@ def print_condition(summaries) -> None:
 def main(argv=None) -> int:
     args = parse_args(argv)
     trials = 100 if args.quick else args.trials
-    mc_samples = 1000 if args.quick else args.mc_samples
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for cell_n in args.cell_sizes:
-        base = SimulationConfig(
-            cell_n=cell_n, g=0.0, trials=trials, seed=args.seed,
-            oracle=GPriorSpec(mc_samples=mc_samples, seed=args.oracle_seed),
-        )
+        base = SimulationConfig(cell_n=cell_n, g=0.0, trials=trials, seed=args.seed)
         for g in G_VALUES:
             config = replace(base, g=g)
             tag = f"cell{cell_n}_g{g:g}"

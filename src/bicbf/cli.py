@@ -101,10 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--b-levels", type=_positive_int, help="levels of factor B (default 3)")
     p_sim.add_argument("--prior-scale", type=_positive_float,
                        help="g-prior scale r (default sqrt(2)/2)")
-    p_sim.add_argument("--mc-samples", type=_positive_int,
-                       help="Monte Carlo draws per Bayes factor (default 10000)")
-    p_sim.add_argument("--oracle-seed", type=_nonnegative_int,
-                       help="seed of the Monte Carlo oracle (default 0)")
     p_sim.add_argument("--out", required=True, help="results file to write")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -250,8 +246,7 @@ def cmd_simulate(args) -> int:
 
     settings = given(cell_n=args.cell_n, g=args.g, trials=args.trials, seed=args.seed,
                      a_levels=args.a_levels, b_levels=args.b_levels)
-    oracle_settings = given(scale=args.prior_scale, mc_samples=args.mc_samples,
-                            seed=args.oracle_seed)
+    oracle_settings = given(scale=args.prior_scale)
     if args.config:
         base = read_config(args.config)
         config = replace(base, **settings, oracle=replace(base.oracle, **oracle_settings))

@@ -14,6 +14,7 @@ winning when both are present.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -76,6 +77,8 @@ class _Cursor:
         self.skip_ws()
         start = self.pos
         value, lexeme = self.number(what)
+        if value > sys.float_info.max:  # the lexeme read as inf
+            raise ParseError(f"{what} must be at most {sys.float_info.max:.6g}", start)
         if abs(value - round(value)) > _DF_TOLERANCE:
             raise ParseError(f"{what} must be an integer, got {lexeme}", start)
         return int(round(value))

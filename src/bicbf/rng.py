@@ -9,10 +9,11 @@ where ``sha256_64(label)`` is the first 8 bytes of the SHA-256 digest of the
 UTF-8 label, read as a little-endian unsigned integer.  PCG64 and SHA-256 are
 platform independent, so a run is reproducible anywhere given the same numpy
 version.  Distinct labels give independent streams; the simulation harness
-uses separate labels for effect draws, noise draws, and the Monte Carlo
-oracle so that, for example, changing the effect variance never reorders the
-noise draws of a coupled run, and a trial's draws depend only on its seed and
-trial index, never on the trials computed before it.
+uses separate labels for effect draws and noise draws so that, for example,
+changing the effect variance never reorders the noise draws of a coupled
+run, and a trial's draws depend only on its seed and trial index, never on
+the trials computed before it.  The default-prior oracle draws nothing: it
+is deterministic quadrature (``bicbf.gprior``).
 """
 
 from __future__ import annotations

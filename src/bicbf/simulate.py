@@ -11,13 +11,13 @@ factors plus the per-effect consistency, the proportion of trials on which
 the two routes reach the same decision.
 
 Determinism: every draw comes from a substream keyed by (seed, label,
-trial), with separate labels for effect draws, noise draws, and the Monte
-Carlo oracle.  Consequences relied on elsewhere: a rerun is bitwise
-identical, a trial's records depend only on the config and the trial
-number (so a shorter run is a prefix of a longer one), and two configs
-differing only in g share their noise (and, up to the sqrt(g) scale,
-their effects), which makes evidence monotone in g testable on coupled
-trials.
+trial), with separate labels for effect draws and noise draws; the oracle
+is deterministic quadrature and draws nothing.  Consequences relied on
+elsewhere: a rerun is bitwise identical, a trial's records depend only on
+the config and the trial number (so a shorter run is a prefix of a longer
+one), and two configs differing only in g share their noise (and, up to
+the sqrt(g) scale, their effects), which makes evidence monotone in g
+testable on coupled trials.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class SimulationConfig:
     """One simulation condition.
 
     ``g`` is the effect variance relative to unit noise; ``seed`` keys the
-    data-generating substreams, while the oracle carries its own seed.
+    data-generating substreams.  Of the oracle spec only the prior scale
+    enters the results.
     """
 
     cell_n: int
@@ -158,7 +159,7 @@ def _trial_records(config: SimulationConfig, trial: int) -> list[SimulationRecor
         records = []
         for effect in EFFECTS:
             bic = invert(bic_bf_for_effect(table, effect))
-            oracle = _table_bf10(table, effect, config.oracle, trial)
+            oracle = _table_bf10(table, effect, config.oracle)
             records.append(
                 SimulationRecord(
                     trial=trial,

@@ -92,6 +92,10 @@ class SummaryStat:
             raise DomainError(f"df2 must be a positive integer, got {self.df2}")
         if self.n is not None and self.n < 2:
             raise DomainError(f"n must be at least 2, got {self.n}")
+        for name in ("df1", "df2", "n"):
+            count = getattr(self, name)
+            if count is not None and count > sys.float_info.max:  # exact for an int
+                raise DomainError(f"{name} must be at most {sys.float_info.max:.6g}")
         if self.p_reported is not None and not 0.0 <= self.p_reported <= 1.0:
             raise DomainError(f"p_reported must lie in [0, 1], got {self.p_reported}")
 

@@ -18,7 +18,6 @@ from bicbf import (
     DEFAULT_PRIOR_SCALE,
     BayesFactorValue,
     FactorialDataset,
-    GPriorSpec,
     SimulationConfig,
     bf01_from_delta_bic,
     bf01_from_f,
@@ -59,7 +58,6 @@ REFERENCE_NULL_FIVE = {"min": -2.85, "q1": -2.80, "median": -2.59, "q3": -2.17}
 def null_run_1000():
     config = SimulationConfig(
         cell_n=50, g=0.0, trials=1000, seed=2026,
-        oracle=GPriorSpec(mc_samples=1000, seed=3),
     )
     return run_simulation(config)
 
@@ -68,7 +66,6 @@ def null_run_1000():
 def alt_run_1000():
     config = SimulationConfig(
         cell_n=50, g=0.2, trials=1000, seed=2026,
-        oracle=GPriorSpec(mc_samples=1000, seed=3),
     )
     return run_simulation(config)
 
@@ -78,7 +75,6 @@ def desk_runs():
     """The three-condition study at desk scale; returns (summaries, elapsed)."""
     base = SimulationConfig(
         cell_n=50, g=0.0, trials=300, seed=2026,
-        oracle=GPriorSpec(mc_samples=4000, seed=7),
     )
     start = time.perf_counter()
     summaries = {
@@ -153,9 +149,9 @@ def test_criterion_6_oracle_matches_quadrature():
 
         want, err = integrate.quad(integrand, 0.0, np.inf, limit=200)
         assert err < 1e-6 * want
-        got = default_bf10(data, "A", GPriorSpec(mc_samples=100_000, seed=13))
-        assert math.exp(got.log_bf) == pytest.approx(want, rel=0.02), (
-            f"dataset {seed}: MC {math.exp(got.log_bf):.6f} vs quadrature {want:.6f}"
+        got = default_bf10(data, "A")
+        assert math.exp(got.log_bf) == pytest.approx(want, rel=1e-6), (
+            f"dataset {seed}: oracle {math.exp(got.log_bf):.9f} vs quadrature {want:.9f}"
         )
 
 
@@ -219,9 +215,8 @@ def test_criterion_7d_shift_and_scale_invariance():
         c1 = conditional_bf10(t1, ("A",), g)
         assert math.log(c1) == pytest.approx(math.log(c0), abs=1e-9)
         if case % 20 == 0:
-            spec = GPriorSpec(mc_samples=1000, seed=3)
-            d0 = default_bf10(base, "AB", spec).log_bf
-            d1 = default_bf10(moved, "AB", spec).log_bf
+            d0 = default_bf10(base, "AB").log_bf
+            d1 = default_bf10(moved, "AB").log_bf
             assert d1 == pytest.approx(d0, abs=1e-9)
 
 
@@ -309,7 +304,6 @@ def test_criterion_7g_parser_round_trip():
 def test_criterion_7h_determinism():
     config = SimulationConfig(
         cell_n=4, g=0.1, trials=167, seed=31,
-        oracle=GPriorSpec(mc_samples=1000, seed=5),
     )
     records = run_simulation(config)
     assert len(records) == 501

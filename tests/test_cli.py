@@ -28,9 +28,7 @@ def clean_format_env(monkeypatch):
 
 @pytest.fixture(scope="module")
 def results_file(tmp_path_factory):
-    config = SimulationConfig(
-        cell_n=3, g=0.1, trials=4, seed=12, oracle=GPriorSpec(mc_samples=1000, seed=2)
-    )
+    config = SimulationConfig(cell_n=3, g=0.1, trials=4, seed=12)
     path = tmp_path_factory.mktemp("results") / "results.csv"
     write_records(run_simulation(config), path)
     return path
@@ -215,8 +213,7 @@ class TestParse:
 
 
 class TestSimulate:
-    BASE = ("simulate", "--cell-n", "3", "--g", "0.1", "--trials", "3",
-            "--seed", "12", "--mc-samples", "1000", "--oracle-seed", "2")
+    BASE = ("simulate", "--cell-n", "3", "--g", "0.1", "--trials", "3", "--seed", "12")
 
     def test_writes_results(self, capsys, tmp_path):
         out_path = tmp_path / "r.csv"
@@ -234,9 +231,7 @@ class TestSimulate:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
-        config = SimulationConfig(
-            cell_n=3, g=0.1, trials=3, seed=12, oracle=GPriorSpec(mc_samples=1000, seed=2)
-        )
+        config = SimulationConfig(cell_n=3, g=0.1, trials=3, seed=12)
         config_path = tmp_path / "config.txt"
         write_config(config, config_path)
         flag_run = tmp_path / "flags.csv"
@@ -319,9 +314,7 @@ class TestReport:
         assert plain_cells[8] == f"{float(row['consistency']):.3f}"
 
     def test_single_trial_file(self, capsys, tmp_path):
-        config = SimulationConfig(
-            cell_n=3, g=0.0, trials=1, seed=4, oracle=GPriorSpec(mc_samples=1000, seed=0)
-        )
+        config = SimulationConfig(cell_n=3, g=0.0, trials=1, seed=4)
         path = tmp_path / "one.csv"
         write_records(run_simulation(config), path)
         code, out, _ = run_cli(capsys, "report", str(path), "--format", "csv")
@@ -413,8 +406,6 @@ class TestTopLevel:
             "--a-levels": SimulationConfig.a_levels,
             "--b-levels": SimulationConfig.b_levels,
             "--prior-scale": spec.scale,
-            "--mc-samples": spec.mc_samples,
-            "--oracle-seed": spec.seed,
         }
         assert printed.keys() == want.keys()
         for flag, text in printed.items():
@@ -450,6 +441,32 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--f", "1", "--df1", "1", "--df2", str(10**400), "--n", "10"], "df2"),
+            (["--f", "1", "--df1", "1", "--df2", "10", "--n", str(10**400)], "n"),
+            ([f"F(1,{10**400})=1", "--n", "10"], "df2"),
+            ([f"F(1,10)=1, n={10**400}"], "n"),
+        ],
+        ids=["df2-flag", "n-flag", "df2-text", "n-text"],
+    )
+    def test_count_beyond_the_double_range(self, argv, field):
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "bicbf.cli", "bf", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: {field} must be at most 1.79769e+308")
+
+    @pytest.mark.parametrize("flag", ["--mc-samples", "--oracle-seed"])
+    def test_monte_carlo_flags_are_gone(self, capsys, tmp_path, flag):
+        code, _, err = run_cli(capsys, "simulate", "--cell-n", "3", "--g", "0", "--trials",
+                               "1", "--seed", "1", flag, "1000", "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 1000" in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_log_bf_is_log_of_bf(self, capsys):
         _, out, _ = run_cli(

@@ -1,12 +1,13 @@
-"""g-prior Bayes factors: dense-matrix oracle, limits, Monte Carlo behavior."""
+"""g-prior Bayes factors: dense-matrix oracle, limits, quadrature accuracy."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.linalg import helmert
 from scipy.stats import invgamma
 
@@ -17,11 +18,13 @@ from bicbf import (
     DomainError,
     FactorialDataset,
     GPriorSpec,
+    SimulationConfig,
     conditional_bf10,
     default_bf10,
     fit_two_way,
 )
-from bicbf.gprior import _column_norms, _log_conditional_bf10
+from bicbf.gprior import _RULE, _column_norms, _log_conditional_bf10, _table_bf10
+from bicbf.simulate import generate_dataset
 from conftest import random_dataset
 
 
@@ -126,10 +129,10 @@ def quadrature_log_marginal(table, effects, nodes: int = 64) -> float:
 
 
 def assert_main_effect_matches_quadrature(data: FactorialDataset, spec: GPriorSpec) -> None:
-    """Monte Carlo BF10 of effect A within 2% of adaptive quadrature.
+    """BF10 of effect A within 1e-6 (relative) of adaptive quadrature.
 
-    Effect A has an empty denominator model, so the Monte Carlo mean
-    estimates the single integral int BF10(g) p(g) dg directly.
+    Effect A has an empty denominator model, so BF10 is the single integral
+    int BF10(g) p(g) dg.
     """
     table = fit_two_way(data)
     r_sq = spec.scale**2
@@ -137,14 +140,60 @@ def assert_main_effect_matches_quadrature(data: FactorialDataset, spec: GPriorSp
     def integrand(g):
         return conditional_bf10(table, ("A",), g) * invgamma.pdf(g, a=0.5, scale=r_sq / 2)
 
-    want, err = integrate.quad(integrand, 0.0, np.inf, limit=200)
-    assert err < 1e-6
+    want, err = integrate.quad(integrand, 0.0, np.inf, limit=200, epsabs=0.0, epsrel=1e-10)
+    assert err < 1e-8 * want
     got = default_bf10(data, "A", spec)
-    assert math.exp(got.log_bf) == pytest.approx(want, rel=0.02)
+    assert math.exp(got.log_bf) == pytest.approx(want, rel=1e-6)
+
+
+def nested_quad_log_marginal(table, effects, scale: float = DEFAULT_PRIOR_SCALE) -> float:
+    """log(Gamma(k) m_M) by adaptive quadrature of the Gamma-identity form.
+
+    m_M = Gamma(k)^-1 int s^(k-1) e^(-s rho) prod_e I_e(s SS_e/SST) ds with
+    k = (N-1)/2, as in ``bicbf.gprior``, but every integral goes to scipy's
+    adaptive ``quad`` around its located peak instead of a fixed rule.
+    """
+    beta = scale * scale / 2
+    k = (table.n_total - 1) / 2
+    rho = (table.ss_error + sum(table.ss(e) for e in EFFECTS if e not in effects)) / table.ss_total
+    norms = _column_norms(table)
+
+    def log_i(tau, effect):
+        c, half_df = norms[effect], table.df(effect) / 2
+
+        def log_f(u):
+            cg = c * math.exp(u)
+            return (0.5 * math.log(beta / math.pi) - 0.5 * u - beta * math.exp(-u)
+                    - half_df * math.log1p(cg) - tau / (1 + cg))
+
+        peak = max(math.log(2 * beta), math.log(max(tau, 1e-300) / (c * (half_df + 0.5))))
+        top = log_f(peak)
+        val, _ = integrate.quad(lambda u: math.exp(log_f(u) - top), math.log(beta) - 8,
+                                peak + 80, points=[peak], limit=400, epsabs=0, epsrel=1e-12)
+        return top + math.log(val)
+
+    def log_f(v):
+        s = math.exp(v)
+        return k * v - s * rho + sum(
+            log_i(s * table.ss(e) / table.ss_total, e) for e in effects)
+
+    mode = optimize.minimize_scalar(lambda v: -log_f(v), options={"xtol": 1e-10},
+                                    bracket=(math.log(k) - 1, math.log(k / rho))).x
+    top = log_f(mode)
+    val, _ = integrate.quad(lambda v: math.exp(log_f(v) - top), mode - 80 / math.sqrt(k),
+                            mode + 8, points=[mode], limit=400, epsabs=0, epsrel=1e-12)
+    return top + math.log(val)
+
+
+def near_constant_cells(noise: float) -> FactorialDataset:
+    """Cells constant up to ``noise``; the extreme-g datasets below."""
+    rng = np.random.default_rng(55)
+    y = rng.normal(size=(2, 3, 1)) + noise * rng.normal(size=(2, 3, 4))
+    return FactorialDataset(2, 3, 4, y)
 
 
 @pytest.fixture(scope="module")
-def mc_dataset():
+def small_dataset():
     rng = np.random.default_rng(314)
     y = 0.4 * rng.normal(size=(2, 3, 1)) + rng.normal(size=(2, 3, 5))
     return FactorialDataset(2, 3, 5, y)
@@ -258,15 +307,15 @@ class TestConditionalProperties:
     def test_extreme_g_matches_exact_sums_of_squares(self, noise, g):
         # Constant (or nearly constant) cells leave q far below SST at large
         # g; the quadratic form must not be obtained by cancellation.
-        rng = np.random.default_rng(55)
-        y = rng.normal(size=(2, 3, 1)) + noise * rng.normal(size=(2, 3, 4))
-        table = fit_two_way(FactorialDataset(2, 3, 4, y))
+        data = near_constant_cells(noise)
+        table = fit_two_way(data)
         got = math.log(conditional_bf10(table, EFFECTS, (g, g, g)))
-        assert got == pytest.approx(exact_log_bf10(y, EFFECTS, (g, g, g)), abs=1e-9)
+        assert got == pytest.approx(exact_log_bf10(data.y, EFFECTS, (g, g, g)), abs=1e-9)
 
 
 class TestValidation:
     def test_spec_rejects_bad_values(self):
+        # mc_samples and seed are ignored by the oracle but still validated
         with pytest.raises(DomainError, match="scale"):
             GPriorSpec(scale=0.0)
         with pytest.raises(DomainError, match="scale must be finite and positive, got inf"):
@@ -314,59 +363,29 @@ class TestValidation:
 
 
 class TestDefaultBf10:
-    def test_deterministic_and_stream_sensitive(self, mc_dataset):
-        spec = GPriorSpec(mc_samples=1000, seed=11)
-        one = default_bf10(mc_dataset, "A", spec)
-        two = default_bf10(mc_dataset, "A", spec)
-        assert (one.log_bf, one.standard_error) == (two.log_bf, two.standard_error)
-        other = default_bf10(mc_dataset, "A", spec, stream_index=1)
-        assert other.log_bf != one.log_bf
+    def test_reruns_give_the_same_bits(self, small_dataset):
+        for effect in ("A", "B", "AB"):
+            one = default_bf10(small_dataset, effect)
+            two = default_bf10(small_dataset, effect)
+            assert one.log_bf.hex() == two.log_bf.hex()
+            # the Monte Carlo settings that remain are ignored
+            other = default_bf10(small_dataset, effect, GPriorSpec(mc_samples=5000, seed=3), 7)
+            assert other.log_bf.hex() == one.log_bf.hex()
 
-    def test_result_fields(self, mc_dataset):
-        got = default_bf10(mc_dataset, "AB", GPriorSpec(mc_samples=1500, seed=11))
+    def test_result_fields(self, small_dataset):
+        got = default_bf10(small_dataset, "AB")
         assert got.direction == "10"
-        assert got.n_samples == 1500
         assert math.isfinite(got.log_bf)
-        assert got.standard_error > 0
+        assert got.standard_error == 0.0
 
     def test_default_prior_scale_value(self):
         assert DEFAULT_PRIOR_SCALE == pytest.approx(math.sqrt(2) / 2, rel=1e-15)
         assert GPriorSpec().scale == DEFAULT_PRIOR_SCALE
 
-    def test_power_of_two_rescaling_is_exact(self, mc_dataset):
-        scaled = FactorialDataset(2, 3, 5, mc_dataset.y * 2.0**5)
-        spec = GPriorSpec(mc_samples=1000, seed=11)
+    def test_power_of_two_rescaling_is_exact(self, small_dataset):
+        scaled = FactorialDataset(2, 3, 5, small_dataset.y * 2.0**5)
         for effect in ("A", "B", "AB"):
-            assert (
-                default_bf10(scaled, effect, spec).log_bf
-                == default_bf10(mc_dataset, effect, spec).log_bf
-            )
-
-    def test_monte_carlo_error_shrinks_like_root_n(self, mc_dataset):
-        # sd over independent streams should drop by ~sqrt(2) when the
-        # sample count doubles.  80 replicates put the ratio estimate well
-        # inside a +-20% band around sqrt(2).
-        reps = 80
-        lo = [
-            default_bf10(mc_dataset, "AB", GPriorSpec(mc_samples=1000, seed=11), k).log_bf
-            for k in range(reps)
-        ]
-        hi = [
-            default_bf10(mc_dataset, "AB", GPriorSpec(mc_samples=2000, seed=11), k).log_bf
-            for k in range(reps)
-        ]
-        ratio = np.std(lo, ddof=1) / np.std(hi, ddof=1)
-        assert math.sqrt(2) * 0.8 < ratio < math.sqrt(2) * 1.2
-
-    def test_reported_standard_error_tracks_spread(self, mc_dataset):
-        reps = 80
-        results = [
-            default_bf10(mc_dataset, "AB", GPriorSpec(mc_samples=1000, seed=11), k)
-            for k in range(reps)
-        ]
-        empirical = np.std([r.log_bf for r in results], ddof=1)
-        reported = np.mean([r.standard_error for r in results])
-        assert empirical == pytest.approx(reported, rel=0.25)
+            assert default_bf10(scaled, effect).log_bf == default_bf10(small_dataset, effect).log_bf
 
     @pytest.mark.parametrize("seed", [1, 4, 6])
     def test_interaction_is_a_ratio_of_marginal_likelihoods(self, seed):
@@ -378,18 +397,105 @@ class TestDefaultBf10:
         want = quadrature_log_marginal(
             table, ("A", "B", "AB")
         ) - quadrature_log_marginal(table, ("A", "B"))
-        got = default_bf10(data, "AB", GPriorSpec(mc_samples=50_000, seed=5))
-        assert got.log_bf == pytest.approx(want, abs=0.02)
+        got = default_bf10(data, "AB")
+        assert got.log_bf == pytest.approx(want, abs=1e-4)
 
-    def test_matches_quadrature_for_main_effect(self, mc_dataset):
-        assert_main_effect_matches_quadrature(mc_dataset, GPriorSpec(mc_samples=20_000, seed=5))
+    def test_matches_quadrature_for_main_effect(self, small_dataset):
+        assert_main_effect_matches_quadrature(small_dataset, GPriorSpec())
 
     @pytest.mark.parametrize("seed", range(7000, 7010))
     def test_matches_quadrature_on_single_contrast_designs(self, seed):
         rng = np.random.default_rng(seed)
         cell_n = int(rng.integers(3, 7))
         y = 0.5 * rng.normal(size=(2, 2, 1)) + rng.normal(size=(2, 2, cell_n))
-        assert_main_effect_matches_quadrature(
-            FactorialDataset(2, 2, cell_n, y), GPriorSpec(mc_samples=100_000, seed=13)
-        )
+        assert_main_effect_matches_quadrature(FactorialDataset(2, 2, cell_n, y), GPriorSpec())
 
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_prior_scale_reaches_the_quadrature(self, small_dataset, scale):
+        assert_main_effect_matches_quadrature(small_dataset, GPriorSpec(scale=scale))
+
+
+def finer_rule(factor: int = 4):
+    """The default rule with every spacing divided by ``factor`` and wider windows."""
+    return replace(
+        _RULE,
+        g_step=_RULE.g_step / factor,
+        g_below=_RULE.g_below + 2.0,
+        g_above=1.5 * _RULE.g_above,
+        s_step=_RULE.s_step / factor,
+        s_max_step=_RULE.s_max_step / factor,
+        s_tail=2.0 * _RULE.s_tail,
+        newton_tol=1e-6,
+    )
+
+
+def study_tables():
+    """Trials of the desk (cell_n 50) and wide (cell_n 20) designs at each g,
+    and 2x2 designs with 3 and 5 observations per cell."""
+    for cell_n in (50, 20):
+        for g in (0.0, 0.05, 0.2):
+            config = SimulationConfig(cell_n=cell_n, g=g, trials=8, seed=2026)
+            for trial in range(config.trials):
+                yield fit_two_way(generate_dataset(config, trial))
+    for cell_n in (3, 5):
+        for seed in range(6):
+            yield fit_two_way(random_dataset(seed, a=2, b=2, cell_n=cell_n))
+            yield fit_two_way(random_dataset(seed, a=2, b=2, cell_n=cell_n, effect_scale=3.0))
+
+
+class TestQuadratureRule:
+    def test_within_bound_of_a_four_times_finer_rule(self):
+        fine = finer_rule(4)
+        worst = 0.0
+        for table in study_tables():
+            for effect in ("A", "B", "AB"):
+                got = _table_bf10(table, effect, GPriorSpec()).log_bf
+                want = _table_bf10(table, effect, GPriorSpec(), fine).log_bf
+                worst = max(worst, abs(got - want))
+        assert worst <= 1e-8
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_main_effects_on_near_constant_cells(self, noise):
+        # The error variance is (almost) zero, F is huge, but A and B leave
+        # the other effects in their residual, which keeps rho_A, rho_B away
+        # from zero.
+        data = near_constant_cells(noise)
+        for effect in ("A", "B"):
+            got = default_bf10(data, effect).log_bf
+            assert math.isfinite(got)
+        assert_main_effect_matches_quadrature(data, GPriorSpec())
+        swapped = FactorialDataset(3, 2, 4, np.swapaxes(data.y, 0, 1))
+        assert default_bf10(swapped, "A").log_bf == pytest.approx(
+            default_bf10(data, "B").log_bf, abs=1e-12)
+        assert_main_effect_matches_quadrature(swapped, GPriorSpec())
+
+    def test_interaction_on_near_constant_cells(self):
+        # rho of the full model is 4e-19: the posterior of g sits beyond 1e16,
+        # far outside the prior's bulk, and the old Monte Carlo read 35
+        # where the integral is 291.
+        data = near_constant_cells(1e-9)
+        table = fit_two_way(data)
+        want = nested_quad_log_marginal(table, EFFECTS) - nested_quad_log_marginal(
+            table, ("A", "B"))
+        got = default_bf10(data, "AB").log_bf
+        assert want > 290
+        assert got == pytest.approx(want, abs=1e-8)
+
+    def test_exact_fit_of_the_full_model_is_degenerate(self):
+        # With zero error variance the full model's marginal likelihood
+        # diverges, so BF10 of AB is infinite; say so instead of a number.
+        data = near_constant_cells(0.0)
+        assert fit_two_way(data).ss_error == 0.0
+        with pytest.raises(DegenerateDataError, match="diverges"):
+            default_bf10(data, "AB")
+
+    def test_error_variance_beyond_the_double_range_is_degenerate(self):
+        # SSE/SST = 1e-200: the posterior of g would peak near 1e200, where
+        # the rule's squares leave the double range.  The main effects keep
+        # the interaction in their residual and stay computable.
+        y = np.empty((2, 2, 2))
+        y[0, 0], y[0, 1], y[1, 0], y[1, 1] = [1.0, -1.0], 1e100, -1e100, 3e100
+        data = FactorialDataset(2, 2, 2, y)
+        with pytest.raises(DegenerateDataError, match="double range"):
+            default_bf10(data, "AB")
+        assert math.isfinite(default_bf10(data, "A").log_bf)

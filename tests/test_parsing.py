@@ -95,6 +95,16 @@ class TestErrors:
         with pytest.raises(ParseError, match="integer"):
             parse_stat("t(70.97)=2.0")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("F(1," + "9" * 400 + ")=1", 4), ("t(1e400)=1", 2), ("F(1,10)=1, n=2e308", 13)],
+        ids=["df2-digits", "df-exponent", "n-exponent"],
+    )
+    def test_count_beyond_the_double_range(self, text, position):
+        with pytest.raises(ParseError, match="must be at most 1.79769e") as excinfo:
+            parse_stat(text)
+        assert excinfo.value.position == position
+
     def test_df_within_tolerance_accepted(self):
         assert parse_stat("F(2.0000000001,17)=2.0").stat.df1 == 2
         assert parse_stat("F(2.0,17)=2.0").stat.df1 == 2

@@ -38,10 +38,7 @@ def record(trial, effect, bic, default):
 @pytest.fixture(scope="module")
 def null_run():
     """A hundred null trials at the study's dataset size."""
-    config = SimulationConfig(
-        cell_n=50, g=0.0, trials=100, seed=2026,
-        oracle=GPriorSpec(mc_samples=1000, seed=3),
-    )
+    config = SimulationConfig(cell_n=50, g=0.0, trials=100, seed=2026)
     return config, run_simulation(config)
 
 
@@ -124,8 +121,7 @@ class TestRunSimulation:
         assert again == records[: 3 * 5]
 
     def test_progress_callback(self):
-        config = SimulationConfig(cell_n=2, g=0.0, trials=3, seed=0,
-                                  oracle=GPriorSpec(mc_samples=1000, seed=0))
+        config = SimulationConfig(cell_n=2, g=0.0, trials=3, seed=0)
         seen = []
         run_simulation(config, progress=lambda done, total: seen.append((done, total)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
@@ -133,11 +129,10 @@ class TestRunSimulation:
     def test_oracle_column_is_the_public_default_bf10(self):
         # The harness evaluates the oracle on the table it already fitted;
         # that must give exactly what the public entry point gives.
-        config = SimulationConfig(cell_n=3, g=0.1, trials=4, seed=8,
-                                  oracle=GPriorSpec(mc_samples=1000, seed=1))
+        config = SimulationConfig(cell_n=3, g=0.1, trials=4, seed=8)
         for r in run_simulation(config):
             data = generate_dataset(config, r.trial)
-            want = default_bf10(data, r.effect, config.oracle, stream_index=r.trial)
+            want = default_bf10(data, r.effect, config.oracle)
             assert r.log_bf10_default == want.log_bf
 
     def test_bic_floors_hold_on_every_record(self, null_run):
@@ -154,8 +149,7 @@ class TestRunSimulation:
         assert rate < 0.10
 
     def test_degenerate_trial_is_named_in_the_error(self, monkeypatch):
-        config = SimulationConfig(cell_n=3, g=0.0, trials=3, seed=0,
-                                  oracle=GPriorSpec(mc_samples=1000, seed=0))
+        config = SimulationConfig(cell_n=3, g=0.0, trials=3, seed=0)
         real = generate_dataset
 
         def sabotaged(cfg, trial):

@@ -254,6 +254,14 @@ class TestSummaryStat:
         with pytest.raises(DomainError):
             SummaryStat("F", 1.0, 1, 10, n=1)
 
+    @pytest.mark.parametrize("field", ["df1", "df2", "n"])
+    def test_counts_beyond_the_double_range_rejected(self, field):
+        counts = {"df1": 1, "df2": 10, "n": 20, field: 10**400}
+        with pytest.raises(DomainError, match=f"^{field} must be at most 1.79769e"):
+            SummaryStat("F", 1.0, **counts)
+        counts[field] = int(sys.float_info.max)  # the largest count a double holds
+        assert getattr(SummaryStat("F", 1.0, **counts), field) == counts[field]
+
 
 class TestClassify:
     def test_weak_null_example(self):
