@@ -166,6 +166,10 @@ def cmd_bf(args) -> int:
     if args.stat is not None:
         if args.f is not None or args.t is not None:
             raise _UsageError("give a statistic string or --f/--t flags, not both")
+        given = [flag for flag in ("df1", "df2") if getattr(args, flag) is not None]
+        if given:
+            flags = "/".join("--" + flag for flag in given)
+            raise _UsageError(f"the statistic string gives the degrees of freedom; drop {flags}")
         report = parse_stat(args.stat, n=args.n)
         stat, warnings = report.stat, report.warnings
     elif args.f is not None:
@@ -260,13 +264,16 @@ def cmd_simulate(args) -> int:
 
     start = time.perf_counter()
     step = max(1, config.trials // 20)
+    # a carriage return redraws a terminal line but piles up in a log file
+    live = sys.stderr.isatty()
 
     def progress(done: int, total: int) -> None:
         if done == total or done % step == 0:
             print(f"\r{done}/{total} trials", end="", file=sys.stderr, flush=True)
 
-    records = run_simulation(config, progress=progress)
-    print(file=sys.stderr)
+    records = run_simulation(config, progress=progress if live else None)
+    if live:
+        print(file=sys.stderr)
     write_records(records, args.out)
     elapsed = time.perf_counter() - start
     print(f"wrote {args.out} ({len(records)} rows) in {elapsed:.1f} s", file=sys.stderr)

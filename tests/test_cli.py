@@ -114,12 +114,18 @@ class TestBf:
             ("bf", "--f", "2.0", "--df1", "1", "--df2", "17"),    # missing --n
             ("bf", "--t", "2.0", "--df2", "71", "--n", "73", "--df1", "2"),
             ("bf", "--f", "1.0", "--t", "1.0", "--df1", "1", "--df2", "5", "--n", "7"),
+            ("bf", "F(1,17)=2.584, n=18", "--df1", "3", "--df2", "99"),  # text and df flags
+            ("bf", "F(1,17)=2.584, n=18", "--df1", "3"),
+            ("bf", "t(17)=1.6", "--df2", "17", "--n", "19"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("usage error:")
+        if argv[1:2] and not argv[1].startswith("--"):  # statistic text
+            for flag in {"--df1", "--df2"} & set(argv):
+                assert flag in err
 
     @pytest.mark.parametrize(
         "t_flag",
@@ -223,6 +229,13 @@ class TestSimulate:
         assert lines[0].startswith("trial,effect,")
         assert len(lines) == 1 + 9
         assert f"wrote {out_path} (9 rows)" in err
+        assert "\r" not in err  # capsys is not a terminal: no progress line
+
+    def test_progress_only_on_a_terminal(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+        code, _, err = run_cli(capsys, *self.BASE, "--out", str(tmp_path / "r.csv"))
+        assert code == 0
+        assert err.startswith("\r1/3 trials\r2/3 trials\r3/3 trials\n")
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / name for name in ("a.csv", "b.csv")]

@@ -1,6 +1,7 @@
 """g-prior Bayes factors: dense-matrix oracle, limits, quadrature accuracy."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -424,8 +425,7 @@ def finer_rule(factor: int = 4):
         g_above=1.5 * _RULE.g_above,
         s_step=_RULE.s_step / factor,
         s_max_step=_RULE.s_max_step / factor,
-        s_tail=2.0 * _RULE.s_tail,
-        newton_tol=1e-6,
+        s_edge=2.0 * _RULE.s_edge,
     )
 
 
@@ -452,6 +452,24 @@ class TestQuadratureRule:
                 got = _table_bf10(table, effect, GPriorSpec()).log_bf
                 want = _table_bf10(table, effect, GPriorSpec(), fine).log_bf
                 worst = max(worst, abs(got - want))
+        assert worst <= 1e-8
+
+    @pytest.mark.parametrize("a, b, cell_n", [(3, 4, 5), (5, 5, 3)], ids=["3x4", "5x5"])
+    def test_within_bound_of_a_four_times_finer_rule_across_prior_scales(self, a, b, cell_n):
+        # Blocks of up to 16 contrasts and prior scales from 0.05 to 10,
+        # beyond the study designs.
+        fine = finer_rule(4)
+        worst = 0.0
+        for seed in range(6):
+            for effect_scale in (1.0, 3.0):
+                data = random_dataset(seed, a=a, b=b, cell_n=cell_n, effect_scale=effect_scale)
+                table = fit_two_way(data)
+                for scale in (0.05, DEFAULT_PRIOR_SCALE, 10.0):
+                    spec = GPriorSpec(scale=scale)
+                    for effect in ("A", "B", "AB"):
+                        got = _table_bf10(table, effect, spec).log_bf
+                        want = _table_bf10(table, effect, spec, fine).log_bf
+                        worst = max(worst, abs(got - want))
         assert worst <= 1e-8
 
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
@@ -499,3 +517,18 @@ class TestQuadratureRule:
         with pytest.raises(DegenerateDataError, match="double range"):
             default_bf10(data, "AB")
         assert math.isfinite(default_bf10(data, "A").log_bf)
+
+    def test_near_degenerate_interaction_in_bounded_memory(self):
+        # SSE/SST = 1e-121: the outer window spans about 290 in log s, some
+        # 1460 nodes over a log-g grid of about 800, evaluated in slices.
+        y = np.empty((2, 2, 2))
+        y[0, 0], y[0, 1], y[1, 0], y[1, 1] = [1.0, -1.0], 1e60, -1e60, 3e60
+        data = FactorialDataset(2, 2, 2, y)
+        tracemalloc.start()
+        try:
+            got = default_bf10(data, "AB").log_bf
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(140.52462567479384, abs=1e-9)
+        assert peak < 16 * 2**20
