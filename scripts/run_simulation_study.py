@@ -2,12 +2,13 @@
 """Regenerate the simulation study comparing the two Bayes factor routes.
 
 For every (cell size, effect variance g) condition this runs the configured
-number of trials, prints per-effect five-number summaries of log BF10 for
-both the BIC route and the default-prior oracle, and reports
-their decision consistency.  Conditions with the same cell size share a
-seed, so the g = 0, 0.05, 0.2 runs are coupled and the evidence ordering is
-visible trial by trial.  Results files compatible with `bicbf report` are
-written next to a config file per condition.
+number of trials and prints the condition's table as `bicbf report` does:
+per-effect trial counts and five-number summaries of log BF10 for both the
+BIC route and the default-prior oracle, and their decision consistency.
+Conditions with the same cell size share a seed, so the g = 0, 0.05, 0.2
+runs are coupled and the evidence ordering is visible trial by trial.
+Results files compatible with `bicbf report` are written next to a config
+file per condition.
 
 The full study (three cell sizes, 1000 trials) runs in one process, in
 about 10 s on one core; pass --quick for a 100-trial smoke run.  The
@@ -23,7 +24,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from bicbf import SimulationConfig, run_simulation, summarize, write_config, write_records
+import bicbf.cli
+from bicbf import SimulationConfig, run_simulation, write_config, write_records
 
 G_VALUES = (0.0, 0.05, 0.2)
 
@@ -41,16 +43,6 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def print_condition(summaries) -> None:
-    header = ("effect", "route", "min", "q1", "median", "q3", "max", "consistency")
-    print("  {:<7} {:<8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>12}".format(*header))
-    for effect in ("A", "B", "AB"):
-        summary = summaries[effect]
-        for route, five in (("bic", summary.bic), ("default", summary.default)):
-            cells = " ".join(f"{v:8.2f}" for v in five.as_tuple())
-            print(f"  {effect:<7} {route:<8} {cells} {summary.consistency:>12.3f}")
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     trials = 100 if args.quick else args.trials
@@ -65,10 +57,13 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             records = run_simulation(config)
             elapsed = time.perf_counter() - start
-            write_records(records, out_dir / f"results_{tag}.csv")
+            results = out_dir / f"results_{tag}.csv"
+            write_records(records, results)
             write_config(config, out_dir / f"config_{tag}.txt")
             print(f"cell_n={cell_n} g={g:g} ({trials} trials, {elapsed:.1f} s)")
-            print_condition(summarize(records))
+            code = bicbf.cli.main(["report", str(results)])
+            if code:
+                return code
             print()
     print(f"results written to {out_dir}/", file=sys.stderr)
     return 0

@@ -132,6 +132,7 @@ def fit_two_way(data: FactorialDataset) -> AnovaTable:
     df_error = a * b * (cell_n - 1)
 
     ss_error = 0.0 if degenerate else float(np.sum((y - cell_means[:, :, None]) ** 2))
+    degenerate = ss_error == 0.0  # also residuals whose squares underflow, like 1e-170
     if degenerate:
         f_a = f_b = f_ab = math.nan
     else:

@@ -9,8 +9,12 @@ Subcommands:
 
 Output formats are plain (human-readable), csv, and json, selected with
 ``--format`` or the BICBF_FORMAT environment variable; all three carry the
-same numbers.  Exit codes: 0 success, 1 domain or runtime error, 2 usage
-error.
+same numbers.  A csv float is written as its repr, the shortest text that
+reads back to the same double, so csv and json show the same digits; None
+is an empty cell.  A non-finite value is ``inf`` in plain and csv output and
+``null`` in json.  Results and density files are not this output: they keep
+17 significant digits.  Exit codes: 0 success, 1 domain or runtime error,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -192,22 +196,10 @@ def cmd_bf(args) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     label = f"BF{value.direction}"
-    if fmt == "plain":
-        print(f"{label} = {_sig4(value.bf)} (log {label} = {_sig4(value.log_bf)})")
-        print(f"evidence: {evidence.category}, favoring {evidence.favored}")
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["direction", "bf", "log_bf", "favored", "category"])
-        writer.writerow([value.direction, "%.17g" % value.bf, "%.17g" % value.log_bf,
-                         evidence.favored, evidence.category])
-    else:
-        print(json.dumps({
-            "direction": value.direction,
-            "bf": value.bf if math.isfinite(value.bf) else None,  # strict JSON has no inf
-            "log_bf": value.log_bf,
-            "favored": evidence.favored,
-            "category": evidence.category,
-        }))
+    fields = {"direction": value.direction, "bf": value.bf, "log_bf": value.log_bf,
+              "favored": evidence.favored, "category": evidence.category}
+    _emit(fmt, fields, [f"{label} = {_sig4(value.bf)} (log {label} = {_sig4(value.log_bf)})",
+                        f"evidence: {evidence.category}, favoring {evidence.favored}"])
     return 0
 
 
@@ -223,19 +215,10 @@ def cmd_parse(args) -> int:
         "n": stat.n,
         "p_reported": stat.p_reported,
         "canonical": render_stat(stat),
+        "warnings": list(report.warnings),
     }
-    if fmt == "plain":
-        for key, value in fields.items():
-            print(f"{key} = {value}")
-        for warning in report.warnings:
-            print(f"warning: {warning}")
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow([*fields.keys(), "warnings"])
-        writer.writerow([*("" if v is None else v for v in fields.values()),
-                         "; ".join(report.warnings)])
-    else:
-        print(json.dumps({**fields, "warnings": list(report.warnings)}))
+    plain = [f"{key} = {value}" for key, value in fields.items() if key != "warnings"]
+    _emit(fmt, fields, plain + [f"warning: {warning}" for warning in report.warnings])
     return 0
 
 
@@ -298,34 +281,43 @@ def cmd_report(args) -> int:
         wrote_density = True
 
     if args.table or not wrote_density:
-        summaries = summarize(records)
-        rows = []
-        for effect, summary in summaries.items():
-            for bf_type, five in (("bic", summary.bic), ("default", summary.default)):
-                rows.append((effect, bf_type, summary.n_trials, *five.as_tuple(),
-                             summary.consistency))
-        if fmt == "plain":
-            header = ("effect", "route", "trials", "min", "q1", "median", "q3",
-                      "max", "consistency")
-            print("{:<7} {:<8} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}".format(*header))
-            for effect, bf_type, n_trials, *numbers, consistency in rows:
-                cells = " ".join(f"{v:9.2f}" for v in numbers)
-                print(f"{effect:<7} {bf_type:<8} {n_trials:>6} {cells} {consistency:>12.3f}")
-        elif fmt == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["effect", "bf_type", "n_trials", "min", "q1", "median",
-                             "q3", "max", "consistency"])
-            for effect, bf_type, n_trials, *values in rows:
-                writer.writerow([effect, bf_type, n_trials,
-                                 *("%.17g" % v for v in values)])
-        else:
-            print(json.dumps([
-                {"effect": effect, "bf_type": bf_type, "n_trials": n_trials,
-                 "min": mn, "q1": q1, "median": md, "q3": q3, "max": mx,
-                 "consistency": consistency}
-                for effect, bf_type, n_trials, mn, q1, md, q3, mx, consistency in rows
-            ]))
+        five_keys = ("min", "q1", "median", "q3", "max")
+        rows = [
+            {"effect": effect, "bf_type": bf_type, "n_trials": summary.n_trials,
+             **dict(zip(five_keys, five.as_tuple())), "consistency": summary.consistency}
+            for effect, summary in summarize(records).items()
+            for bf_type, five in (("bic", summary.bic), ("default", summary.default))
+        ]
+        plain = ["{:<7} {:<8} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}".format(
+            "effect", "route", "trials", *five_keys, "consistency")]
+        for row in rows:
+            cells = " ".join(f"{row[key]:9.2f}" for key in five_keys)
+            plain.append(f"{row['effect']:<7} {row['bf_type']:<8} {row['n_trials']:>6} "
+                         f"{cells} {row['consistency']:>12.3f}")
+        _emit(fmt, rows, plain)
     return 0
+
+
+def _emit(fmt: str, rows: dict | list[dict], plain: list[str]) -> None:
+    """Print one dict of fields, or a list of them, in the chosen format.
+
+    plain prints the given lines.  csv writes a header from the keys and
+    one row per dict: a float as its repr (csv.writer's rule), None as an
+    empty cell, a list joined by "; ".  json writes a non-finite float as
+    null, since strict JSON has no inf, and a dict as an object.
+    """
+    table = rows if isinstance(rows, list) else [rows]
+    if fmt == "plain":
+        print("\n".join(plain))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(table[0].keys())
+        for row in table:
+            writer.writerow("; ".join(v) if isinstance(v, list) else v for v in row.values())
+    else:
+        strict = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for key, v in row.items()} for row in table]
+        print(json.dumps(strict if isinstance(rows, list) else strict[0]))
 
 
 if __name__ == "__main__":

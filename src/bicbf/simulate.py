@@ -356,6 +356,8 @@ def read_records(path: str | Path) -> list[SimulationRecord]:
                     raise DomainError(f"{path}:{lineno}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DomainError(f"{path}:{reader.line_num}: {exc}") from exc
     return records
 
 

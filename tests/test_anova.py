@@ -13,6 +13,7 @@ from bicbf import (
     bf01_from_delta_bic,
     bf01_from_partial_eta_sq,
     bic_bf_for_effect,
+    default_bf10,
     delta_bic_10,
     fit_two_way,
 )
@@ -95,6 +96,20 @@ class TestHandOracle:
         table = fit_two_way(FactorialDataset(2, 2, 2, y))
         assert table.degenerate
         assert table.ss_error == 0.0
+
+    def test_residuals_whose_squares_underflow_are_degenerate(self):
+        # One cell is not constant, but (1e-170 / 2)**2 underflows to 0.0.
+        data = FactorialDataset(2, 2, 2, [[[0, 1e-170], [0, 0]], [[5, 5], [1, 1]]])
+        table = fit_two_way(data)
+        assert table.degenerate
+        assert table.ss_error == 0.0
+        assert math.isnan(table.f_a)
+        with pytest.raises(DegenerateDataError, match="zero error variance"):
+            bic_bf_for_effect(table, "AB")
+        with pytest.raises(DegenerateDataError, match="zero residual.*diverges"):
+            default_bf10(data, "AB")
+        for effect in ("A", "B"):
+            assert math.isfinite(default_bf10(data, effect).log_bf)
 
 
 class TestLstsqOracle:

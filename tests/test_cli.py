@@ -345,6 +345,19 @@ class TestReport:
         assert code == 1
         assert "broken.csv:2" in err
 
+    def test_field_beyond_the_csv_size_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "trial,effect,log_bf10_bic,log_bf10_default,decision_bic,decision_default\n"
+            f"0,A,1.0,{'1' * 200_000},H1,H1\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "bicbf.cli", "report", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: {path}:2: field larger than field limit")
+
     def test_density_output(self, capsys, results_file, tmp_path):
         out_path = tmp_path / "density.csv"
         code, _, err = run_cli(
@@ -506,6 +519,38 @@ class TestTopLevel:
             assert (payload["favored"], payload["category"]) == ("H1", "very strong")
         else:
             assert "very strong" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bf", "--f", "3.5", "--df1", "2", "--df2", "28", "--n", "30"),
+        ("bf", "--f", "1000", "--df1", "1", "--df2", "10", "--n", "10000", "--direction", "10"),
+        ("parse", "F(1,17)=2.584, p=0.126", "--n", "18"),
+        ("parse", "t(5)=1.2"),
+        ("report", "RESULTS"),
+    ],
+    ids=["bf", "bf-overflow", "parse", "parse-missing-n", "report"],
+)
+def test_csv_cells_are_the_json_tokens(capsys, results_file, argv):
+    argv = [str(results_file) if arg == "RESULTS" else arg for arg in argv]
+    _, as_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    _, as_json, _ = run_cli(capsys, *argv, "--format", "json")
+    # numbers stay the text json printed them as
+    payload = json.loads(as_json, parse_float=str, parse_int=str,
+                         parse_constant=_reject_constant)
+    objects = payload if isinstance(payload, list) else [payload]
+    header, *rows = csv.reader(io.StringIO(as_csv))
+    assert len(rows) == len(objects)
+    for row, obj in zip(rows, objects):
+        assert header == list(obj) and len(row) == len(obj)
+        for cell, token in zip(row, obj.values()):
+            if token is None:  # None, or a float beyond the double range
+                assert cell == "" or not math.isfinite(float(cell))
+            elif isinstance(token, list):
+                assert cell == "; ".join(token)
+            else:
+                assert cell == token
 
 
 def _reject_constant(name):
