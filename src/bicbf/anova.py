@@ -106,32 +106,46 @@ def _checked(effect: str) -> str:
 
 def fit_two_way(data: FactorialDataset) -> AnovaTable:
     """Fit the two-way ANOVA with interaction to balanced data."""
-    y = data.y
-    a, b, cell_n = data.a_levels, data.b_levels, data.cell_n
-    grand = y.mean()
-    cell_means = y.mean(axis=2)
-    a_means = y.mean(axis=(1, 2))
-    b_means = y.mean(axis=(0, 2))
+    return _fit_block(data.y[None])[0]
 
+
+def _fit_block(y: np.ndarray) -> list[AnovaTable]:
+    """``fit_two_way`` of each dataset in a stack of shape (m, a, b, cell_n).
+
+    Every sum and mean runs over one dataset's own elements, along trailing
+    axes, so each table is bitwise the one its dataset gives alone.
+    """
+    _, a, b, cell_n = y.shape
+    grand = y.mean(axis=(1, 2, 3))
+    cell_means = y.mean(axis=3)
+    a_means = y.mean(axis=(2, 3))
+    b_means = y.mean(axis=(1, 3))
+    ss_a = b * cell_n * np.sum((a_means - grand[:, None]) ** 2, axis=1)
+    ss_b = a * cell_n * np.sum((b_means - grand[:, None]) ** 2, axis=1)
+    interaction = cell_means - a_means[:, :, None] - b_means[:, None, :] + grand[:, None, None]
+    ss_ab = cell_n * np.sum(interaction**2, axis=(1, 2))
+    ss_total = np.sum((y - grand[:, None, None, None]) ** 2, axis=(1, 2, 3))
+    ss_error = np.sum((y - cell_means[..., None]) ** 2, axis=(1, 2, 3))
     # Zero error variance means every cell is constant; decide that exactly
     # rather than from the computed residuals, whose rounding can leave a
     # spurious 1e-30-ish sum for constant input.  A constant response gets
     # exact zeros in every sum of squares for the same reason.
-    degenerate = bool(np.all(y == y[:, :, :1]))
-    if degenerate and np.all(y == y.flat[0]):
-        ss_a = ss_b = ss_ab = ss_total = 0.0
-    else:
-        ss_a = b * cell_n * float(np.sum((a_means - grand) ** 2))
-        ss_b = a * cell_n * float(np.sum((b_means - grand) ** 2))
-        interaction = cell_means - a_means[:, None] - b_means[None, :] + grand
-        ss_ab = cell_n * float(np.sum(interaction**2))
-        ss_total = float(np.sum((y - grand) ** 2))
+    flat_cells = np.all(y == y[..., :1], axis=(1, 2, 3))
+    constant = flat_cells & np.all(y == y[:, :1, :1, :1], axis=(1, 2, 3))
 
+    columns = (flat_cells, constant, ss_a, ss_b, ss_ab, ss_error, ss_total)
+    return [_table(a, b, cell_n, *row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _table(a, b, cell_n, flat_cells, constant, ss_a, ss_b, ss_ab, ss_error, ss_total):
+    """One dataset's table from its sums of squares, in scalar arithmetic."""
+    if constant:
+        ss_a = ss_b = ss_ab = ss_total = 0.0
+    if flat_cells:
+        ss_error = 0.0
     df_a, df_b = a - 1, b - 1
     df_ab = df_a * df_b
     df_error = a * b * (cell_n - 1)
-
-    ss_error = 0.0 if degenerate else float(np.sum((y - cell_means[:, :, None]) ** 2))
     degenerate = ss_error == 0.0  # also residuals whose squares underflow, like 1e-170
     if degenerate:
         f_a = f_b = f_ab = math.nan
@@ -142,7 +156,7 @@ def fit_two_way(data: FactorialDataset) -> AnovaTable:
         f_ab = (ss_ab / df_ab) / mse
 
     return AnovaTable(
-        n_total=data.n_total,
+        n_total=a * b * cell_n,
         ss_a=ss_a, ss_b=ss_b, ss_ab=ss_ab,
         ss_error=ss_error, ss_total=ss_total,
         df_a=df_a, df_b=df_b, df_ab=df_ab, df_error=df_error,

@@ -127,7 +127,7 @@ def parse_stat(text: str, n: int | None = None) -> ParsedReport:
                 raise ParseError("expected '=', '<', or '>' after p", cur.pos)
             p_reported, p_lexeme = cur.number("p value")
             warnings.append(
-                f"p{cmp}{p_lexeme} noted but ignored; "
+                f"p{cmp}{p_lexeme} noted but ignored: "
                 "p-values do not enter the computation"
             )
             if cur.take(","):
@@ -146,7 +146,7 @@ def parse_stat(text: str, n: int | None = None) -> ParsedReport:
             warnings.append(f"n={n} argument overrides n={n_text} from text")
         n_final = int(n)
     if n_final is None:
-        warnings.append("no sample size given; supply n before computing a Bayes factor")
+        warnings.append("no sample size given: supply n before computing a Bayes factor")
 
     stat = SummaryStat(kind, statistic, df1, df2, n_final, p_reported)
     return ParsedReport(stat, text, tuple(warnings))

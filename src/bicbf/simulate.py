@@ -10,9 +10,17 @@ iff log BF10 > 0".  Summaries are five-number statistics of the log Bayes
 factors plus the per-effect consistency, the proportion of trials on which
 the two routes reach the same decision.
 
+Trials run in blocks of 64.  Each trial's dataset is generated on its own;
+the block's datasets are then stacked and fitted in one array pass, and the
+oracle integrates the whole block at once (``bicbf.gprior``).  The BIC and
+every check that can fail run per trial in trial order, so a failing block
+names its lowest failing trial with the message that trial gives alone.
+
 Determinism: every draw comes from a substream keyed by (seed, label,
 trial), with separate labels for effect draws and noise draws; the oracle
-is deterministic quadrature and draws nothing.  Consequences relied on
+is deterministic quadrature and draws nothing.  Every sum runs over one
+trial's own values, so a record is bitwise the same whether its trial runs
+alone, inside a block or at a block edge.  Consequences relied on
 elsewhere: a rerun is bitwise identical, a trial's records depend only on
 the config and the trial number (so a shorter run is a prefix of a longer
 one), and two configs differing only in g share their noise (and, up to
@@ -30,9 +38,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .anova import EFFECTS, FactorialDataset, bic_bf_for_effect, fit_two_way
+from .anova import EFFECTS, FactorialDataset, _fit_block, bic_bf_for_effect
 from .errors import BicbfError, DomainError, SimulationError
-from .gprior import GPriorSpec, _table_bf10
+from .gprior import GPriorSpec, _evaluate, _prepare
 from .rng import substream
 from .summary import invert
 
@@ -152,27 +160,7 @@ def generate_dataset(config: SimulationConfig, trial: int) -> FactorialDataset:
     return FactorialDataset(a, b, cell_n, y)
 
 
-def _trial_records(config: SimulationConfig, trial: int) -> list[SimulationRecord]:
-    try:
-        data = generate_dataset(config, trial)
-        table = fit_two_way(data)
-        records = []
-        for effect in EFFECTS:
-            bic = invert(bic_bf_for_effect(table, effect))
-            oracle = _table_bf10(table, effect, config.oracle)
-            records.append(
-                SimulationRecord(
-                    trial=trial,
-                    effect=effect,
-                    log_bf10_bic=bic.log_bf,
-                    log_bf10_default=oracle.log_bf,
-                    decision_bic=decide(bic.log_bf),
-                    decision_default=decide(oracle.log_bf),
-                )
-            )
-        return records
-    except BicbfError as exc:
-        raise SimulationError(f"trial {trial}: {exc}") from exc
+_BLOCK = 64  # trials evaluated together
 
 
 def run_simulation(
@@ -181,14 +169,67 @@ def run_simulation(
 ) -> list[SimulationRecord]:
     """All records of the configured study, in (trial, effect) order.
 
-    ``progress`` is called with (finished_trials, total_trials) after each
-    trial.
+    Trials run in blocks of ``_BLOCK``; each record is bitwise the one its
+    trial gives alone.  ``progress`` is called with (finished_trials,
+    total_trials) once per trial, in order, when the trial's block is done.
     """
     records = []
-    for trial in range(config.trials):
-        records += _trial_records(config, trial)
+    for start in range(0, config.trials, _BLOCK):
+        trials = range(start, min(start + _BLOCK, config.trials))
+        records += _block_records(config, trials)
         if progress is not None:
-            progress(trial + 1, config.trials)
+            for trial in trials:
+                progress(trial + 1, config.trials)
+    return records
+
+
+def _block_records(config: SimulationConfig, trials: range) -> list[SimulationRecord]:
+    """Records of consecutive trials, with one array pass per stage.
+
+    Datasets are generated one trial at a time, the BIC and the oracle are
+    set up per trial, and the fit and the oracle's quadrature run on the
+    whole block.  Each stage that can fail stops at its first failing
+    trial, so the error names the lowest failing trial, with the message
+    that trial gives alone.
+    """
+    failure = None
+    datasets = []
+    for trial in trials:
+        try:
+            datasets.append(generate_dataset(config, trial))
+        except BicbfError as exc:
+            failure = trial, exc
+            break
+    tables = _fit_block(np.stack([d.y for d in datasets])) if datasets else []
+    bics, oracles = [], []
+    for trial, table in zip(trials, tables):
+        try:
+            trial_bics, trial_oracles = [], []
+            for effect in EFFECTS:
+                trial_bics.append(invert(bic_bf_for_effect(table, effect)).log_bf)
+                trial_oracles.append(_prepare(table, effect, config.oracle.scale))
+        except BicbfError as exc:
+            failure = trial, exc
+            break
+        bics += trial_bics
+        oracles += trial_oracles
+    records = []
+    for index, (bic, default) in enumerate(zip(bics, _evaluate(oracles).tolist())):
+        trial = trials[index // len(EFFECTS)]
+        try:
+            records.append(SimulationRecord(
+                trial=trial,
+                effect=EFFECTS[index % len(EFFECTS)],
+                log_bf10_bic=bic,
+                log_bf10_default=default,
+                decision_bic=decide(bic),
+                decision_default=decide(default),
+            ))
+        except BicbfError as exc:
+            raise SimulationError(f"trial {trial}: {exc}") from exc
+    if failure is not None:
+        trial, exc = failure
+        raise SimulationError(f"trial {trial}: {exc}") from exc
     return records
 
 

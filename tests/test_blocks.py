@@ -1,0 +1,216 @@
+"""Block evaluation of the simulation study.
+
+``run_simulation`` fits and integrates a block of trials in one array pass.
+A trial's records must stay bitwise what the trial gives alone, and a
+failing block must report what the trials would report one at a time.
+Both rest on numpy giving the same bits for the same values whatever the
+array's length and layout, which is tested here rather than assumed.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import bicbf.simulate
+from bicbf import (
+    DegenerateDataError,
+    FactorialDataset,
+    SimulationConfig,
+    SimulationError,
+    default_bf10,
+    generate_dataset,
+    run_simulation,
+)
+
+LENGTHS = range(1, 201)
+
+
+def _values(seed: int, lo: float, hi: float, log_scale: bool = False) -> np.ndarray:
+    """200 values spread over [lo, hi], uniformly or log-uniformly."""
+    rng = np.random.default_rng(seed)
+    if log_scale:
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), size=200))
+    return rng.uniform(lo, hi, size=200)
+
+
+# Each elementwise function of the block code, over the range it meets there:
+# exp of -log g, of log s and of logsumexp shifts; log of shrink factors and
+# of SST/q; log1p of c*g; 1/(1 + c*g); SS/df and q/SST.
+ELEMENTWISE = {
+    "exp": (np.exp, np.concatenate([_values(1, -745.0, 0.0)[:100],
+                                    _values(2, -10.0, 700.0)[:100]])),
+    "log": (np.log, _values(3, 1e-300, 1e300, log_scale=True)),
+    "log1p": (np.log1p, _values(4, 1e-12, 1e150, log_scale=True)),
+    "reciprocal": (lambda x: 1.0 / x, _values(5, 1.0, 1e150, log_scale=True)),
+    "divide": (lambda x: np.true_divide(x, 7.3), _values(6, 1e-200, 1e200, log_scale=True)),
+}
+
+
+def _layouts(values: np.ndarray, length: int):
+    """(name, view, wanted index) for every layout the block code feeds numpy.
+
+    Negative strides are left out: on some CPUs exp and log1p of a
+    reversed view differ in the last bit, and the block code never
+    builds one.
+    """
+    head = values[:length]
+    yield "contiguous", head, np.arange(length)
+    yield "offset", values[200 - length :], np.arange(200 - length, 200)
+    yield "strided", np.repeat(values, 2)[::2][:length], np.arange(length)
+    yield "column", np.tile(head[:, None], (1, 3))[:, 1], np.arange(length)
+    yield "row slice", np.tile(head, (4, 1))[1:3], np.tile(np.arange(length), (2, 1))
+    yield "broadcast row", np.broadcast_to(head, (3, length)), np.tile(np.arange(length), (3, 1))
+    yield "broadcast column", np.broadcast_to(head[:, None], (length, 3)), np.tile(
+        np.arange(length)[:, None], (1, 3))
+
+
+@pytest.mark.parametrize("name", list(ELEMENTWISE))
+def test_elementwise_bits_do_not_depend_on_length_or_layout(name):
+    func, values = ELEMENTWISE[name]
+    alone = np.array([func(values[i : i + 1])[0] for i in range(values.size)])
+    for length in LENGTHS:
+        for layout, view, index in _layouts(values, length):
+            got = func(view)
+            assert np.array_equal(got, alone[index]), (name, layout, length)
+
+
+def _max_by_reduceat(x: np.ndarray) -> np.ndarray:
+    """The max over the last axis as the oracle's logsumexp takes it."""
+    flat = np.maximum.reduceat(x.reshape(-1), np.arange(0, x.size, x.shape[-1]))
+    return flat.reshape(x.shape[:-1])
+
+
+@pytest.mark.parametrize(
+    "reduce, of_row",
+    [(lambda x: np.sum(x, axis=-1), np.sum), (lambda x: np.max(x, axis=-1), np.max),
+     (_max_by_reduceat, np.max)],
+    ids=["sum", "max", "max-by-reduceat"],
+)
+def test_last_axis_reductions_are_the_reductions_of_each_row(reduce, of_row):
+    rng = np.random.default_rng(7)
+    for length in LENGTHS:
+        rows = rng.normal(size=(5, length)) * np.exp(rng.uniform(-30, 30, size=(5, 1)))
+        want = np.array([of_row(row) for row in rows])
+        assert reduce(rows).tobytes() == want.tobytes(), length
+        # the nested rule reduces (rows, blocks, nodes) arrays the same way
+        cube = np.stack([rows, 2.0 * rows, rows[::-1]], axis=1)
+        want = np.array([[of_row(line) for line in block] for block in cube])
+        assert reduce(cube).tobytes() == want.tobytes(), length
+
+
+def _bits(records):
+    return [(r.trial, r.effect, r.log_bf10_bic.hex(), r.log_bf10_default.hex()) for r in records]
+
+
+@pytest.fixture(scope="module")
+def alone():
+    """Every trial of a 70-trial study, each evaluated as a block of its own."""
+    config = SimulationConfig(cell_n=5, g=0.2, trials=70, seed=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bicbf.simulate, "_BLOCK", 1)
+        return config, run_simulation(config)
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default"])
+def test_records_do_not_depend_on_the_block(monkeypatch, alone, block):
+    # 70 trials put block edges at 7, 14, ... and at 64 by default; g = 0.2
+    # on a 2x3x5 design gives the trials different log-g and outer node counts.
+    config, want = alone
+    if block is not None:
+        monkeypatch.setattr(bicbf.simulate, "_BLOCK", block)
+    assert _bits(run_simulation(config)) == _bits(want)
+
+
+def test_block_records_are_the_one_trial_oracle(alone):
+    config, records = alone
+    for r in records[::5]:
+        data = generate_dataset(config, r.trial)
+        assert r.log_bf10_default.hex() == default_bf10(data, r.effect, config.oracle).log_bf.hex()
+
+
+def test_progress_fires_per_trial_in_order_when_its_block_is_done(monkeypatch):
+    config = SimulationConfig(cell_n=2, g=0.0, trials=5, seed=0)
+    monkeypatch.setattr(bicbf.simulate, "_BLOCK", 2)
+    seen = []
+    real = bicbf.simulate._block_records
+
+    def spy(cfg, trials):
+        seen.append(("block", trials.start))
+        return real(cfg, trials)
+
+    monkeypatch.setattr(bicbf.simulate, "_block_records", spy)
+    run_simulation(config, progress=lambda done, total: seen.append((done, total)))
+    assert seen == [("block", 0), (1, 5), (2, 5), ("block", 2), (3, 5), (4, 5),
+                    ("block", 4), (5, 5)]
+
+
+# Failing datasets of the 2x3x3 design below, one per stage that can fail.
+CONSTANT = np.zeros((2, 3, 3))  # the BIC of effect A: zero error variance
+
+
+def _double_range() -> np.ndarray:
+    """Passes the BIC and the main-effect oracles, fails the interaction's:
+    SSE/SST is about 1e-200, so its posterior of g leaves the double range."""
+    y = np.empty((2, 3, 3))
+    y[:] = 1e100 * np.array([[0.0, -2.0, 3.0], [-1.0, 5.0, 0.5]])[:, :, None]
+    y[0, 0] += np.array([1.0, -1.0, 0.0])
+    return y
+
+
+NOT_FINITE = np.full((2, 3, 3), math.nan)  # the dataset itself
+
+
+def _sabotage(monkeypatch, bad: dict[int, np.ndarray]) -> None:
+    real = bicbf.simulate.generate_dataset
+
+    def sabotaged(cfg, trial):
+        if trial in bad:
+            return FactorialDataset(cfg.a_levels, cfg.b_levels, cfg.cell_n, bad[trial])
+        return real(cfg, trial)
+
+    monkeypatch.setattr(bicbf.simulate, "generate_dataset", sabotaged)
+
+
+def _error(config, block: int | None = None) -> str:
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(bicbf.simulate, "_BLOCK", block)
+        with pytest.raises(SimulationError) as info:
+            run_simulation(config)
+    return str(info.value)
+
+
+def test_the_failing_datasets_fail_where_intended():
+    for y, effect, match in ((CONSTANT, "A", "constant response"),
+                             (_double_range(), "AB", "double range")):
+        data = FactorialDataset(2, 3, 3, y)
+        if effect == "AB":
+            for main in ("A", "B"):
+                assert math.isfinite(default_bf10(data, main).log_bf)
+        with pytest.raises(DegenerateDataError, match=match):
+            default_bf10(data, effect)
+
+
+@pytest.mark.parametrize(
+    "bad, lowest, match",
+    [
+        ({3: _double_range(), 10: CONSTANT}, 3, "double range"),
+        ({3: CONSTANT, 10: _double_range()}, 3, "zero error variance"),
+        ({5: NOT_FINITE, 2: _double_range()}, 2, "double range"),
+        ({2: NOT_FINITE, 5: CONSTANT}, 2, "finite"),
+        ({63: _double_range(), 64: CONSTANT}, 63, "double range"),
+        ({64: _double_range(), 69: NOT_FINITE}, 64, "double range"),
+    ],
+    ids=["late-then-early", "early-then-late", "generation-after-oracle",
+         "generation-first", "last-of-a-block", "first-of-a-block"],
+)
+def test_error_names_the_lowest_failing_trial(monkeypatch, bad, lowest, match):
+    config = SimulationConfig(cell_n=3, g=0.2, trials=70, seed=0)
+    _sabotage(monkeypatch, bad)
+    message = _error(config)
+    assert message.startswith(f"trial {lowest}: ") and match in message
+    # the same message as the trial run on its own, and as a small block
+    assert message == _error(config, block=1) == _error(config, block=7)
+    assert message == _error(replace(config, trials=lowest + 1), block=1)
