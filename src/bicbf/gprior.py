@@ -39,48 +39,61 @@ r = sqrt(2)/2 by default, by deterministic quadrature:
 
   rho_M = (SSE + sum_{e not in M} SS_e)/SST, frac_e = SS_e/SST and
   I_e(tau) = E_g[(1 + c_e g)^(-df_e/2) exp(-tau/(1 + c_e g))].  Each
-  log I_e is a logsumexp over one shared log-g grid, and log Gamma(k)
-  cancels in the ratio.  The outer integral over v = log s is a trapezoid
-  rule on a window fixed in closed form.  As 0 < 1/(1 + c_e g) <= 1 and
-  rho_M + sum_e frac_e = 1, the log-integrand f(v) lies between
-  k v - e^v + C and k v - rho_M e^v + C, C = sum_e log I_e(0).  So f peaks
-  at no less than k log k - k + C, and lies 20 below that outside
-  [log k - 1 - 20/k, log(k/rho_M) + log 2T], T = 1 + 20/k - log rho_M.
-  At most 128 (evaluation, outer node) rows are evaluated at a time, which
-  bounds memory when a near-zero error variance makes the window about
-  -log rho_M wide.
+  log I_e is a logsumexp over one shared log-g grid.  The outer integral
+  over v = log s is a trapezoid rule on a window fixed in closed form.  As
+  0 < 1/(1 + c_e g) <= 1 and rho_M + sum_e frac_e = 1, the log-integrand
+  f(v) lies between k v - e^v + C and k v - rho_M e^v + C,
+  C = sum_e log I_e(0).  So f peaks at no less than k log k - k + C, and
+  lies 20 below that outside [log k - 1 - 20/k, log(k/rho_M) + log 2T],
+  T = 1 + 20/k - log rho_M.
+* Both marginals share the numerator's outer grid.  frac_e is the same in
+  both models and rho_A+B >= rho_A+B+AB, so the denominator's window has
+  the same lower end, ends no later and keeps the same spacing bound.
+  Each log I_e is taken once per outer node and feeds both:
+
+      f_num(v) = k v - rho_num e^v + log I_A + log I_B + log I_AB,
+      f_den(v) = k v - rho_den e^v + log I_A + log I_B,
+
+  the denominator's terms picked by an effect mask.  log Gamma(k) and the
+  log of the outer step cancel in the ratio.  At most 128 (table, outer
+  node) rows are evaluated at a time, which bounds memory when a near-zero
+  error variance makes the window about -log rho_M wide.
 
 Node counts.  The log-g grid has spacing 0.4, times sqrt(3/(df + 1)) for a
 block with df > 2 contrasts, whose integrand is narrower.  It runs from 4
 below log(r^2/2), where the prior density has fallen below exp(-e^4), to 35
 past the farthest posterior mode of g, beyond which every integrand decays
-at least like e^-u: 102 nodes on the study designs, more only where a
-near-zero error variance sends the posterior of g far out.  Outer nodes are
-0.8/sqrt(k) apart, at most 0.2, since the curvature -f'' at the mode is at
-most k: 31 to 55 per model on the desk design, 24 to 45 on the wide one,
-26 to 65 on 2x2 designs with 3 to 5 observations per cell, and some 1460
-where SSE/SST = 1e-121.
+at least like e^-u: 101 to 105 nodes on the study designs, more only where
+a near-zero error variance sends the posterior of g far out.  Outer nodes
+are 0.8/sqrt(k) apart, at most 0.2, since the curvature -f'' at the mode is
+at most k: 31 to 60 per interaction on the desk design, 24 to 42 on the
+wide one (900 trials each), 27 to 67 on 2x2 designs with 3 to 5
+observations per cell, and some 1460 where SSE/SST = 1e-121.
 
 Measured error in log BF, against the same rules 4 times finer with wider
 windows: at most 1.5e-9 over 360 desk and wide study trials, 240 2x2
 designs, 3x4 and 5x5 designs at prior scales from 0.05 to 10, and
 near-constant cells (A, B and AB each).  The tests hold it to 1e-8.  Main
-effects match scipy's adaptive quadrature to 1.5e-9, and on near-constant
-cells (log BF of AB = 291) the interaction matches a direct 3-D trapezoid
-rule to 3e-13.  The result is a deterministic function of the
-data and the prior scale, so ``standard_error`` is exactly 0.
+effects match scipy's adaptive quadrature to 1.5e-9, also at the ends of
+the accepted prior scales, 1e-100 and 1e100; on near-constant cells
+(log BF of AB = 291) the interaction matches a direct 3-D trapezoid rule
+to 3e-13.  The result is a deterministic function of the data and the
+prior scale, so ``standard_error`` is exactly 0.
 
-Block evaluation.  ``_prepare`` does an evaluation's scalar set-up (its
-checks, windows and node counts) and ``_evaluate`` integrates any number of
-set-ups at once: the simulation study passes a block of trials, and
-``default_bf10`` is the one-evaluation case.  Set-ups with the same rule
-and the same log-g node count share (evaluations, nodes) arrays; the outer
-rule's rows are stacked across models and cut into chunks of 128, and each
-model's outer sum is taken with the models of its own outer node count.
-Every sum and max runs along the last axis over one evaluation's own nodes,
-with no padding, because padding would change numpy's pairwise summation.
-So each value is bitwise what the evaluation gives alone, whatever else
-shares its block; the tests check the numpy behaviour this rests on.
+Block evaluation.  ``_setup`` does the set-up of one effect for a block of
+tables in arrays: its checks, the node counts, and the shares rho and
+frac_e from the block's sums-of-squares columns.  The grid's ends, spacing
+and weights depend only on the design and the prior scale, so the tables
+of a block share them.  ``_evaluate`` integrates the set-up: the
+simulation study passes a block of trials, and ``default_bf10`` is the
+one-table case.  Tables with the same log-g node count share (tables,
+nodes) arrays; the outer rule's rows are stacked across tables and cut
+into chunks of 128, and each table's outer sums are taken with the tables
+of its own outer node count.  Every sum and max runs along the last axis
+over one table's own nodes, with no padding, because padding would change
+numpy's pairwise summation.  So each value is bitwise what the table gives
+alone, whatever else shares its block; the tests check the numpy behaviour
+this rests on.
 """
 
 from __future__ import annotations
@@ -105,6 +118,7 @@ __all__ = [
 ]
 
 DEFAULT_PRIOR_SCALE = math.sqrt(2.0) / 2.0  # the "wide" setting
+_PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 
 # Numerator/denominator model per tested effect: each main effect against
 # the intercept-only model, the interaction against the two main effects.
@@ -154,9 +168,8 @@ def _log_conditional_bf10(
     norms = _column_norms(table)
     blocks = [(table.ss(e), norms[e], table.df(e)) for e in effects]
     g_columns = [g_matrix[:, column] for column in range(len(effects))]
-    return _log_bf10_given_g(
-        table.ss_total, _residual(table, effects), 0.5 * (table.n_total - 1), blocks, g_columns
-    )
+    q = _residual(table.ss_error, {e: table.ss(e) for e in EFFECTS}, effects)
+    return _log_bf10_given_g(table.ss_total, q, 0.5 * (table.n_total - 1), blocks, g_columns)
 
 
 def _log_bf10_given_g(ss_total, q, k, blocks, g_columns) -> np.ndarray:
@@ -181,6 +194,9 @@ def _log_bf10_given_g(ss_total, q, k, blocks, g_columns) -> np.ndarray:
 class GPriorSpec:
     """Prior scale of ``default_bf10``.
 
+    ``scale`` must lie in [1e-100, 1e100].  Far outside that range the
+    rule's weights leave the double range: at 1e-200, r^2/2 underflows to 0.
+
     ``mc_samples`` and ``seed`` are ignored by the deterministic oracle;
     they are removed with the benchmark change of ROADMAP item 1.  Until
     then they keep their old validation.
@@ -193,6 +209,9 @@ class GPriorSpec:
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise DomainError(f"scale must be finite and positive, got {self.scale}")
+        low, high = _PRIOR_SCALES
+        if not low <= self.scale <= high:
+            raise DomainError(f"scale must lie in [{low:g}, {high:g}], got {self.scale}")
         if self.mc_samples < 1000:
             raise DomainError(f"mc_samples must be at least 1000, got {self.mc_samples}")
         if self.seed < 0:
@@ -251,206 +270,230 @@ class _Rule:
 
 
 _RULE = _Rule()
-_OUTER_ROWS = 128  # (evaluation, outer node) rows of the nested rule at once
+_OUTER_ROWS = 128  # (table, outer node) rows of the nested rule at once
 
 
 class _Outer(NamedTuple):
-    """One marginal likelihood of the nested rule: its shares rho_M and
-    frac_e, and the outer trapezoid rule on v = log s, whose ``count`` nodes
-    are lo + i * step with the last at exactly hi (as ``np.linspace``)."""
+    """The interaction's outer trapezoid rule on v = log s, one per table.
 
-    k: float
-    rho: float
-    frac: tuple[float, ...]
-    lo: float
-    hi: float
-    step: float
-    count: int
-
-
-class _Oracle(NamedTuple):
-    """The scalar set-up of one ``default_bf10`` evaluation.
-
-    The log-g grid has ``count`` nodes lo + i * step; ``blocks`` holds
-    (SS_e, c_e, df_e) per numerator effect.  A main effect is integrated
-    in the conditional form from its model's residual ``q``; the
-    interaction carries its two marginals in ``outer``.
+    Both marginals are summed on the numerator's ``count`` nodes lo + i * step,
+    the last at exactly hi (as ``np.linspace``).  ``rho`` and ``rho_den`` are
+    the two models' residual shares, ``frac`` holds frac_e per numerator
+    effect and ``den`` masks the denominator's effects among them.
     """
 
+    rho: np.ndarray
+    rho_den: np.ndarray
+    frac: np.ndarray  # (tables, effects)
+    den: np.ndarray
+    lo: float
+    hi: np.ndarray
+    step: np.ndarray
+    count: np.ndarray
+
+
+class _Setup(NamedTuple):
+    """The set-up of one effect for a block of tables of one design.
+
+    It covers the leading ``passed`` tables, which pass every check of
+    ``default_bf10``; ``failure`` is the error of the next table, if any.
+    The log-g grid of table i has ``count[i]`` nodes lo + j * step, and
+    ``c`` and ``df`` hold c_e and df_e per numerator effect.  A main effect is
+    integrated in the conditional form from its model's residual ``q`` and
+    sum of squares ``ss``; the interaction carries its ``outer`` rule.
+    """
+
+    passed: int
+    failure: DegenerateDataError | None
+    k: float
     beta: float
     lo: float
     step: float
-    count: int
     log_w0: float  # log(step) + (1/2) log(beta/pi)
-    ss_total: float
-    k: float
-    q: float
-    blocks: tuple[tuple[float, int, int], ...]
-    outer: tuple[_Outer, ...]
+    c: np.ndarray
+    df: np.ndarray
+    count: np.ndarray
+    ss_total: np.ndarray
+    q: np.ndarray
+    ss: np.ndarray
+    outer: _Outer | None
+
+    def check(self, index: int) -> None:
+        """Raise the error of table ``index`` if its set-up failed."""
+        if index == self.passed and self.failure is not None:
+            raise self.failure
 
 
 def _table_bf10(
     table: AnovaTable, effect: str, spec: GPriorSpec, rule: _Rule = _RULE
 ) -> GPriorBayesFactor:
     """``default_bf10`` of a fitted table, for a known effect."""
-    log_bf = _evaluate([_prepare(table, effect, spec.scale, rule)])[0]
-    return GPriorBayesFactor(float(log_bf), "10")
+    setup = _setup([table], effect, spec.scale, rule)
+    setup.check(0)
+    return GPriorBayesFactor(float(_evaluate(setup, 1)[0]), "10")
 
 
-def _prepare(table: AnovaTable, effect: str, scale: float, rule: _Rule = _RULE) -> _Oracle:
-    """Scalar set-up of one evaluation; ``_evaluate`` does the array work.
+def _setup(
+    tables: Sequence[AnovaTable], effect: str, scale: float, rule: _Rule = _RULE
+) -> _Setup:
+    """Set-up of ``effect`` for each of a block of tables, in arrays.
 
-    Raises every DegenerateDataError of ``default_bf10``, so that a block
-    of evaluations fails before any array work and at the first failing
-    evaluation.
+    The tables share one design.  Every DegenerateDataError check of
+    ``default_bf10`` runs on every table; the set-up stops at the first
+    that fails and holds its error, so a block reports the lowest failing
+    table with the message that table gives alone.
     """
     num_effects, den_effects = MODEL_PAIRS[effect]
-    if table.ss_total == 0.0:
-        raise DegenerateDataError("constant response: Bayes factor undefined")
-    k = 0.5 * (table.n_total - 1)
-    q = _residual(table, num_effects)
-    rho, frac = q / table.ss_total, _fracs(table, num_effects)
-    if rho == 0.0:
-        raise DegenerateDataError(
-            f"zero residual sum of squares under model {'+'.join(num_effects)}: "
-            "its marginal likelihood diverges"
-        )
-    norms = _column_norms(table)
-    blocks = tuple((table.ss(e), norms[e], table.df(e)) for e in num_effects)
-    # log g at which the posterior of the farthest-reaching block peaks, at most
-    top = max(f / c for f, (_, c, _) in zip(frac, blocks))
-    reach = math.log(k) + math.log(max(top, 1e-300)) - math.log(rho)
-    if reach > 300.0:  # keeps tau^2 and (1/(1 + c g))^2 inside the double range
-        raise DegenerateDataError(
-            f"residual sum of squares {table.ss_error!r} too small against the effects: "
-            "the posterior of g leaves the double range"
-        )
+    design = tables[0]
+    columns = np.array([[t.ss_a, t.ss_b, t.ss_ab, t.ss_error, t.ss_total] for t in tables])
+    ss_of = dict(zip(EFFECTS, columns.T))
+    ss_error, ss_total = columns[:, 3], columns[:, 4]
+    k = 0.5 * (design.n_total - 1)
+    norms = _column_norms(design)
+    c = np.array([float(norms[e]) for e in num_effects])
+    df = np.array([float(design.df(e)) for e in num_effects])
+    q = _residual(ss_error, ss_of, num_effects)
+    ss = np.stack([ss_of[e] for e in num_effects], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = q / ss_total
+        frac = ss / ss_total[:, None]
+        # log g at which the posterior of the farthest-reaching block peaks, at most
+        top = np.max(frac / c, axis=1)
+        reach = math.log(k) + np.log(np.maximum(top, 1e-300)) - np.log(rho)
+    # reach > 300 would take tau^2 and (1/(1 + c g))^2 out of the double range
+    bad = (ss_total == 0.0) | (rho == 0.0) | (reach > 300.0)
+    passed = int(np.argmax(bad)) if bad.any() else len(tables)
+    failure = None
+    if passed < len(tables):
+        if ss_total[passed] == 0.0:
+            failure = DegenerateDataError("constant response: Bayes factor undefined")
+        elif rho[passed] == 0.0:
+            failure = DegenerateDataError(
+                f"zero residual sum of squares under model {'+'.join(num_effects)}: "
+                "its marginal likelihood diverges"
+            )
+        else:
+            failure = DegenerateDataError(
+                f"residual sum of squares {float(ss_error[passed])!r} too small against "
+                "the effects: the posterior of g leaves the double range"
+            )
     # The log-g grid covers the prior and every posterior peaking at
     # log g <= reach.  A block with df contrasts narrows the integrand in
     # log g like (df + 1)^-1/2, so the spacing shrinks with it beyond df = 2.
     beta = 0.5 * scale**2
-    df = float(max(df for _, _, df in blocks))
-    step = rule.g_step * min(1.0, math.sqrt(3.0 / (df + 1.0)))
+    step = rule.g_step * min(1.0, math.sqrt(3.0 / (df.max() + 1.0)))
     lo = math.log(beta) - rule.g_below
-    hi = max(math.log(2.0 * beta), reach) + rule.g_above
-    outer = ()
+    hi = np.maximum(math.log(2.0 * beta), reach[:passed]) + rule.g_above
+    outer = None
     if den_effects:
-        rho_den = _residual(table, den_effects) / table.ss_total
-        outer = (_outer(k, rho, frac, rule), _outer(k, rho_den, _fracs(table, den_effects), rule))
-    return _Oracle(
-        beta, lo, step, math.ceil((hi - lo) / step) + 1,
-        math.log(step) + 0.5 * math.log(beta / math.pi),
-        table.ss_total, k, q, blocks, outer,
+        rho = rho[:passed]
+        rho_den = _residual(ss_error, ss_of, den_effects)[:passed] / ss_total[:passed]
+        v_lo, v_hi, v_count = _outer_rule(k, rho, rule)
+        outer = _Outer(
+            rho, rho_den, frac[:passed], np.array([e in den_effects for e in num_effects]),
+            v_lo, v_hi, (v_hi - v_lo) / (v_count - 1), v_count,
+        )
+    return _Setup(
+        passed, failure, k, beta, lo, step, math.log(step) + 0.5 * math.log(beta / math.pi),
+        c, df, (np.ceil((hi - lo) / step) + 1).astype(int),
+        ss_total[:passed], q[:passed], ss[:passed], outer,
     )
 
 
-def _residual(table: AnovaTable, effects: tuple[str, ...]) -> float:
-    """Residual sum of squares of the model ``effects``."""
-    return table.ss_error + sum(table.ss(e) for e in EFFECTS if e not in effects)
+def _residual(ss_error, ss: dict, effects: tuple[str, ...]):
+    """Residual sum of squares of the model ``effects``; scalars or arrays."""
+    return ss_error + sum(ss[e] for e in EFFECTS if e not in effects)
 
 
-def _fracs(table: AnovaTable, effects: tuple[str, ...]) -> tuple[float, ...]:
-    """frac_e of the module docstring, for the model ``effects``."""
-    return tuple(table.ss(e) / table.ss_total for e in effects)
+def _outer_rule(k: float, rho: np.ndarray, rule: _Rule = _RULE):
+    """(lo, hi, count) of the outer rule of the marginal with residual share rho.
 
-
-def _outer(k: float, rho: float, frac: tuple[float, ...], rule: _Rule) -> _Outer:
-    """The outer rule of one marginal likelihood, window fixed in closed form."""
+    The window is fixed in closed form and the count keeps the nodes at
+    most ``_outer_spacing(k, rule)`` apart.
+    """
     # f(v) = k v - rho e^v + sum_e log I_e(e^v frac_e) lies between
     # k v - e^v + C and k v - rho e^v + C, C = sum_e log I_e(0), because
     # 0 < 1/(1 + c g) <= 1 and rho + sum(frac) = 1.  So f peaks at no less
     # than k log k - k + C, and is s_edge below that outside [lo, hi].
-    t = 1.0 + rule.s_edge / k - math.log(rho)
+    t = 1.0 + rule.s_edge / k - np.log(rho)
     lo = math.log(k) - 1.0 - rule.s_edge / k
-    hi = math.log(k) - math.log(rho) + math.log(2.0 * t)
-    # the curvature -f'' at the mode is at most k
-    count = math.ceil((hi - lo) / min(rule.s_step / math.sqrt(k), rule.s_max_step)) + 1
-    return _Outer(k, rho, frac, lo, hi, (hi - lo) / (count - 1), count)
+    hi = math.log(k) - np.log(rho) + np.log(2.0 * t)
+    return lo, hi, (np.ceil((hi - lo) / _outer_spacing(k, rule)) + 1).astype(int)
 
 
-def _evaluate(oracles: Sequence[_Oracle]) -> np.ndarray:
-    """log BF10 of each set-up, bitwise what it gives when evaluated alone.
+def _outer_spacing(k: float, rule: _Rule = _RULE) -> float:
+    """Widest outer node spacing: the curvature -f'' at the mode is at most k."""
+    return min(rule.s_step / math.sqrt(k), rule.s_max_step)
 
-    Set-ups with the same rule and log-g node count share arrays, one row
-    each.  Every sum and max runs along the last axis over one row's own
-    nodes: padding a row would change numpy's pairwise summation.
+
+def _evaluate(setup: _Setup, tables: int) -> np.ndarray:
+    """log BF10 of the leading ``tables`` tables of a set-up, each bitwise
+    what it gives when evaluated alone.
+
+    Tables with the same log-g node count share arrays, one row each.
+    Every sum and max runs along the last axis over one row's own nodes:
+    padding a row would change numpy's pairwise summation.
     """
-    log_bf = np.empty(len(oracles))
-    groups: dict[tuple, list[int]] = {}
-    for index, oracle in enumerate(oracles):
-        key = (oracle.count, len(oracle.blocks), tuple(len(m.frac) for m in oracle.outer))
-        groups.setdefault(key, []).append(index)
-    for members in groups.values():
-        group = [oracles[i] for i in members]
-        lo, step, log_w0, beta = (
-            _column([getattr(o, name) for o in group]) for name in ("lo", "step", "log_w0", "beta")
-        )
-        # trapezoid nodes on u = log g; the weights fold in the density of u
-        # under Inverse-Gamma(1/2, beta)
-        u = lo + step * np.arange(group[0].count)
-        log_w = log_w0 - 0.5 * u - beta * np.exp(-u)
-        g = np.exp(u)
-        if group[0].outer:
-            log_bf[members] = _nested_log_bf10(group, g, log_w)
+    count = setup.count[:tables]
+    log_bf = np.empty(tables)
+    if not tables:
+        return log_bf
+    # trapezoid nodes on u = log g, shared by every table; the weights fold
+    # in the density of u under Inverse-Gamma(1/2, beta)
+    u = setup.lo + setup.step * np.arange(count.max())
+    log_w = setup.log_w0 - 0.5 * u - setup.beta * np.exp(-u)
+    g = np.exp(u)
+    if setup.outer is not None:
+        shrink = 1.0 / (1.0 + setup.c[:, None] * g)
+        log_node = log_w + 0.5 * setup.df[:, None] * np.log(shrink)
+    for n in np.unique(count):
+        which = np.flatnonzero(count == n)
+        if setup.outer is not None:
+            log_bf[which] = _nested_log_bf10(setup, which, shrink[:, :n], log_node[:, :n])
         else:  # one effect against the intercept: its conditional BF on the grid
-            ss_total, k, q = (_column([getattr(o, name) for o in group])
-                              for name in ("ss_total", "k", "q"))
-            block = [_column([o.blocks[0][i] for o in group]) for i in range(3)]
-            log_bf[members] = _logsumexp(log_w + _log_bf10_given_g(ss_total, q, k, [block], [g]))
+            block = (setup.ss[which], setup.c[0], setup.df[0])
+            log_bf[which] = _logsumexp(log_w[:n] + _log_bf10_given_g(
+                setup.ss_total[which, None], setup.q[which, None], setup.k, [block], [g[:n]]))
     return log_bf
 
 
-def _column(values: list) -> np.ndarray:
-    return np.array(values)[:, None]
-
-
-def _nested_log_bf10(group: list[_Oracle], g: np.ndarray, log_w: np.ndarray) -> np.ndarray:
-    """log BF10 of the interaction by the nested rule, one set-up per row of g."""
-    c = np.array([[c for _, c, _ in o.blocks] for o in group], dtype=float)
-    df = np.array([[df for _, _, df in o.blocks] for o in group], dtype=float)
-    shrink = 1.0 / (1.0 + c[:, :, None] * g[:, None, :])
-    log_node = log_w[:, None, :] + 0.5 * df[:, :, None] * np.log(shrink)
-    num, den = ([o.outer[i] for o in group] for i in (0, 1))
-    # log Gamma(k) cancels between the two models
-    return _log_gamma_marginals(num, shrink, log_node) - _log_gamma_marginals(
-        den, shrink, log_node)
-
-
-def _log_gamma_marginals(
-    models: list[_Outer], shrink: np.ndarray, log_node: np.ndarray
+def _nested_log_bf10(
+    setup: _Setup, which: np.ndarray, shrink: np.ndarray, log_node: np.ndarray
 ) -> np.ndarray:
-    """log(Gamma(k) m_M) of each model by the nested rule of the module docstring.
+    """log BF10 of the interaction by the nested rule, for tables ``which``.
 
-    Model i uses the leading len(frac) blocks of row i.  Block e of row i of
-    ``shrink`` holds 1/(1 + c_e g) on that row's log-g grid, and of
-    ``log_node`` the log weight plus (df_e/2) log of it, so that
-    log I_e(tau) = logsumexp(log_node[i, e] - tau * shrink[i, e]).
+    Row e of ``shrink`` holds 1/(1 + c_e g) on the tables' shared log-g
+    grid, and of ``log_node`` the log weight plus (df_e/2) log of it, so that
+    log I_e(tau) = logsumexp(log_node[e] - tau * shrink[e]).  Each log I_e is
+    taken once per outer node and feeds both marginals; log Gamma(k) and
+    the log of the shared outer step cancel in the ratio.
     """
-    blocks = len(models[0].frac)
-    shrink, log_node = shrink[:, :blocks], log_node[:, :blocks]
-    k, rho, lo, hi, step = (np.array([getattr(m, name) for m in models])
-                            for name in ("k", "rho", "lo", "hi", "step"))
-    frac = np.array([m.frac for m in models])
-    counts = np.array([m.count for m in models])
+    outer, k = setup.outer, setup.k
+    rho, rho_den, frac = outer.rho[which], outer.rho_den[which], outer.frac[which]
+    counts, step, hi = outer.count[which], outer.step[which], outer.hi[which]
     ends = np.cumsum(counts)
-    # one row per (model, outer node), at the nodes of np.linspace(lo, hi, count)
-    model = np.repeat(np.arange(len(models)), counts)
-    v = (np.arange(ends[-1]) - np.repeat(ends - counts, counts)) * step[model] + lo[model]
+    # one row per (table, outer node), at the nodes of np.linspace(lo, hi, count)
+    table = np.repeat(np.arange(which.size), counts)
+    v = (np.arange(ends[-1]) - np.repeat(ends - counts, counts)) * step[table] + outer.lo
     v[ends - 1] = hi
     s = np.exp(v)
-    f = np.empty(v.size)
-    for start in range(0, v.size, _OUTER_ROWS):  # bounds the (rows, blocks, g) arrays
+    f_num, f_den = np.empty(v.size), np.empty(v.size)
+    for start in range(0, v.size, _OUTER_ROWS):  # bounds the (rows, effects, g) arrays
         rows = slice(start, start + _OUTER_ROWS)
-        m = model[rows]
-        x = shrink[m] * (s[rows, None] * frac[m])[:, :, None]
-        np.subtract(log_node[m], x, out=x)
-        f[rows] = k[m] * v[rows] - s[rows] * rho[m] + _logsumexp(x, out=x).sum(axis=1)
-    # each model's trapezoid sum over its own nodes, models of one count at once
-    out = np.empty(len(models))
-    for count in np.unique(counts):
-        which = np.flatnonzero(counts == count)
-        out[which] = _logsumexp(f[(ends[which] - count)[:, None] + np.arange(count)])
-    return out + np.array([math.log(m.step) for m in models])
+        t = table[rows]
+        x = shrink * (s[rows, None] * frac[t])[:, :, None]
+        np.subtract(log_node, x, out=x)
+        log_i = _logsumexp(x, out=x)
+        kv = k * v[rows]
+        f_num[rows] = kv - s[rows] * rho[t] + log_i.sum(axis=1)
+        f_den[rows] = kv - s[rows] * rho_den[t] + log_i[:, outer.den].sum(axis=1)
+    # each table's trapezoid sums over its own nodes, tables of one count at once
+    out = np.empty(which.size)
+    for n in np.unique(counts):
+        these = np.flatnonzero(counts == n)
+        nodes = (ends[these] - n)[:, None] + np.arange(n)
+        out[these] = _logsumexp(f_num[nodes]) - _logsumexp(f_den[nodes])
+    return out
 
 
 def _logsumexp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -12,9 +12,10 @@ the two routes reach the same decision.
 
 Trials run in blocks of 64.  Each trial's dataset is generated on its own;
 the block's datasets are then stacked and fitted in one array pass, and the
-oracle integrates the whole block at once (``bicbf.gprior``).  The BIC and
-every check that can fail run per trial in trial order, so a failing block
-names its lowest failing trial with the message that trial gives alone.
+oracle sets up and integrates the whole block at once (``bicbf.gprior``).
+The BIC runs per trial, and every failure is reported in (trial, effect)
+order, the BIC before the oracle's set-up, so a failing block names its
+lowest failing trial with the message that trial gives alone.
 
 Determinism: every draw comes from a substream keyed by (seed, label,
 trial), with separate labels for effect draws and noise draws; the oracle
@@ -40,7 +41,7 @@ import numpy as np
 
 from .anova import EFFECTS, FactorialDataset, _fit_block, bic_bf_for_effect
 from .errors import BicbfError, DomainError, SimulationError
-from .gprior import GPriorSpec, _evaluate, _prepare
+from .gprior import GPriorSpec, _evaluate, _setup
 from .rng import substream
 from .summary import invert
 
@@ -186,11 +187,11 @@ def run_simulation(
 def _block_records(config: SimulationConfig, trials: range) -> list[SimulationRecord]:
     """Records of consecutive trials, with one array pass per stage.
 
-    Datasets are generated one trial at a time, the BIC and the oracle are
-    set up per trial, and the fit and the oracle's quadrature run on the
-    whole block.  Each stage that can fail stops at its first failing
-    trial, so the error names the lowest failing trial, with the message
-    that trial gives alone.
+    Datasets are generated and the BIC computed one trial at a time; the
+    fit, the oracle's set-up and its quadrature run on the whole block.
+    The checks run per trial in (trial, effect) order, the BIC before the
+    oracle's set-up, and stop at the first that fails, so the error names
+    the lowest failing trial, with the message that trial gives alone.
     """
     failure = None
     datasets = []
@@ -201,25 +202,28 @@ def _block_records(config: SimulationConfig, trials: range) -> list[SimulationRe
             failure = trial, exc
             break
     tables = _fit_block(np.stack([d.y for d in datasets])) if datasets else []
-    bics, oracles = [], []
-    for trial, table in zip(trials, tables):
+    setups = [_setup(tables, effect, config.oracle.scale) for effect in EFFECTS] if tables else []
+    bics = []
+    for index, (trial, table) in enumerate(zip(trials, tables)):
         try:
-            trial_bics, trial_oracles = [], []
-            for effect in EFFECTS:
+            trial_bics = []
+            for effect, setup in zip(EFFECTS, setups):
                 trial_bics.append(invert(bic_bf_for_effect(table, effect)).log_bf)
-                trial_oracles.append(_prepare(table, effect, config.oracle.scale))
+                setup.check(index)
         except BicbfError as exc:
             failure = trial, exc
             break
         bics += trial_bics
-        oracles += trial_oracles
+    done = len(bics) // len(EFFECTS)
+    defaults = [_evaluate(setup, done).tolist() for setup in setups]
     records = []
-    for index, (bic, default) in enumerate(zip(bics, _evaluate(oracles).tolist())):
-        trial = trials[index // len(EFFECTS)]
+    for index, bic in enumerate(bics):
+        row, column = divmod(index, len(EFFECTS))
+        trial, default = trials[row], defaults[column][row]
         try:
             records.append(SimulationRecord(
                 trial=trial,
-                effect=EFFECTS[index % len(EFFECTS)],
+                effect=EFFECTS[column],
                 log_bf10_bic=bic,
                 log_bf10_default=default,
                 decision_bic=decide(bic),

@@ -159,6 +159,16 @@ def _double_range() -> np.ndarray:
     return y
 
 
+def _a_double_range() -> np.ndarray:
+    """Passes the BIC and B's oracle, fails the set-ups of A and of AB: only
+    factor A varies, by 2^330 against an SSE of 8, so SSE/SST, the residual
+    share of both models, is about 4e-199."""
+    y = np.zeros((2, 3, 3))
+    y[1] = 2.0**330
+    y[0, 0] = [2.0, -2.0, 0.0]
+    return y
+
+
 NOT_FINITE = np.full((2, 3, 3), math.nan)  # the dataset itself
 
 
@@ -183,14 +193,16 @@ def _error(config, block: int | None = None) -> str:
 
 
 def test_the_failing_datasets_fail_where_intended():
-    for y, effect, match in ((CONSTANT, "A", "constant response"),
-                             (_double_range(), "AB", "double range")):
+    for y, failing, match in ((CONSTANT, ("A",), "constant response"),
+                              (_double_range(), ("AB",), "sum of squares 2.0 .* double range"),
+                              (_a_double_range(), ("A", "AB"), "sum of squares 8.0 .* double range")):
         data = FactorialDataset(2, 3, 3, y)
-        if effect == "AB":
-            for main in ("A", "B"):
-                assert math.isfinite(default_bf10(data, main).log_bf)
-        with pytest.raises(DegenerateDataError, match=match):
-            default_bf10(data, effect)
+        for effect in ("A", "B", "AB"):
+            if effect in failing:
+                with pytest.raises(DegenerateDataError, match=match):
+                    default_bf10(data, effect)
+            elif y is not CONSTANT:
+                assert math.isfinite(default_bf10(data, effect).log_bf)
 
 
 @pytest.mark.parametrize(
@@ -202,15 +214,23 @@ def test_the_failing_datasets_fail_where_intended():
         ({2: NOT_FINITE, 5: CONSTANT}, 2, "finite"),
         ({63: _double_range(), 64: CONSTANT}, 63, "double range"),
         ({64: _double_range(), 69: NOT_FINITE}, 64, "double range"),
+        # set-ups of different effects failing in one block, and two effects
+        # of one trial (A's set-up is checked first; both give one message)
+        ({3: _double_range(), 5: _a_double_range()}, 3, "sum of squares 2.0"),
+        ({3: _a_double_range(), 5: _double_range()}, 3, "sum of squares 8.0"),
+        ({4: _a_double_range()}, 4, "sum of squares 8.0"),
     ],
     ids=["late-then-early", "early-then-late", "generation-after-oracle",
-         "generation-first", "last-of-a-block", "first-of-a-block"],
+         "generation-first", "last-of-a-block", "first-of-a-block",
+         "interaction-then-main-effect", "main-effect-then-interaction",
+         "two-effects-of-one-trial"],
 )
 def test_error_names_the_lowest_failing_trial(monkeypatch, bad, lowest, match):
     config = SimulationConfig(cell_n=3, g=0.2, trials=70, seed=0)
     _sabotage(monkeypatch, bad)
     message = _error(config)
     assert message.startswith(f"trial {lowest}: ") and match in message
-    # the same message as the trial run on its own, and as a small block
+    # the same message as the trial run on its own, and in blocks of 1, 7 and 64
     assert message == _error(config, block=1) == _error(config, block=7)
+    assert message == _error(config, block=64)
     assert message == _error(replace(config, trials=lowest + 1), block=1)

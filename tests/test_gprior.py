@@ -8,6 +8,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy.linalg import helmert
 from scipy.stats import invgamma
@@ -24,7 +26,18 @@ from bicbf import (
     default_bf10,
     fit_two_way,
 )
-from bicbf.gprior import _RULE, _column_norms, _log_conditional_bf10, _table_bf10
+from bicbf.anova import _table
+from bicbf.gprior import (
+    _PRIOR_SCALES,
+    _RULE,
+    MODEL_PAIRS,
+    _column_norms,
+    _log_conditional_bf10,
+    _outer_rule,
+    _outer_spacing,
+    _setup,
+    _table_bf10,
+)
 from bicbf.simulate import generate_dataset
 from conftest import random_dataset
 
@@ -145,6 +158,27 @@ def assert_main_effect_matches_quadrature(data: FactorialDataset, spec: GPriorSp
     assert err < 1e-8 * want
     got = default_bf10(data, "A", spec)
     assert math.exp(got.log_bf) == pytest.approx(want, rel=1e-6)
+
+
+def log_quad_main_effect(table, effect: str, scale: float) -> float:
+    """log of int BF10(g) p(g) dg for a main effect, by adaptive quadrature on u = log g.
+
+    Everything stays in logs, so it holds where the prior of g sits near
+    1e-200 or 1e200.  scipy's ``quad`` runs over a window around the
+    integrand's peak, located on a fine grid.
+    """
+    beta = scale * scale / 2
+
+    def log_f(u):
+        conditional = _log_conditional_bf10(table, (effect,), np.exp(u)[:, None])
+        return 0.5 * math.log(beta / math.pi) - 0.5 * u - beta * np.exp(-u) + conditional
+
+    grid = np.arange(math.log(beta) - 10, math.log(2 * beta) + 120, 0.01)
+    values = log_f(grid)
+    top, peak = float(values.max()), float(grid[values.argmax()])
+    val, _ = integrate.quad(lambda u: math.exp(log_f(np.array([u]))[0] - top), grid[0], grid[-1],
+                            points=[peak], limit=400, epsabs=0, epsrel=1e-12)
+    return top + math.log(val)
 
 
 def nested_quad_log_marginal(table, effects, scale: float = DEFAULT_PRIOR_SCALE) -> float:
@@ -326,6 +360,13 @@ class TestValidation:
         with pytest.raises(DomainError, match="seed"):
             GPriorSpec(seed=-1)
 
+    @pytest.mark.parametrize("scale", [1e-101, 1e-200, 5e-324, 1.01e100, 1e200, 1.7e308])
+    def test_prior_scale_outside_the_supported_range(self, scale):
+        # beyond the range the rule's weights leave the double range
+        assert _PRIOR_SCALES == (1e-100, 1e100)
+        with pytest.raises(DomainError, match=r"scale must lie in \[1e-100, 1e\+100\]"):
+            GPriorSpec(scale=scale)
+
     def test_unknown_effect(self):
         data = random_dataset(0)
         with pytest.raises(DomainError, match="effect"):
@@ -414,6 +455,18 @@ class TestDefaultBf10:
     @pytest.mark.parametrize("scale", [0.5, 1.0])
     def test_prior_scale_reaches_the_quadrature(self, small_dataset, scale):
         assert_main_effect_matches_quadrature(small_dataset, GPriorSpec(scale=scale))
+
+    @pytest.mark.parametrize("scale", _PRIOR_SCALES, ids=["smallest", "largest"])
+    def test_matches_quadrature_at_the_ends_of_the_prior_scale_range(self, small_dataset, scale):
+        # At 1e-100 the prior puts g near 1e-200, where BF10(g) is 1, so
+        # log BF10 is 0 (the rule reads -4e-11); at 1e100 it puts g near
+        # 1e200, where log BF10 is -231 for A and -462 for B.
+        table = fit_two_way(small_dataset)
+        for effect in ("A", "B"):
+            want = log_quad_main_effect(table, effect, scale)
+            got = default_bf10(small_dataset, effect, GPriorSpec(scale=scale)).log_bf
+            assert got == pytest.approx(want, abs=1e-8)
+            assert math.isfinite(default_bf10(small_dataset, "AB", GPriorSpec(scale=scale)).log_bf)
 
 
 def finer_rule(factor: int = 4):
@@ -532,3 +585,34 @@ class TestQuadratureRule:
             tracemalloc.stop()
         assert got == pytest.approx(140.52462567479384, abs=1e-9)
         assert peak < 16 * 2**20
+
+
+@st.composite
+def random_tables(draw):
+    """The table of a random balanced design, its sums of squares spread over 120 decades."""
+    a, b = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cell_n = draw(st.integers(2, 60))
+    ss_a, ss_b, ss_ab, ss_error = (10.0 ** draw(st.floats(-60.0, 60.0)) for _ in range(4))
+    ss_total = ss_a + ss_b + ss_ab + ss_error
+    return _table(a, b, cell_n, False, False, ss_a, ss_b, ss_ab, ss_error, ss_total)
+
+
+class TestSharedOuterGrid:
+    @given(random_tables())
+    def test_denominator_window_lies_inside_the_numerators(self, table):
+        # Both marginals of a nested pair are summed on the numerator's outer
+        # nodes.  That holds the denominator to its own rule because its
+        # window starts at the same lo and ends no later, and the shared
+        # nodes are no farther apart than its own rule allows.
+        for effect, (num, den) in MODEL_PAIRS.items():
+            if not den:
+                continue
+            setup = _setup([table], effect, DEFAULT_PRIOR_SCALE)
+            assume(setup.failure is None)
+            outer = setup.outer
+            assert outer.rho_den[0] >= outer.rho[0]
+            lo, hi, _ = _outer_rule(setup.k, outer.rho_den)
+            assert lo == outer.lo
+            assert hi[0] <= outer.hi[0]
+            assert outer.step[0] <= _outer_spacing(setup.k)
+            assert list(outer.den) == [e in den for e in num]
