@@ -88,53 +88,26 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnovaTable",
-    "BayesFactorValue",
+__all__ = sorted([
     "BicbfError",
-    "DEFAULT_PRIOR_SCALE",
     "DegenerateDataError",
-    "DensitySeries",
     "DomainError",
-    "EFFECTS",
-    "EffectSummary",
-    "EvidenceClass",
-    "FactorialDataset",
-    "FiveNumber",
-    "GPriorBayesFactor",
-    "GPriorSpec",
-    "MODEL_PAIRS",
     "ParseError",
-    "ParsedReport",
-    "SimulationConfig",
     "SimulationError",
-    "SimulationRecord",
-    "SummaryStat",
     "UnbalancedDataError",
+    "ParsedReport",
+    "parse_stat",
+    "render_stat",
+    "BayesFactorValue",
+    "EvidenceClass",
+    "SummaryStat",
     "bf01_from_delta_bic",
     "bf01_from_f",
     "bf01_from_partial_eta_sq",
     "bf01_from_stat",
     "bf01_from_t",
-    "bic_bf_for_effect",
     "classify",
-    "conditional_bf10",
-    "decide",
-    "default_bf10",
     "delta_bic_10",
-    "emit_density_data",
-    "fit_two_way",
-    "generate_dataset",
     "invert",
-    "parse_stat",
-    "read_config",
-    "read_records",
-    "render_stat",
-    "run_simulation",
-    "silverman_bandwidth",
-    "substream",
-    "summarize",
-    "write_config",
-    "write_density_data",
-    "write_records",
-]
+    *_LAZY_NAMES,
+])

@@ -82,18 +82,20 @@ prior scale, so ``standard_error`` is exactly 0.
 
 Block evaluation.  ``_setup`` does the set-up of one effect for a block of
 tables in arrays: its checks, the node counts, and the shares rho and
-frac_e from the block's sums-of-squares columns.  The grid's ends, spacing
-and weights depend only on the design and the prior scale, so the tables
-of a block share them.  ``_evaluate`` integrates the set-up: the
-simulation study passes a block of trials, and ``default_bf10`` is the
-one-table case.  Tables with the same log-g node count share (tables,
-nodes) arrays; the outer rule's rows are stacked across tables and cut
-into chunks of 128, and each table's outer sums are taken with the tables
-of its own outer node count.  Every sum and max runs along the last axis
-over one table's own nodes, with no padding, because padding would change
-numpy's pairwise summation.  So each value is bitwise what the table gives
-alone, whatever else shares its block; the tests check the numpy behaviour
-this rests on.
+frac_e from the block's sums-of-squares columns.  A table that fails a
+check fails the whole set-up, with the error it gives alone; the
+simulation study then runs the block's trials one at a time to name the
+lowest failing one.  The grid's ends, spacing and weights depend only on
+the design and the prior scale, so the tables of a block share them.
+``_evaluate`` integrates the set-up: the simulation study passes a block
+of trials, and ``default_bf10`` is the one-table case.  Tables with the
+same log-g node count share (tables, nodes) arrays; the outer rule's rows
+are stacked across tables and cut into chunks of 128, and each table's
+outer sums are taken with the tables of its own outer node count.  Every
+sum and max runs along the last axis over one table's own nodes, with no
+padding, because padding would change numpy's pairwise summation.  So
+each value is bitwise what the table gives alone, whatever else shares
+its block; the tests check the numpy behaviour this rests on.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ _PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 
 # Numerator/denominator model per tested effect: each main effect against
 # the intercept-only model, the interaction against the two main effects.
-# Each denominator lists the leading effects of its numerator.
+# Each denominator's effects are among its numerator's, and the nested
+# rule picks them by an effect mask (``_Outer.den``).
 MODEL_PAIRS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "A": (("A",), ()),
     "B": (("B",), ()),
@@ -295,16 +298,12 @@ class _Outer(NamedTuple):
 class _Setup(NamedTuple):
     """The set-up of one effect for a block of tables of one design.
 
-    It covers the leading ``passed`` tables, which pass every check of
-    ``default_bf10``; ``failure`` is the error of the next table, if any.
     The log-g grid of table i has ``count[i]`` nodes lo + j * step, and
     ``c`` and ``df`` hold c_e and df_e per numerator effect.  A main effect is
     integrated in the conditional form from its model's residual ``q`` and
     sum of squares ``ss``; the interaction carries its ``outer`` rule.
     """
 
-    passed: int
-    failure: DegenerateDataError | None
     k: float
     beta: float
     lo: float
@@ -318,19 +317,13 @@ class _Setup(NamedTuple):
     ss: np.ndarray
     outer: _Outer | None
 
-    def check(self, index: int) -> None:
-        """Raise the error of table ``index`` if its set-up failed."""
-        if index == self.passed and self.failure is not None:
-            raise self.failure
-
 
 def _table_bf10(
     table: AnovaTable, effect: str, spec: GPriorSpec, rule: _Rule = _RULE
 ) -> GPriorBayesFactor:
     """``default_bf10`` of a fitted table, for a known effect."""
     setup = _setup([table], effect, spec.scale, rule)
-    setup.check(0)
-    return GPriorBayesFactor(float(_evaluate(setup, 1)[0]), "10")
+    return GPriorBayesFactor(float(_evaluate(setup)[0]), "10")
 
 
 def _setup(
@@ -339,9 +332,8 @@ def _setup(
     """Set-up of ``effect`` for each of a block of tables, in arrays.
 
     The tables share one design.  Every DegenerateDataError check of
-    ``default_bf10`` runs on every table; the set-up stops at the first
-    that fails and holds its error, so a block reports the lowest failing
-    table with the message that table gives alone.
+    ``default_bf10`` runs on every table, and the first failing table's
+    error is raised, with the message that table gives alone.
     """
     num_effects, den_effects = MODEL_PAIRS[effect]
     design = tables[0]
@@ -362,41 +354,37 @@ def _setup(
         reach = math.log(k) + np.log(np.maximum(top, 1e-300)) - np.log(rho)
     # reach > 300 would take tau^2 and (1/(1 + c g))^2 out of the double range
     bad = (ss_total == 0.0) | (rho == 0.0) | (reach > 300.0)
-    passed = int(np.argmax(bad)) if bad.any() else len(tables)
-    failure = None
-    if passed < len(tables):
-        if ss_total[passed] == 0.0:
-            failure = DegenerateDataError("constant response: Bayes factor undefined")
-        elif rho[passed] == 0.0:
-            failure = DegenerateDataError(
-                f"zero residual sum of squares under model {'+'.join(num_effects)}: "
+    if bad.any():
+        first, model = int(np.argmax(bad)), "+".join(num_effects)
+        if ss_total[first] == 0.0:
+            raise DegenerateDataError("constant response: Bayes factor undefined")
+        if rho[first] == 0.0:
+            raise DegenerateDataError(
+                f"zero residual sum of squares under model {model}: "
                 "its marginal likelihood diverges"
             )
-        else:
-            failure = DegenerateDataError(
-                f"residual sum of squares {float(ss_error[passed])!r} too small against "
-                "the effects: the posterior of g leaves the double range"
-            )
+        raise DegenerateDataError(
+            f"residual sum of squares {float(ss_error[first])!r} too small against "
+            f"the effects of model {model}: the posterior of g leaves the double range"
+        )
     # The log-g grid covers the prior and every posterior peaking at
     # log g <= reach.  A block with df contrasts narrows the integrand in
     # log g like (df + 1)^-1/2, so the spacing shrinks with it beyond df = 2.
     beta = 0.5 * scale**2
     step = rule.g_step * min(1.0, math.sqrt(3.0 / (df.max() + 1.0)))
     lo = math.log(beta) - rule.g_below
-    hi = np.maximum(math.log(2.0 * beta), reach[:passed]) + rule.g_above
+    hi = np.maximum(math.log(2.0 * beta), reach) + rule.g_above
     outer = None
     if den_effects:
-        rho = rho[:passed]
-        rho_den = _residual(ss_error, ss_of, den_effects)[:passed] / ss_total[:passed]
+        rho_den = _residual(ss_error, ss_of, den_effects) / ss_total
         v_lo, v_hi, v_count = _outer_rule(k, rho, rule)
         outer = _Outer(
-            rho, rho_den, frac[:passed], np.array([e in den_effects for e in num_effects]),
+            rho, rho_den, frac, np.array([e in den_effects for e in num_effects]),
             v_lo, v_hi, (v_hi - v_lo) / (v_count - 1), v_count,
         )
     return _Setup(
-        passed, failure, k, beta, lo, step, math.log(step) + 0.5 * math.log(beta / math.pi),
-        c, df, (np.ceil((hi - lo) / step) + 1).astype(int),
-        ss_total[:passed], q[:passed], ss[:passed], outer,
+        k, beta, lo, step, math.log(step) + 0.5 * math.log(beta / math.pi),
+        c, df, (np.ceil((hi - lo) / step) + 1).astype(int), ss_total, q, ss, outer,
     )
 
 
@@ -426,18 +414,15 @@ def _outer_spacing(k: float, rule: _Rule = _RULE) -> float:
     return min(rule.s_step / math.sqrt(k), rule.s_max_step)
 
 
-def _evaluate(setup: _Setup, tables: int) -> np.ndarray:
-    """log BF10 of the leading ``tables`` tables of a set-up, each bitwise
-    what it gives when evaluated alone.
+def _evaluate(setup: _Setup) -> np.ndarray:
+    """log BF10 of each table of a set-up, bitwise what it gives alone.
 
     Tables with the same log-g node count share arrays, one row each.
     Every sum and max runs along the last axis over one row's own nodes:
     padding a row would change numpy's pairwise summation.
     """
-    count = setup.count[:tables]
-    log_bf = np.empty(tables)
-    if not tables:
-        return log_bf
+    count = setup.count
+    log_bf = np.empty(count.size)
     # trapezoid nodes on u = log g, shared by every table; the weights fold
     # in the density of u under Inverse-Gamma(1/2, beta)
     u = setup.lo + setup.step * np.arange(count.max())

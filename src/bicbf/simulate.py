@@ -10,12 +10,13 @@ iff log BF10 > 0".  Summaries are five-number statistics of the log Bayes
 factors plus the per-effect consistency, the proportion of trials on which
 the two routes reach the same decision.
 
-Trials run in blocks of 64.  Each trial's dataset is generated on its own;
+Trials run in blocks of up to 64, fewer where that many would stack more
+than 2^18 observations.  Each trial's dataset is generated on its own;
 the block's datasets are then stacked and fitted in one array pass, and the
 oracle sets up and integrates the whole block at once (``bicbf.gprior``).
-The BIC runs per trial, and every failure is reported in (trial, effect)
-order, the BIC before the oracle's set-up, so a failing block names its
-lowest failing trial with the message that trial gives alone.
+The BIC runs per trial.  A block that fails runs again one trial at a
+time, so the error names its lowest failing trial with the message that
+trial gives alone.
 
 Determinism: every draw comes from a substream keyed by (seed, label,
 trial), with separate labels for effect draws and noise draws; the oracle
@@ -161,7 +162,8 @@ def generate_dataset(config: SimulationConfig, trial: int) -> FactorialDataset:
     return FactorialDataset(a, b, cell_n, y)
 
 
-_BLOCK = 64  # trials evaluated together
+_BLOCK = 64  # trials evaluated together, at most
+_BLOCK_VALUES = 2**18  # observations stacked in a block, which bound its memory
 
 
 def run_simulation(
@@ -170,13 +172,16 @@ def run_simulation(
 ) -> list[SimulationRecord]:
     """All records of the configured study, in (trial, effect) order.
 
-    Trials run in blocks of ``_BLOCK``; each record is bitwise the one its
-    trial gives alone.  ``progress`` is called with (finished_trials,
+    Trials run in blocks of ``_BLOCK``, fewer where that many would stack
+    more than ``_BLOCK_VALUES`` observations; each record is bitwise the one
+    its trial gives alone.  ``progress`` is called with (finished_trials,
     total_trials) once per trial, in order, when the trial's block is done.
     """
+    per_trial = config.a_levels * config.b_levels * config.cell_n
+    size = max(1, min(_BLOCK, _BLOCK_VALUES // per_trial))
     records = []
-    for start in range(0, config.trials, _BLOCK):
-        trials = range(start, min(start + _BLOCK, config.trials))
+    for start in range(0, config.trials, size):
+        trials = range(start, min(start + size, config.trials))
         records += _block_records(config, trials)
         if progress is not None:
             for trial in trials:
@@ -188,53 +193,27 @@ def _block_records(config: SimulationConfig, trials: range) -> list[SimulationRe
     """Records of consecutive trials, with one array pass per stage.
 
     Datasets are generated and the BIC computed one trial at a time; the
-    fit, the oracle's set-up and its quadrature run on the whole block.
-    The checks run per trial in (trial, effect) order, the BIC before the
-    oracle's set-up, and stop at the first that fails, so the error names
-    the lowest failing trial, with the message that trial gives alone.
+    fit, the oracle's set-up and its quadrature run on the whole block.  A
+    block that fails runs again one trial at a time, in order, so the error
+    names the lowest failing trial with the message that trial gives alone:
+    within a trial, effect by effect, the BIC before the oracle.
     """
-    failure = None
-    datasets = []
-    for trial in trials:
-        try:
-            datasets.append(generate_dataset(config, trial))
-        except BicbfError as exc:
-            failure = trial, exc
-            break
-    tables = _fit_block(np.stack([d.y for d in datasets])) if datasets else []
-    setups = [_setup(tables, effect, config.oracle.scale) for effect in EFFECTS] if tables else []
-    bics = []
-    for index, (trial, table) in enumerate(zip(trials, tables)):
-        try:
-            trial_bics = []
-            for effect, setup in zip(EFFECTS, setups):
-                trial_bics.append(invert(bic_bf_for_effect(table, effect)).log_bf)
-                setup.check(index)
-        except BicbfError as exc:
-            failure = trial, exc
-            break
-        bics += trial_bics
-    done = len(bics) // len(EFFECTS)
-    defaults = [_evaluate(setup, done).tolist() for setup in setups]
-    records = []
-    for index, bic in enumerate(bics):
-        row, column = divmod(index, len(EFFECTS))
-        trial, default = trials[row], defaults[column][row]
-        try:
-            records.append(SimulationRecord(
-                trial=trial,
-                effect=EFFECTS[column],
-                log_bf10_bic=bic,
-                log_bf10_default=default,
-                decision_bic=decide(bic),
-                decision_default=decide(default),
-            ))
-        except BicbfError as exc:
-            raise SimulationError(f"trial {trial}: {exc}") from exc
-    if failure is not None:
-        trial, exc = failure
-        raise SimulationError(f"trial {trial}: {exc}") from exc
-    return records
+    try:
+        tables = _fit_block(np.stack([generate_dataset(config, t).y for t in trials]))
+        bics, defaults = [], []
+        for effect in EFFECTS:
+            bics.append([invert(bic_bf_for_effect(table, effect)).log_bf for table in tables])
+            defaults.append(_evaluate(_setup(tables, effect, config.oracle.scale)).tolist())
+        return [
+            SimulationRecord(trial, effect, bic[row], default[row],
+                             decide(bic[row]), decide(default[row]))
+            for row, trial in enumerate(trials)
+            for effect, bic, default in zip(EFFECTS, bics, defaults)
+        ]
+    except BicbfError as exc:
+        if len(trials) == 1:
+            raise SimulationError(f"trial {trials[0]}: {exc}") from exc
+    return [r for t in trials for r in _block_records(config, range(t, t + 1))]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ array's length and layout, which is tested here rather than assumed.
 """
 
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +205,11 @@ def test_the_failing_datasets_fail_where_intended():
                     default_bf10(data, effect)
             elif y is not CONSTANT:
                 assert math.isfinite(default_bf10(data, effect).log_bf)
+    # the two failures of one dataset tell their models apart
+    data = FactorialDataset(2, 3, 3, _a_double_range())
+    for effect, model in (("A", "A"), ("AB", "A+B+AB")):
+        with pytest.raises(DegenerateDataError, match=f"of model {re.escape(model)}: "):
+            default_bf10(data, effect)
 
 
 @pytest.mark.parametrize(
@@ -234,3 +241,23 @@ def test_error_names_the_lowest_failing_trial(monkeypatch, bad, lowest, match):
     assert message == _error(config, block=1) == _error(config, block=7)
     assert message == _error(config, block=64)
     assert message == _error(replace(config, trials=lowest + 1), block=1)
+
+
+def test_a_trial_failing_two_effects_reports_the_first(monkeypatch):
+    # A's set-up runs before AB's, so trial 4 names model A
+    _sabotage(monkeypatch, {4: _a_double_range()})
+    message = _error(SimulationConfig(cell_n=3, g=0.2, trials=10, seed=0))
+    assert message.startswith("trial 4: ") and "of model A: " in message
+
+
+def test_a_block_holds_a_bounded_number_of_observations():
+    # 16 trials of 120 000 observations each would stack 15 MB of data
+    # alone, and the fit makes several arrays of that size.
+    config = SimulationConfig(cell_n=20000, g=0.2, trials=16, seed=1)
+    tracemalloc.start()
+    try:
+        run_simulation(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
