@@ -3,7 +3,7 @@
 Every random draw in this package comes from a numpy ``PCG64`` generator
 keyed by a ``(seed, label, index)`` triple:
 
-    SeedSequence([seed, sha256_64(label), index])
+    PCG64(SeedSequence([seed, sha256_64(label), index]))
 
 where ``sha256_64(label)`` is the first 8 bytes of the SHA-256 digest of the
 UTF-8 label, read as a little-endian unsigned integer.  PCG64 and SHA-256 are
@@ -14,13 +14,39 @@ changing the effect variance never reorders the noise draws of a coupled
 run, and a trial's draws depend only on its seed and trial index, never on
 the trials computed before it.  The default-prior oracle draws nothing: it
 is deterministic quadrature (``bicbf.gprior``).
+
+The streams of many indices are keyed at once: ``stream_words`` runs
+``SeedSequence``'s hash (O'Neill's seed_seq_fe with a pool of four 32-bit
+words, numpy's documented constants) in uint32 array arithmetic, one row
+per index, and gives each row the four uint64 words that
+``SeedSequence([seed, key, index]).generate_state(4, np.uint64)`` gives.
+PCG64 still seeds itself from those words, through numpy's
+``ISeedSequence`` interface, so every stream is bit for bit the one
+``PCG64(SeedSequence([seed, key, index]))`` gives.  ``substream`` is the
+one-index case.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
+from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+from .errors import DomainError
+
+# SeedSequence's constants (numpy/random/bit_generator.pyx)
+_POOL = 4  # pool words, numpy's DEFAULT_POOL_SIZE
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashes of the entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashes of the pool into the state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_STATE_WORDS = 8  # uint32 words of the four uint64 words PCG64 asks for
+# pool word i_dst mixed with each i_src != i_dst, in SeedSequence's order
+_OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
 
 
 def label_key(label: str) -> int:
@@ -29,7 +55,141 @@ def label_key(label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+@lru_cache(maxsize=None)
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < count: a hash constant after k steps."""
+    values = [init]
+    while len(values) < count:
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)
+
+
+def _hash(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` by consecutive hash constants.
+
+    Hashing step k xors constant k and multiplies by constant k + 1; the
+    last axis of the result runs over len(constants) - 1 steps.
+    """
+    value = value ^ constants[:-1]
+    value *= constants[1:]
+    value ^= value >> _SHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    result ^= result >> _SHIFT
+    return result
+
+
+def _state(entropy: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of each row's SeedSequence.
+
+    ``entropy`` is (rows, words) uint32, every row assembled from the same
+    word counts and padded with zeros to at least the pool size.  Within
+    one source word, SeedSequence's updates of the other pool words are
+    independent, so each is one array operation over them.
+    """
+    extra = entropy.shape[1] - _POOL
+    hashes = _powers(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
+    pool = _hash(entropy[:, :_POOL], hashes[: _POOL + 1])
+    step = _POOL
+    for src, others in enumerate(_OTHERS):
+        mixed = _hash(pool[:, src, None], hashes[step : step + _POOL])
+        pool[:, others] = _mix(pool[:, others], mixed)
+        step += _POOL - 1
+    for src in range(_POOL, _POOL + extra):
+        pool = _mix(pool, _hash(entropy[:, src, None], hashes[step : step + _POOL + 1]))
+        step += _POOL
+    state = _hash(np.tile(pool, 2), _powers(_INIT_B, _MULT_B, _STATE_WORDS + 1))
+    # as SeedSequence pairs them: little-endian uint32 words, one uint64
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _words(value: int) -> list[int]:
+    """An integer as SeedSequence splits it: uint32 words, least significant first."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed(seed) -> int:
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}") from None
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
+def _indices(indices) -> np.ndarray:
+    """``indices`` as a 1-d uint64 array; anything else is a DomainError."""
+    array = np.asarray(indices).reshape(-1)
+    if array.dtype.kind == "u" or (array.dtype.kind == "i" and not (array < 0).any()):
+        return array.astype(np.uint64)
+    values = array.tolist()
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise DomainError(f"index must be a nonnegative integer, got {value!r}")
+        if value > 2**64 - 1:
+            raise DomainError(f"index must be below 2**64, got {value}")
+    return np.array(values, dtype=np.uint64)
+
+
+def _entropy(prefix: list[int], parts: list[np.ndarray]) -> np.ndarray:
+    """Rows of SeedSequence entropy: the shared words, then one column per
+    part, padded with zeros to the pool size as SeedSequence pads its pool."""
+    n_words = len(prefix) + len(parts)
+    entropy = np.zeros((parts[0].size, max(n_words, _POOL)), dtype=np.uint32)
+    entropy[:, : len(prefix)] = prefix
+    for k, part in enumerate(parts, start=len(prefix)):
+        entropy[:, k] = part
+    return entropy
+
+
+def stream_words(seed: int, label: str, indices) -> np.ndarray:
+    """The PCG64 seed words of the ``(seed, label, index)`` streams.
+
+    Row i of the (len(indices), 4) uint64 result is
+    ``SeedSequence([seed, label_key(label), indices[i]]).generate_state(4,
+    np.uint64)``.  Indices of two uint32 words are hashed as a separate
+    group, since SeedSequence mixes a longer entropy differently.  A
+    negative or non-integral seed or index, or an index of 2**64 or more,
+    is a DomainError.
+    """
+    indices = _indices(indices)
+    prefix = _words(_seed(seed)) + _words(label_key(label))
+    wide = indices > np.uint64(_MASK32)
+    if not wide.any():
+        return _state(_entropy(prefix, [indices]))
+    out = np.empty((indices.size, 4), dtype=np.uint64)
+    out[~wide] = _state(_entropy(prefix, [indices[~wide]]))
+    high = indices[wide]
+    out[wide] = _state(_entropy(prefix, [high & np.uint64(_MASK32), high >> np.uint64(32)]))
+    return out
+
+
+class _SeedWords(ISeedSequence):
+    """Seed words already generated, for numpy's own PCG64 seeding."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds the four uint64 words of one PCG64 seed only")
+        return self.words
+
+
+def substreams(seed: int, label: str, indices) -> list[np.random.Generator]:
+    """Generators of the ``(seed, label, index)`` substreams, one per index."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in stream_words(seed, label, indices)]
+
+
 def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Generator for the ``(seed, label, index)`` substream."""
-    entropy = [int(seed), label_key(label), int(index)]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return substreams(seed, label, [index])[0]

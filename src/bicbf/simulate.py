@@ -11,23 +11,26 @@ factors plus the per-effect consistency, the proportion of trials on which
 the two routes reach the same decision.
 
 Trials run in blocks of up to 64, fewer where that many would stack more
-than 2^18 observations.  Each trial's dataset is generated on its own;
-the block's datasets are then stacked and fitted in one array pass, and the
-oracle sets up and integrates the whole block at once (``bicbf.gprior``).
-The BIC runs per trial.  A block that fails runs again one trial at a
-time, so the error names its lowest failing trial with the message that
-trial gives alone.
+than 2^18 observations.  A block's datasets are generated in one pass: the
+substreams of all its trials are keyed in one array pass
+(``bicbf.rng.substreams``) and each trial's draws fill its rows of one
+stacked array, which is fitted in one array pass; the oracle sets up and
+integrates the whole block at once (``bicbf.gprior``).  The BIC runs per
+trial.  A block that fails runs again one trial at a time, so the error
+names its lowest failing trial with the message that trial gives alone.
+``generate_dataset`` is the one-trial block.
 
 Determinism: every draw comes from a substream keyed by (seed, label,
-trial), with separate labels for effect draws and noise draws; the oracle
-is deterministic quadrature and draws nothing.  Every sum runs over one
-trial's own values, so a record is bitwise the same whether its trial runs
-alone, inside a block or at a block edge.  Consequences relied on
-elsewhere: a rerun is bitwise identical, a trial's records depend only on
-the config and the trial number (so a shorter run is a prefix of a longer
-one), and two configs differing only in g share their noise (and, up to
-the sqrt(g) scale, their effects), which makes evidence monotone in g
-testable on coupled trials.
+trial), with separate labels for effect draws and noise draws, and each
+stream is bit for bit ``PCG64(SeedSequence([seed, key, trial]))``; the
+oracle is deterministic quadrature and draws nothing.  Every draw and
+every sum runs over one trial's own values, so a record is bitwise the
+same whether its trial runs alone, inside a block or at a block edge.
+Consequences relied on elsewhere: a rerun is bitwise identical, a trial's
+records depend only on the config and the trial number (so a shorter run
+is a prefix of a longer one), and two configs differing only in g share
+their noise (and, up to the sqrt(g) scale, their effects), which makes
+evidence monotone in g testable on coupled trials.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 from .anova import EFFECTS, FactorialDataset, _fit_block, bic_bf_for_effect
 from .errors import BicbfError, DomainError, SimulationError
 from .gprior import GPriorSpec, _evaluate, _setup
-from .rng import substream
+from .rng import substreams
 from .summary import invert
 
 __all__ = [
@@ -145,21 +148,35 @@ def decide(log_bf10: float) -> str:
 
 
 def generate_dataset(config: SimulationConfig, trial: int) -> FactorialDataset:
-    """The dataset of one trial.
+    """The dataset of one trial: the one-trial case of ``_block_data``."""
+    y = _block_data(config, [trial])[0]
+    return FactorialDataset(config.a_levels, config.b_levels, config.cell_n, y)
 
-    Effects are scaled standard normals (exactly zero when g = 0) from the
-    "effects" substream; noise comes from the separate "noise" substream.
+
+def _block_data(config: SimulationConfig, trials: Sequence[int]) -> np.ndarray:
+    """The stacked (len(trials), a, b, cell_n) observations of the trials.
+
+    A trial's effects are one draw of a + b + a*b scaled standard normals
+    (alpha, tau, then gamma row by row; exactly zero when g = 0) from its
+    "effects" substream, its noise one draw from its "noise" substream.
+    Both streams of every trial are keyed in one array pass
+    (``bicbf.rng.substreams``); each trial's values are drawn into its own
+    rows and composed elementwise, so a row is bitwise the same in any block.
     """
     a, b, cell_n = config.a_levels, config.b_levels, config.cell_n
-    effects_rng = substream(config.seed, "effects", trial)
-    noise_rng = substream(config.seed, "noise", trial)
-    scale = math.sqrt(config.g)
-    alpha = scale * effects_rng.standard_normal(a)
-    tau = scale * effects_rng.standard_normal(b)
-    gamma = scale * effects_rng.standard_normal((a, b))
-    eps = noise_rng.standard_normal((a, b, cell_n))
-    y = alpha[:, None, None] + tau[None, :, None] + gamma[:, :, None] + eps
-    return FactorialDataset(a, b, cell_n, y)
+    effects = np.empty((len(trials), a + b + a * b))
+    y = np.empty((len(trials), a, b, cell_n))
+    for row, effects_rng, noise_rng in zip(
+        range(len(trials)),
+        substreams(config.seed, "effects", trials),
+        substreams(config.seed, "noise", trials),
+    ):
+        effects_rng.standard_normal(out=effects[row])
+        noise_rng.standard_normal(out=y[row])
+    effects *= math.sqrt(config.g)
+    alpha, tau, gamma = effects[:, :a], effects[:, a : a + b], effects[:, a + b :]
+    cells = alpha[:, :, None, None] + tau[:, None, :, None] + gamma.reshape(-1, a, b, 1)
+    return np.add(cells, y, out=y)
 
 
 _BLOCK = 64  # trials evaluated together, at most
@@ -192,14 +209,18 @@ def run_simulation(
 def _block_records(config: SimulationConfig, trials: range) -> list[SimulationRecord]:
     """Records of consecutive trials, with one array pass per stage.
 
-    Datasets are generated and the BIC computed one trial at a time; the
-    fit, the oracle's set-up and its quadrature run on the whole block.  A
-    block that fails runs again one trial at a time, in order, so the error
-    names the lowest failing trial with the message that trial gives alone:
-    within a trial, effect by effect, the BIC before the oracle.
+    The block's datasets are generated in one pass and checked finite, the
+    BIC is computed one trial at a time, and the fit, the oracle's set-up
+    and its quadrature run on the whole block.  A block that fails runs
+    again one trial at a time, in order, so the error names the lowest
+    failing trial with the message that trial gives alone: within a trial,
+    effect by effect, the BIC before the oracle.
     """
     try:
-        tables = _fit_block(np.stack([generate_dataset(config, t).y for t in trials]))
+        y = _block_data(config, trials)
+        if not np.isfinite(y).all():
+            raise DomainError("observations must be finite")
+        tables = _fit_block(y)
         bics, defaults = [], []
         for effect in EFFECTS:
             bics.append([invert(bic_bf_for_effect(table, effect)).log_bf for table in tables])

@@ -132,6 +132,16 @@ def test_block_records_are_the_one_trial_oracle(alone):
         assert r.log_bf10_default.hex() == default_bf10(data, r.effect, config.oracle).log_bf.hex()
 
 
+@pytest.mark.parametrize("start, size", [(0, 1), (5, 7), (0, 64), (63, 2), (64, 64)],
+                         ids=["block-1", "block-7", "block-64", "across-64", "from-64"])
+def test_a_block_row_is_the_one_trial_dataset(start, size):
+    config = SimulationConfig(cell_n=5, g=0.2, trials=200, seed=3)
+    y = bicbf.simulate._block_data(config, range(start, start + size))
+    assert y.shape == (size, 2, 3, 5)
+    for t in range(start, start + size):
+        assert generate_dataset(config, t).y.tobytes() == y[t - start].tobytes(), t
+
+
 def test_progress_fires_per_trial_in_order_when_its_block_is_done(monkeypatch):
     config = SimulationConfig(cell_n=2, g=0.0, trials=5, seed=0)
     monkeypatch.setattr(bicbf.simulate, "_BLOCK", 2)
@@ -175,14 +185,17 @@ NOT_FINITE = np.full((2, 3, 3), math.nan)  # the dataset itself
 
 
 def _sabotage(monkeypatch, bad: dict[int, np.ndarray]) -> None:
-    real = bicbf.simulate.generate_dataset
+    """Replace the generated rows of the ``bad`` trials in every block."""
+    real = bicbf.simulate._block_data
 
-    def sabotaged(cfg, trial):
-        if trial in bad:
-            return FactorialDataset(cfg.a_levels, cfg.b_levels, cfg.cell_n, bad[trial])
-        return real(cfg, trial)
+    def sabotaged(cfg, trials):
+        y = real(cfg, trials)
+        for row, trial in enumerate(trials):
+            if trial in bad:
+                y[row] = bad[trial]
+        return y
 
-    monkeypatch.setattr(bicbf.simulate, "generate_dataset", sabotaged)
+    monkeypatch.setattr(bicbf.simulate, "_block_data", sabotaged)
 
 
 def _error(config, block: int | None = None) -> str:

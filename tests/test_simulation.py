@@ -9,7 +9,6 @@ import pytest
 import bicbf.simulate
 from bicbf import (
     DomainError,
-    FactorialDataset,
     FiveNumber,
     GPriorSpec,
     SimulationConfig,
@@ -150,14 +149,16 @@ class TestRunSimulation:
 
     def test_degenerate_trial_is_named_in_the_error(self, monkeypatch):
         config = SimulationConfig(cell_n=3, g=0.0, trials=3, seed=0)
-        real = generate_dataset
+        real = bicbf.simulate._block_data
 
-        def sabotaged(cfg, trial):
-            if trial == 1:
-                return FactorialDataset(2, 3, 3, np.zeros((2, 3, 3)))
-            return real(cfg, trial)
+        def sabotaged(cfg, trials):
+            y = real(cfg, trials)
+            for row, trial in enumerate(trials):
+                if trial == 1:
+                    y[row] = np.zeros((2, 3, 3))
+            return y
 
-        monkeypatch.setattr(bicbf.simulate, "generate_dataset", sabotaged)
+        monkeypatch.setattr(bicbf.simulate, "_block_data", sabotaged)
         with pytest.raises(SimulationError, match="trial 1"):
             run_simulation(config)
 
