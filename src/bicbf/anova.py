@@ -120,12 +120,13 @@ def _fit_block(y: np.ndarray) -> list[AnovaTable]:
     cell_means = y.mean(axis=3)
     a_means = y.mean(axis=(2, 3))
     b_means = y.mean(axis=(1, 3))
-    ss_a = b * cell_n * np.sum((a_means - grand[:, None]) ** 2, axis=1)
-    ss_b = a * cell_n * np.sum((b_means - grand[:, None]) ** 2, axis=1)
-    interaction = cell_means - a_means[:, :, None] - b_means[:, None, :] + grand[:, None, None]
-    ss_ab = cell_n * np.sum(interaction**2, axis=(1, 2))
-    ss_total = np.sum((y - grand[:, None, None, None]) ** 2, axis=(1, 2, 3))
-    ss_error = np.sum((y - cell_means[..., None]) ** 2, axis=(1, 2, 3))
+    with np.errstate(over="ignore"):  # a sum of squares beyond the double range is inf
+        ss_a = b * cell_n * np.sum((a_means - grand[:, None]) ** 2, axis=1)
+        ss_b = a * cell_n * np.sum((b_means - grand[:, None]) ** 2, axis=1)
+        interaction = cell_means - a_means[:, :, None] - b_means[:, None, :] + grand[:, None, None]
+        ss_ab = cell_n * np.sum(interaction**2, axis=(1, 2))
+        ss_total = np.sum((y - grand[:, None, None, None]) ** 2, axis=(1, 2, 3))
+        ss_error = np.sum((y - cell_means[..., None]) ** 2, axis=(1, 2, 3))
     # Zero error variance means every cell is constant; decide that exactly
     # rather than from the computed residuals, whose rounding can leave a
     # spurious 1e-30-ish sum for constant input.  A constant response gets

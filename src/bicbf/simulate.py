@@ -10,14 +10,14 @@ iff log BF10 > 0".  Summaries are five-number statistics of the log Bayes
 factors plus the per-effect consistency, the proportion of trials on which
 the two routes reach the same decision.
 
-Trials run in blocks of up to 64, fewer where that many would stack more
-than 2^18 observations.  A block's datasets are generated in one pass: the
-substreams of all its trials are keyed in one array pass
+Trials run in blocks of as many as stack at most 2^18 observations, or of
+one trial where a trial has more.  A block's datasets are generated in one
+pass: the substreams of all its trials are keyed in one array pass
 (``bicbf.rng.substreams``) and each trial's draws fill its rows of one
 stacked array, which is fitted in one array pass; the oracle sets up and
 integrates the whole block at once (``bicbf.gprior``).  The BIC runs per
-trial.  A block that fails runs again one trial at a time, so the error
-names its lowest failing trial with the message that trial gives alone.
+trial.  A block that fails runs its two halves in order, recursively, so
+the error names its lowest failing trial with the message it gives alone.
 ``generate_dataset`` is the one-trial block.
 
 Determinism: every draw comes from a substream keyed by (seed, label,
@@ -179,7 +179,6 @@ def _block_data(config: SimulationConfig, trials: Sequence[int]) -> np.ndarray:
     return np.add(cells, y, out=y)
 
 
-_BLOCK = 64  # trials evaluated together, at most
 _BLOCK_VALUES = 2**18  # observations stacked in a block, which bound its memory
 
 
@@ -189,13 +188,13 @@ def run_simulation(
 ) -> list[SimulationRecord]:
     """All records of the configured study, in (trial, effect) order.
 
-    Trials run in blocks of ``_BLOCK``, fewer where that many would stack
-    more than ``_BLOCK_VALUES`` observations; each record is bitwise the one
-    its trial gives alone.  ``progress`` is called with (finished_trials,
+    Trials run in blocks of as many as stack at most ``_BLOCK_VALUES``
+    observations (one, where a trial has more); each record is bitwise the
+    one its trial gives alone.  ``progress`` is called with (finished_trials,
     total_trials) once per trial, in order, when the trial's block is done.
     """
     per_trial = config.a_levels * config.b_levels * config.cell_n
-    size = max(1, min(_BLOCK, _BLOCK_VALUES // per_trial))
+    size = max(1, _BLOCK_VALUES // per_trial)
     records = []
     for start in range(0, config.trials, size):
         trials = range(start, min(start + size, config.trials))
@@ -211,10 +210,10 @@ def _block_records(config: SimulationConfig, trials: range) -> list[SimulationRe
 
     The block's datasets are generated in one pass and checked finite, the
     BIC is computed one trial at a time, and the fit, the oracle's set-up
-    and its quadrature run on the whole block.  A block that fails runs
-    again one trial at a time, in order, so the error names the lowest
-    failing trial with the message that trial gives alone: within a trial,
-    effect by effect, the BIC before the oracle.
+    and its quadrature run on the whole block.  A block of several trials
+    that fails runs its two halves in order, recursively, so the error
+    names the lowest failing trial with the message that trial gives
+    alone: within a trial, effect by effect, the BIC before the oracle.
     """
     try:
         y = _block_data(config, trials)
@@ -234,7 +233,8 @@ def _block_records(config: SimulationConfig, trials: range) -> list[SimulationRe
     except BicbfError as exc:
         if len(trials) == 1:
             raise SimulationError(f"trial {trials[0]}: {exc}") from exc
-    return [r for t in trials for r in _block_records(config, range(t, t + 1))]
+    half = len(trials) // 2
+    return _block_records(config, trials[:half]) + _block_records(config, trials[half:])
 
 
 @dataclass(frozen=True)
@@ -319,8 +319,9 @@ def emit_density_data(
     """Kernel densities of log BF10, one series per (effect, BF type).
 
     512 evenly spaced grid points spanning [min - 3h, max + 3h] per series,
-    h being ``bandwidth`` or Silverman's rule.  A group with no spread has
-    no density; the error names it.
+    h being ``bandwidth`` or Silverman's rule.  A group with no spread, or a
+    bandwidth that takes its grid or density out of the double range, has no
+    density; the error names it.
     """
     records = list(records)
     if not records:
@@ -342,11 +343,15 @@ def emit_density_data(
                     f"effect {effect}, {bf_type} log BFs are constant; no density"
                 )
             h = bandwidth if bandwidth is not None else silverman_bandwidth(array)
-            x = np.linspace(array.min() - 3 * h, array.max() + 3 * h, DENSITY_GRID_POINTS)
-            z = (x[:, None] - array[None, :]) / h
-            density = np.exp(-0.5 * z * z).sum(axis=1) / (
-                array.size * h * math.sqrt(2.0 * math.pi)
-            )
+            with np.errstate(all="ignore"):  # z * z may overflow: exp(-inf) = 0 is right
+                x = np.linspace(array.min() - 3 * h, array.max() + 3 * h, DENSITY_GRID_POINTS)
+                z = (x[:, None] - array[None, :]) / h
+                density = np.exp(-0.5 * z * z).sum(axis=1) / (
+                    array.size * h * math.sqrt(2.0 * math.pi)
+                )
+            if not (np.isfinite(x).all() and np.isfinite(density).all()):
+                raise DomainError(f"bandwidth {h!r} takes the effect {effect}, {bf_type} "
+                                  "density grid or values out of the double range")
             series.append(DensitySeries(effect, bf_type, h, x, density))
     return series
 

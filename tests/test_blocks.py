@@ -27,6 +27,7 @@ from bicbf import (
 )
 
 LENGTHS = range(1, 201)
+LONG_LENGTHS = (873, 2184, 32768)  # the largest blocks of the desk, wide and 2x2x2 designs
 
 
 def _values(seed: int, lo: float, hi: float, log_scale: bool = False) -> np.ndarray:
@@ -59,7 +60,7 @@ def _layouts(values: np.ndarray, length: int):
     """
     head = values[:length]
     yield "contiguous", head, np.arange(length)
-    yield "offset", values[200 - length :], np.arange(200 - length, 200)
+    yield "offset", values[values.size - length :], np.arange(values.size - length, values.size)
     yield "strided", np.repeat(values, 2)[::2][:length], np.arange(length)
     yield "column", np.tile(head[:, None], (1, 3))[:, 1], np.arange(length)
     yield "row slice", np.tile(head, (4, 1))[1:3], np.tile(np.arange(length), (2, 1))
@@ -72,10 +73,12 @@ def _layouts(values: np.ndarray, length: int):
 def test_elementwise_bits_do_not_depend_on_length_or_layout(name):
     func, values = ELEMENTWISE[name]
     alone = np.array([func(values[i : i + 1])[0] for i in range(values.size)])
-    for length in LENGTHS:
-        for layout, view, index in _layouts(values, length):
+    for length in (*LENGTHS, *LONG_LENGTHS):
+        # a long length tiles the values, so value i is values[i % 200]
+        tiled = values if length <= values.size else np.resize(values, length + 100)
+        for layout, view, index in _layouts(tiled, length):
             got = func(view)
-            assert np.array_equal(got, alone[index]), (name, layout, length)
+            assert np.array_equal(got, alone[index % values.size]), (name, layout, length)
 
 
 def _max_by_reduceat(x: np.ndarray) -> np.ndarray:
@@ -106,22 +109,30 @@ def _bits(records):
     return [(r.trial, r.effect, r.log_bf10_bic.hex(), r.log_bf10_default.hex()) for r in records]
 
 
+def _block_of(patch, config, trials: int) -> None:
+    """Bound the blocks of ``config`` to ``trials`` trials each."""
+    per_trial = config.a_levels * config.b_levels * config.cell_n
+    patch.setattr(bicbf.simulate, "_BLOCK_VALUES", trials * per_trial)
+
+
 @pytest.fixture(scope="module")
 def alone():
     """Every trial of a 70-trial study, each evaluated as a block of its own."""
     config = SimulationConfig(cell_n=5, g=0.2, trials=70, seed=3)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bicbf.simulate, "_BLOCK", 1)
+        _block_of(patch, config, 1)
         return config, run_simulation(config)
 
 
-@pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default"])
+@pytest.mark.parametrize("block", [1, 7, 64, None],
+                         ids=["block-1", "block-7", "block-64", "default"])
 def test_records_do_not_depend_on_the_block(monkeypatch, alone, block):
-    # 70 trials put block edges at 7, 14, ... and at 64 by default; g = 0.2
-    # on a 2x3x5 design gives the trials different log-g and outer node counts.
+    # 70 trials put block edges at 7, 14, ... or at 64, and are one block by
+    # default; g = 0.2 on a 2x3x5 design gives the trials different log-g
+    # and outer node counts.
     config, want = alone
     if block is not None:
-        monkeypatch.setattr(bicbf.simulate, "_BLOCK", block)
+        _block_of(monkeypatch, config, block)
     assert _bits(run_simulation(config)) == _bits(want)
 
 
@@ -144,7 +155,7 @@ def test_a_block_row_is_the_one_trial_dataset(start, size):
 
 def test_progress_fires_per_trial_in_order_when_its_block_is_done(monkeypatch):
     config = SimulationConfig(cell_n=2, g=0.0, trials=5, seed=0)
-    monkeypatch.setattr(bicbf.simulate, "_BLOCK", 2)
+    _block_of(monkeypatch, config, 2)
     seen = []
     real = bicbf.simulate._block_records
 
@@ -201,7 +212,7 @@ def _sabotage(monkeypatch, bad: dict[int, np.ndarray]) -> None:
 def _error(config, block: int | None = None) -> str:
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
-            patch.setattr(bicbf.simulate, "_BLOCK", block)
+            _block_of(patch, config, block)
         with pytest.raises(SimulationError) as info:
             run_simulation(config)
     return str(info.value)
@@ -256,6 +267,25 @@ def test_error_names_the_lowest_failing_trial(monkeypatch, bad, lowest, match):
     assert message == _error(replace(config, trials=lowest + 1), block=1)
 
 
+def test_a_late_failure_is_found_by_halving(monkeypatch):
+    # one block of 1000 trials; one-trial re-runs would take 991 calls
+    config = SimulationConfig(cell_n=3, g=0.2, trials=1000, seed=0)
+    _sabotage(monkeypatch, {990: CONSTANT})
+    calls = []
+    real = bicbf.simulate._block_records
+
+    def spy(cfg, trials):
+        calls.append(trials)
+        return real(cfg, trials)
+
+    monkeypatch.setattr(bicbf.simulate, "_block_records", spy)
+    assert _error(config).startswith("trial 990: ")
+    # each failing block of several trials calls at most two halves, of
+    # which only the failing one calls again
+    assert calls[0] == range(1000) and calls[-1] == range(990, 991)
+    assert len(calls) <= 2 * math.ceil(math.log2(1000)) + 1, calls
+
+
 def test_a_trial_failing_two_effects_reports_the_first(monkeypatch):
     # A's set-up runs before AB's, so trial 4 names model A
     _sabotage(monkeypatch, {4: _a_double_range()})
@@ -274,3 +304,16 @@ def test_a_block_holds_a_bounded_number_of_observations():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak / 2**20
+
+
+def test_a_block_of_small_trials_holds_little_memory_per_trial():
+    # A 2x2x2 design stacks up to 32 768 trials in one block; the oracle's
+    # transient arrays measured about 2 KB per trial.
+    config = SimulationConfig(cell_n=2, g=0.2, trials=2000, seed=1, a_levels=2, b_levels=2)
+    tracemalloc.start()
+    try:
+        run_simulation(config)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - kept) / config.trials < 4096, (peak - kept) / config.trials

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,17 @@ class TestSimulate:
         assert code == 2
         assert "--cell-n" in err
 
+    def test_extreme_g_is_one_error_line_without_numpy_warnings(self, tmp_path):
+        # the sums of squares overflow to inf, which the fit handles
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "bicbf.cli", "simulate", "--cell-n", "3",
+                               "--g", "1e308", "--trials", "3", "--seed", "1",
+                               "--out", str(tmp_path / "r.csv")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == ("error: trial 0: zero error variance: F is undefined, "
+                               "no Bayes factor\n")
+
     def test_unwritable_output_path(self, capsys):
         code, _, err = run_cli(
             capsys, *self.BASE, "--out", "/nonexistent-dir/r.csv"
@@ -403,6 +415,20 @@ class TestReport:
         assert code == 0
         assert out_path.exists()
         assert out.splitlines()[0].startswith("effect")
+
+    @pytest.mark.parametrize("bandwidth", ["1e308", "1e-320"])
+    def test_bandwidth_beyond_the_double_range_is_one_error_line(self, capsys, results_file,
+                                                                 tmp_path, bandwidth):
+        out_path = tmp_path / "density.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "report", str(results_file), "--density",
+                                     "--out", str(out_path), "--bandwidth", bandwidth)
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"error: bandwidth \S+ takes the effect A, bic density grid or "
+                            r"values out of the double range\n", err), err
+        assert not out_path.exists()
 
     def test_negative_bandwidth_rejected(self, capsys, results_file):
         code, _, _ = run_cli(

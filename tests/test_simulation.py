@@ -1,6 +1,8 @@
 """Simulation harness: generation, determinism, summaries, file formats."""
 
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -270,6 +272,28 @@ class TestDensity:
             emit_density_data(records, bandwidth=0.0)
         with pytest.raises(DomainError, match="bandwidth"):
             emit_density_data(records, bandwidth=math.nan)
+
+    @pytest.mark.parametrize("bandwidth", [1e308, 1e-320], ids=["grid", "density"])
+    def test_bandwidth_beyond_the_double_range_is_named(self, bandwidth):
+        # 1e308 takes the grid's ends to inf; at 1e-320 the grid's ends round
+        # to the data points, where the density 1 / (2 h sqrt(2 pi)) is inf
+        records = [record(0, "A", 1.0, 1.0), record(1, "A", 2.0, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"bandwidth {bandwidth!r} takes the effect A, bic density grid or values"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                emit_density_data(records, bandwidth=bandwidth)
+
+    def test_tiny_bandwidth_gives_finite_spikes_without_warnings(self):
+        # the grid's ends round to the data points; between them z * z
+        # overflows, and exp(-inf) = 0 is right
+        records = [record(0, "A", 1.0, 1.0), record(1, "A", 2.0, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = emit_density_data(records, bandwidth=1e-300)[0]
+        peak = 1.0 / (2 * 1e-300 * math.sqrt(2 * math.pi))
+        assert s.density[0] == s.density[-1] == pytest.approx(peak, rel=1e-12)
+        assert np.all(s.density[1:-1] == 0.0)
 
 
 class TestResultsFiles:
