@@ -39,8 +39,8 @@ r = sqrt(2)/2 by default, by deterministic quadrature:
 
   rho_M = (SSE + sum_{e not in M} SS_e)/SST, frac_e = SS_e/SST and
   I_e(tau) = E_g[(1 + c_e g)^(-df_e/2) exp(-tau/(1 + c_e g))].  Each
-  log I_e is a logsumexp over one shared log-g grid.  The outer integral
-  over v = log s is a trapezoid rule on a window fixed in closed form.  As
+  log I_e is read from a lattice (below).  The outer integral over
+  v = log s is a trapezoid rule on a window fixed in closed form.  As
   0 < 1/(1 + c_e g) <= 1 and rho_M + sum_e frac_e = 1, the log-integrand
   f(v) lies between k v - e^v + C and k v - rho_M e^v + C,
   C = sum_e log I_e(0).  So f peaks at no less than k log k - k + C, and
@@ -49,36 +49,59 @@ r = sqrt(2)/2 by default, by deterministic quadrature:
 * Both marginals share the numerator's outer grid.  frac_e is the same in
   both models and rho_A+B >= rho_A+B+AB, so the denominator's window has
   the same lower end, ends no later and keeps the same spacing bound.
-  Each log I_e is taken once per outer node and feeds both:
+  Each log I_e is read once per outer node and feeds both:
 
       f_num(v) = k v - rho_num e^v + log I_A + log I_B + log I_AB,
       f_den(v) = k v - rho_den e^v + log I_A + log I_B,
 
   the denominator's terms picked by an effect mask.  log Gamma(k) and the
-  log of the outer step cancel in the ratio.  At most 128 (table, outer
-  node) rows are evaluated at a time, which bounds memory when a near-zero
-  error variance makes the window about -log rho_M wide.
+  log of the outer step cancel in the ratio.
+
+The lattice.  I_e depends on the table only through tau = e^v frac_e; c_e
+and df_e are fixed by the design and the prior by r.  So log I_e is
+tabulated once per (c_e, df_e, r, log-g step) on the nodes log tau = j h,
+h = 1/64, j an integer.  Node j is the trapezoid rule of log I_e(tau_j) on
+the log-g grid of the main effects' spacing, from 4 below log(r^2/2) to 35
+past max(log r^2, log(tau_j / c_e)), beyond which its integrand decays at
+least like e^-u.  That window comes from tau_j alone, so a node's value
+depends only on its key and j.  Between nodes log I_e is the 8-point
+centred Lagrange polynomial through nodes j - 3 to j + 4 of the interval
+[j h, (j + 1) h) holding log tau, kept as its monomial coefficients.
+Below tau = 1e-12 it is log I_e(0), which is within tau of log I_e(tau)
+since |d log I_e/d tau| <= 1.  Nodes are computed when interpolation first
+reaches them, from that cut-off up, and kept for the life of the process
+in an LRU store of the 32 lattices last used; nothing is built at import.
+A study design's lattice holds some 2100 to 2250 nodes of 101 to 116
+log-g nodes each.  h = 1/64 is what 1e-10 needs: at r = 0.05 the prior's
+bulk (g near r^2/2, a factor near e^-tau) and its tail trade places within
+a few hundredths of log tau, and there h = 1/16 reads up to 3.4e-8 and
+h = 1/32 up to 8.1e-10 off the direct rule on 3x4 and 5x5 designs.
 
 Node counts.  The log-g grid has spacing 0.4, times sqrt(3/(df + 1)) for a
-block with df > 2 contrasts, whose integrand is narrower.  It runs from 4
-below log(r^2/2), where the prior density has fallen below exp(-e^4), to 35
-past the farthest posterior mode of g, beyond which every integrand decays
-at least like e^-u: 101 to 105 nodes on the study designs, more only where
-a near-zero error variance sends the posterior of g far out.  Outer nodes
-are 0.8/sqrt(k) apart, at most 0.2, since the curvature -f'' at the mode is
-at most k: 31 to 60 per interaction on the desk design, 24 to 42 on the
-wide one (900 trials each), 27 to 67 on 2x2 designs with 3 to 5
-observations per cell, and some 1460 where SSE/SST = 1e-121.
+block with df > 2 contrasts, whose integrand is narrower.  For a main
+effect it runs from 4 below log(r^2/2), where the prior density has fallen
+below exp(-e^4), to 35 past the farthest posterior mode of g, beyond which
+every integrand decays at least like e^-u: 101 to 105 nodes on the study
+designs, more only where a near-zero error variance sends the posterior of
+g far out.  Outer nodes are 0.8/sqrt(k) apart, at most 0.2, since the
+curvature -f'' at the mode is at most k: 31 to 60 per interaction on the
+desk design, 24 to 42 on the wide one (900 trials each), 27 to 67 on 2x2
+designs with 3 to 5 observations per cell, and some 1460 where
+SSE/SST = 1e-121.
 
-Measured error in log BF, against the same rules 4 times finer with wider
-windows: at most 1.5e-9 over 360 desk and wide study trials, 240 2x2
-designs, 3x4 and 5x5 designs at prior scales from 0.05 to 10, and
-near-constant cells (A, B and AB each).  The tests hold it to 1e-8.  Main
-effects match scipy's adaptive quadrature to 1.5e-9, also at the ends of
-the accepted prior scales, 1e-100 and 1e100; on near-constant cells
-(log BF of AB = 291) the interaction matches a direct 3-D trapezoid rule
-to 3e-13.  The result is a deterministic function of the data and the
-prior scale, so ``standard_error`` is exactly 0.
+Measured error in log BF, against the same rules 4 times finer (lattice
+step included) with wider windows: at most 1.5e-9 over 360 desk and wide
+study trials, 240 2x2 designs, 3x4 and 5x5 designs at prior scales from
+0.05 to 10, and near-constant cells (A, B and AB each).  The tests hold it
+to 1e-8.  Against the direct rule, which takes each log I_e at every
+outer node on the table's own log-g grid, the interaction is within
+4.1e-12 on those trials and designs, and within 3.6e-12 on 400 random
+tables whose sums of squares span 120 decades; the tests hold it to
+1e-10.  Main effects match scipy's adaptive quadrature to 1.5e-9, also at
+the ends of the accepted prior scales, 1e-100 and 1e100; on near-constant
+cells (log BF of AB = 291) the interaction matches nested adaptive
+quadrature to 3.4e-13.  The result is a deterministic function of the data
+and the prior scale, so ``standard_error`` is exactly 0.
 
 Block evaluation.  ``_setup`` does the set-up of one effect for a block of
 tables in arrays: its checks, the node counts, and the shares rho and
@@ -88,20 +111,23 @@ simulation study then runs the block's trials one at a time to name the
 lowest failing one.  The grid's ends, spacing and weights depend only on
 the design and the prior scale, so the tables of a block share them.
 ``_evaluate`` integrates the set-up: the simulation study passes a block
-of trials, and ``default_bf10`` is the one-table case.  Tables with the
-same log-g node count share (tables, nodes) arrays; the outer rule's rows
-are stacked across tables and cut into chunks of 128, and each table's
-outer sums are taken with the tables of its own outer node count.  Every
-sum and max runs along the last axis over one table's own nodes, with no
-padding, because padding would change numpy's pairwise summation.  So
-each value is bitwise what the table gives alone, whatever else shares
-its block; the tests check the numpy behaviour this rests on.
+of trials, and ``default_bf10`` is the one-table case.  A main effect's
+tables with the same log-g node count share (tables, nodes) arrays.  The
+interaction's tables go in order of outer node count, in chunks of whole
+tables of about 2^14 outer nodes, which bounds memory however many tables
+a block holds or however wide a near-zero error variance makes a window.
+Interpolation is elementwise, and every sum and max runs along the last
+axis over one table's own nodes, with no padding, because padding would
+change numpy's pairwise summation.  So each value is bitwise what the
+table gives alone, whatever else shares its block and whatever the
+lattices already hold; the tests check the numpy behaviour this rests on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -270,10 +296,15 @@ class _Rule:
     s_step: float = 0.8
     s_max_step: float = 0.2
     s_edge: float = 20.0
+    tau_step: float = 1.0 / 64.0  # lattice step in log tau
 
 
 _RULE = _Rule()
-_OUTER_ROWS = 128  # (table, outer node) rows of the nested rule at once
+_ROWS = 2**14  # (table, outer node) rows interpolated at once, in whole tables
+_NODE_VALUES = 2**17  # (lattice node, log-g node) values taken at once
+_LATTICES = 32  # lattices kept, the most recently used
+_STENCIL = np.arange(-3, 5)  # lattice nodes of an interval, around its left end
+_LOG_TAU_MIN = math.log(1e-12)  # below it, log I_e(tau) = log I_e(0) to within tau
 
 
 class _Outer(NamedTuple):
@@ -281,13 +312,13 @@ class _Outer(NamedTuple):
 
     Both marginals are summed on the numerator's ``count`` nodes lo + i * step,
     the last at exactly hi (as ``np.linspace``).  ``rho`` and ``rho_den`` are
-    the two models' residual shares, ``frac`` holds frac_e per numerator
-    effect and ``den`` masks the denominator's effects among them.
+    the two models' residual shares, ``log_frac`` holds log frac_e per
+    numerator effect and ``den`` masks the denominator's effects among them.
     """
 
     rho: np.ndarray
     rho_den: np.ndarray
-    frac: np.ndarray  # (tables, effects)
+    log_frac: np.ndarray  # (tables, effects)
     den: np.ndarray
     lo: float
     hi: np.ndarray
@@ -298,17 +329,18 @@ class _Outer(NamedTuple):
 class _Setup(NamedTuple):
     """The set-up of one effect for a block of tables of one design.
 
-    The log-g grid of table i has ``count[i]`` nodes lo + j * step, and
-    ``c`` and ``df`` hold c_e and df_e per numerator effect.  A main effect is
-    integrated in the conditional form from its model's residual ``q`` and
-    sum of squares ``ss``; the interaction carries its ``outer`` rule.
+    The log-g grid of table i has ``count[i]`` nodes spaced ``step`` apart,
+    and ``c`` and ``df`` hold c_e and df_e per numerator effect.  A main
+    effect is integrated on that grid in the conditional form from its
+    model's residual ``q`` and sum of squares ``ss``.  The interaction
+    carries its ``outer`` rule and reads log I_e from the lattices of
+    ``rule``, which share the grid's spacing but fix each window by tau.
     """
 
     k: float
     beta: float
-    lo: float
     step: float
-    log_w0: float  # log(step) + (1/2) log(beta/pi)
+    rule: _Rule
     c: np.ndarray
     df: np.ndarray
     count: np.ndarray
@@ -378,13 +410,15 @@ def _setup(
     if den_effects:
         rho_den = _residual(ss_error, ss_of, den_effects) / ss_total
         v_lo, v_hi, v_count = _outer_rule(k, rho, rule)
+        with np.errstate(divide="ignore"):  # an effect of zero sum of squares has tau = 0
+            log_frac = np.log(frac)
         outer = _Outer(
-            rho, rho_den, frac, np.array([e in den_effects for e in num_effects]),
+            rho, rho_den, log_frac, np.array([e in den_effects for e in num_effects]),
             v_lo, v_hi, (v_hi - v_lo) / (v_count - 1), v_count,
         )
     return _Setup(
-        k, beta, lo, step, math.log(step) + 0.5 * math.log(beta / math.pi),
-        c, df, (np.ceil((hi - lo) / step) + 1).astype(int), ss_total, q, ss, outer,
+        k, beta, step, rule, c, df, (np.ceil((hi - lo) / step) + 1).astype(int),
+        ss_total, q, ss, outer,
     )
 
 
@@ -414,71 +448,183 @@ def _outer_spacing(k: float, rule: _Rule = _RULE) -> float:
     return min(rule.s_step / math.sqrt(k), rule.s_max_step)
 
 
+def _log_g_grid(beta: float, step: float, rule: _Rule, n: int):
+    """The first n nodes u = log g of the trapezoid rule and their log weights.
+
+    The weights fold in the density of u under Inverse-Gamma(1/2, beta).
+    Node i and its weight are the same bits whatever n is.
+    """
+    u = (math.log(beta) - rule.g_below) + step * np.arange(n)
+    log_w0 = math.log(step) + 0.5 * math.log(beta / math.pi)
+    return u, log_w0 - 0.5 * u - beta * np.exp(-u)
+
+
 def _evaluate(setup: _Setup) -> np.ndarray:
     """log BF10 of each table of a set-up, bitwise what it gives alone.
 
-    Tables with the same log-g node count share arrays, one row each.
-    Every sum and max runs along the last axis over one row's own nodes:
-    padding a row would change numpy's pairwise summation.
+    A main effect's tables with the same log-g node count share arrays,
+    one row each.  Every sum and max runs along the last axis over one
+    row's own nodes: padding a row would change numpy's pairwise summation.
     """
+    if setup.outer is not None:
+        return _nested_log_bf10(setup)
     count = setup.count
     log_bf = np.empty(count.size)
-    # trapezoid nodes on u = log g, shared by every table; the weights fold
-    # in the density of u under Inverse-Gamma(1/2, beta)
-    u = setup.lo + setup.step * np.arange(count.max())
-    log_w = setup.log_w0 - 0.5 * u - setup.beta * np.exp(-u)
+    u, log_w = _log_g_grid(setup.beta, setup.step, setup.rule, count.max())
     g = np.exp(u)
-    if setup.outer is not None:
-        shrink = 1.0 / (1.0 + setup.c[:, None] * g)
-        log_node = log_w + 0.5 * setup.df[:, None] * np.log(shrink)
-    for n in np.unique(count):
+    for n in np.unique(count):  # one effect against the intercept: its conditional BF
         which = np.flatnonzero(count == n)
-        if setup.outer is not None:
-            log_bf[which] = _nested_log_bf10(setup, which, shrink[:, :n], log_node[:, :n])
-        else:  # one effect against the intercept: its conditional BF on the grid
-            block = (setup.ss[which], setup.c[0], setup.df[0])
-            log_bf[which] = _logsumexp(log_w[:n] + _log_bf10_given_g(
-                setup.ss_total[which, None], setup.q[which, None], setup.k, [block], [g[:n]]))
+        block = (setup.ss[which], setup.c[0], setup.df[0])
+        log_bf[which] = _logsumexp(log_w[:n] + _log_bf10_given_g(
+            setup.ss_total[which, None], setup.q[which, None], setup.k, [block], [g[:n]]))
     return log_bf
 
 
-def _nested_log_bf10(
-    setup: _Setup, which: np.ndarray, shrink: np.ndarray, log_node: np.ndarray
-) -> np.ndarray:
-    """log BF10 of the interaction by the nested rule, for tables ``which``.
+def _nested_log_bf10(setup: _Setup) -> np.ndarray:
+    """log BF10 of the interaction by the nested rule, for every table.
 
-    Row e of ``shrink`` holds 1/(1 + c_e g) on the tables' shared log-g
-    grid, and of ``log_node`` the log weight plus (df_e/2) log of it, so that
-    log I_e(tau) = logsumexp(log_node[e] - tau * shrink[e]).  Each log I_e is
-    taken once per outer node and feeds both marginals; log Gamma(k) and
-    the log of the shared outer step cancel in the ratio.
+    Tables go in order of outer node count, in chunks of whole tables of
+    about ``_ROWS`` outer nodes, so that a chunk's tables of one count are
+    consecutive.  Each log I_e is read from its lattice once per outer node
+    and feeds both marginals; log Gamma(k) and the log of the shared outer
+    step cancel in the ratio.
     """
+    lattices = [_lattice(float(c), float(df), setup.beta, setup.step, setup.rule)
+                for c, df in zip(setup.c, setup.df)]
+    order = np.argsort(setup.outer.count, kind="stable")
+    counts = setup.outer.count[order]
+    chunk = (np.cumsum(counts) - counts) // _ROWS  # the chunk of each table's first row
+    edges = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), counts.size]
+    out = np.empty(counts.size)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        tables = order[start:stop]
+        out[tables] = _nested_chunk(setup, lattices, tables)
+    return out
+
+
+def _nested_chunk(setup: _Setup, lattices: list, tables: np.ndarray) -> np.ndarray:
+    """log BF10 of the interaction for tables of nondecreasing outer node count."""
     outer, k = setup.outer, setup.k
-    rho, rho_den, frac = outer.rho[which], outer.rho_den[which], outer.frac[which]
-    counts, step, hi = outer.count[which], outer.step[which], outer.hi[which]
+    counts, step, hi = outer.count[tables], outer.step[tables], outer.hi[tables]
     ends = np.cumsum(counts)
     # one row per (table, outer node), at the nodes of np.linspace(lo, hi, count)
-    table = np.repeat(np.arange(which.size), counts)
-    v = (np.arange(ends[-1]) - np.repeat(ends - counts, counts)) * step[table] + outer.lo
+    table = tables[np.repeat(np.arange(tables.size), counts)]
+    v = (np.arange(ends[-1]) - np.repeat(ends - counts, counts)) * step.repeat(counts) + outer.lo
     v[ends - 1] = hi
-    s = np.exp(v)
-    f_num, f_den = np.empty(v.size), np.empty(v.size)
-    for start in range(0, v.size, _OUTER_ROWS):  # bounds the (rows, effects, g) arrays
-        rows = slice(start, start + _OUTER_ROWS)
-        t = table[rows]
-        x = shrink * (s[rows, None] * frac[t])[:, :, None]
-        np.subtract(log_node, x, out=x)
-        log_i = _logsumexp(x, out=x)
-        kv = k * v[rows]
-        f_num[rows] = kv - s[rows] * rho[t] + log_i.sum(axis=1)
-        f_den[rows] = kv - s[rows] * rho_den[t] + log_i[:, outer.den].sum(axis=1)
-    # each table's trapezoid sums over its own nodes, tables of one count at once
-    out = np.empty(which.size)
-    for n in np.unique(counts):
-        these = np.flatnonzero(counts == n)
-        nodes = (ends[these] - n)[:, None] + np.arange(n)
-        out[these] = _logsumexp(f_num[nodes]) - _logsumexp(f_den[nodes])
+    log_i_den, log_i_num = 0.0, 0.0
+    for effect, lattice in enumerate(lattices):
+        log_i = lattice.log_i(v + outer.log_frac[table, effect])
+        if outer.den[effect]:
+            log_i_den = log_i_den + log_i
+        else:
+            log_i_num = log_i_num + log_i
+    s, kv = np.exp(v), k * v
+    f = np.empty((2, v.size))  # the full model's log-integrand, then A+B's
+    np.add(kv - s * outer.rho[table], log_i_den + log_i_num, out=f[0])
+    np.add(kv - s * outer.rho_den[table], log_i_den, out=f[1])
+    # the tables of one count are consecutive, and their rows one block
+    out = np.empty(tables.size)
+    firsts = np.flatnonzero(np.diff(counts, prepend=0)).tolist()
+    for first, last in zip(firsts, [*firsts[1:], tables.size]):
+        n = int(counts[first])
+        log_m = _logsumexp(f[:, ends[first] - n : ends[last - 1]].reshape(2, last - first, n))
+        out[first:last] = log_m[0] - log_m[1]
     return out
+
+
+class _Lattice:
+    """log I_e(tau) of one effect block, tabulated on log tau = j * h.
+
+    Node j holds the trapezoid rule of log I_e at tau_j = exp(j h) on the
+    log-g grid of the key, over a window fixed by tau_j alone, so its value
+    depends only on the key and j.  Nodes are taken as interpolation first
+    reaches them, from the lowest interval up, and kept.  Interval j,
+    log tau in [j h, (j + 1) h), holds the monomial coefficients in
+    t = log tau / h - j of the Lagrange polynomial through nodes j - 3 to
+    j + 4.
+    """
+
+    def __init__(self, c: float, df: float, beta: float, step: float, rule: _Rule):
+        self.c, self.df, self.beta, self.step, self.rule = c, df, beta, step, rule
+        self.first = math.floor(_LOG_TAU_MIN / rule.tau_step)  # lowest interval
+        self.log_i0 = float(self._nodes(np.array([-np.inf]))[0])
+        self.values = np.empty(0)  # nodes first - 3, first - 2, ...
+        self.coef = np.empty((_STENCIL.size, 0))  # by power; intervals first, first + 1, ...
+
+    def log_i(self, log_tau: np.ndarray) -> np.ndarray:
+        """log I_e at each log tau, elementwise."""
+        p = np.maximum(log_tau, _LOG_TAU_MIN) / self.rule.tau_step
+        j = np.floor(p)
+        t = p - j
+        coef = self._intervals(int(j.max()) - self.first + 1)
+        interval = j.astype(np.intp) - self.first
+        value = coef[-1].take(interval)
+        for power in coef[-2::-1]:
+            value = value * t + power.take(interval)
+        return np.where(log_tau < _LOG_TAU_MIN, self.log_i0, value)
+
+    def _intervals(self, n: int) -> np.ndarray:
+        """(powers, intervals) coefficients of at least the n lowest intervals."""
+        have = self.coef.shape[1]
+        if have >= n:
+            return self.coef
+        n = -(-n // 64) * 64  # grown 64 intervals at a time
+        first_node = self.first + _STENCIL[0]
+        new = first_node + np.arange(len(self.values), n + _STENCIL.size - 1)
+        self.values = np.concatenate([self.values, self._nodes(new * self.rule.tau_step)])
+        # the values at each new interval's stencil, less its left end's
+        around = self.values[np.arange(have, n)[:, None] + (_STENCIL - _STENCIL[0])]
+        left = around[:, -_STENCIL[0]]
+        diff = around - left[:, None]
+        coef = np.empty((_STENCIL.size, n - have))
+        coef[0] = left
+        for power, row in enumerate(_lagrange_matrix()[1:], start=1):
+            total = row[0] * diff[:, 0]
+            for m in range(1, _STENCIL.size):
+                total = total + row[m] * diff[:, m]
+            coef[power] = total
+        self.coef = np.concatenate([self.coef, coef], axis=1)
+        return self.coef
+
+    def _nodes(self, log_tau: np.ndarray) -> np.ndarray:
+        """log I_e at each log tau, by the trapezoid rule on its own window."""
+        c, rule = self.c, self.rule
+        lo = math.log(self.beta) - rule.g_below
+        # I_e(tau)'s integrand in u = log g peaks before log(tau / c) and
+        # decays at least like e^-u beyond it
+        hi = np.maximum(math.log(2.0 * self.beta), log_tau - math.log(c)) + rule.g_above
+        count = (np.ceil((hi - lo) / self.step) + 1).astype(int)
+        u, log_w = _log_g_grid(self.beta, self.step, rule, count.max())
+        shrink = 1.0 / (1.0 + c * np.exp(u))
+        log_node = log_w + 0.5 * self.df * np.log(shrink)
+        tau = np.exp(log_tau)
+        out = np.empty(log_tau.size)
+        for n in np.unique(count):
+            which = np.flatnonzero(count == n)
+            for part in np.array_split(which, -(-which.size * n // _NODE_VALUES)):
+                x = np.multiply(tau[part, None], shrink[:n])
+                out[part] = _logsumexp(np.subtract(log_node[:n], x, out=x), out=x)
+        return out
+
+
+@lru_cache(maxsize=_LATTICES)
+def _lattice(c: float, df: float, beta: float, step: float, rule: _Rule) -> _Lattice:
+    """The lattice of log I_e for c_e, df_e, the prior's beta and the rule."""
+    return _Lattice(c, df, beta, step, rule)
+
+
+@lru_cache(maxsize=1)
+def _lagrange_matrix() -> np.ndarray:
+    """Row p: the coefficients of t^p in the Lagrange basis of ``_STENCIL``.
+
+    The basis polynomial of node m is prod_{i != m} (t - i) / (m - i); the
+    product of integer roots is exact in doubles, so each entry rounds once.
+    """
+    columns = []
+    for m in _STENCIL:
+        others = _STENCIL[_STENCIL != m]
+        columns.append(np.polynomial.polynomial.polyfromroots(others) / np.prod(m - others))
+    return np.array(columns).T
 
 
 def _logsumexp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

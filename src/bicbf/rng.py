@@ -15,15 +15,18 @@ run, and a trial's draws depend only on its seed and trial index, never on
 the trials computed before it.  The default-prior oracle draws nothing: it
 is deterministic quadrature (``bicbf.gprior``).
 
-The streams of many indices are keyed at once: ``stream_words`` runs
-``SeedSequence``'s hash (O'Neill's seed_seq_fe with a pool of four 32-bit
-words, numpy's documented constants) in uint32 array arithmetic, one row
-per index, and gives each row the four uint64 words that
+The streams of many labels and indices are keyed at once: ``_label_words``
+runs ``SeedSequence``'s hash (O'Neill's seed_seq_fe with a pool of four
+32-bit words, numpy's documented constants) in uint32 array arithmetic,
+one row per (label, index), and gives each row the four uint64 words that
 ``SeedSequence([seed, key, index]).generate_state(4, np.uint64)`` gives.
-PCG64 still seeds itself from those words, through numpy's
-``ISeedSequence`` interface, so every stream is bit for bit the one
-``PCG64(SeedSequence([seed, key, index]))`` gives.  ``substream`` is the
-one-index case.
+The hash costs a fixed number of small array operations per pass, whatever
+the rows, so ``label_substreams`` keys a trial block's "effects" and
+"noise" streams in one pass.  PCG64 still seeds itself from those words,
+through numpy's ``ISeedSequence`` interface, so every stream is bit for bit
+the one ``PCG64(SeedSequence([seed, key, index]))`` gives.
+``stream_words`` and ``substreams`` are the one-label cases and
+``substream`` the one-index case.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import operator
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -139,36 +143,43 @@ def _indices(indices) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
-def _entropy(prefix: list[int], parts: list[np.ndarray]) -> np.ndarray:
-    """Rows of SeedSequence entropy: the shared words, then one column per
-    part, padded with zeros to the pool size as SeedSequence pads its pool."""
-    n_words = len(prefix) + len(parts)
-    entropy = np.zeros((parts[0].size, max(n_words, _POOL)), dtype=np.uint32)
-    entropy[:, : len(prefix)] = prefix
-    for k, part in enumerate(parts, start=len(prefix)):
-        entropy[:, k] = part
-    return entropy
-
-
 def stream_words(seed: int, label: str, indices) -> np.ndarray:
     """The PCG64 seed words of the ``(seed, label, index)`` streams.
 
     Row i of the (len(indices), 4) uint64 result is
     ``SeedSequence([seed, label_key(label), indices[i]]).generate_state(4,
-    np.uint64)``.  Indices of two uint32 words are hashed as a separate
-    group, since SeedSequence mixes a longer entropy differently.  A
+    np.uint64)``.  The one-label case of ``_label_words``.
+    """
+    return _label_words(seed, [label], indices)[0]
+
+
+def _label_words(seed: int, labels: Sequence[str], indices) -> np.ndarray:
+    """(len(labels), len(indices), 4) uint64: row [l, i] holds the PCG64 seed
+    words of stream ``(seed, labels[l], indices[i])``.
+
+    Every row is hashed in one ``_state`` pass per entropy length, as
+    SeedSequence mixes a longer entropy differently: one pass in all, unless
+    an index of two uint32 words or a label key of one is among them.  A
     negative or non-integral seed or index, or an index of 2**64 or more,
     is a DomainError.
     """
     indices = _indices(indices)
-    prefix = _words(_seed(seed)) + _words(label_key(label))
-    wide = indices > np.uint64(_MASK32)
-    if not wide.any():
-        return _state(_entropy(prefix, [indices]))
-    out = np.empty((indices.size, 4), dtype=np.uint64)
-    out[~wide] = _state(_entropy(prefix, [indices[~wide]]))
-    high = indices[wide]
-    out[wide] = _state(_entropy(prefix, [high & np.uint64(_MASK32), high >> np.uint64(32)]))
+    seed_words = _words(_seed(seed))
+    prefixes = [seed_words + _words(label_key(label)) for label in labels]
+    high = indices >> np.uint64(32)
+    # each row's entropy words: the seed's, the label key's, the index's,
+    # then zeros up to the pool size, as SeedSequence pads its pool
+    entropy = np.zeros((len(labels), indices.size, max(max(map(len, prefixes)) + 2, _POOL)),
+                       dtype=np.uint32)
+    for row, prefix in zip(entropy, prefixes):
+        row[:, : len(prefix)] = prefix
+        row[:, len(prefix)] = indices & np.uint64(_MASK32)
+        row[:, len(prefix) + 1] = high  # zero for a one-word index
+    lengths = np.array([len(p) + 1 for p in prefixes])[:, None] + (high > 0)
+    out = np.empty((len(labels), indices.size, 4), dtype=np.uint64)
+    for length in np.unique(lengths):
+        rows = lengths == length
+        out[rows] = _state(entropy[rows][:, : max(length, _POOL)])
     return out
 
 
@@ -184,10 +195,18 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def label_substreams(
+    seed: int, labels: Sequence[str], indices
+) -> list[list[np.random.Generator]]:
+    """Generators of the ``(seed, label, index)`` substreams: one list per
+    label, one generator per index, every stream keyed in one hash pass."""
+    return [[np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in rows]
+            for rows in _label_words(seed, labels, indices)]
+
+
 def substreams(seed: int, label: str, indices) -> list[np.random.Generator]:
     """Generators of the ``(seed, label, index)`` substreams, one per index."""
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            for words in stream_words(seed, label, indices)]
+    return label_substreams(seed, [label], indices)[0]
 
 
 def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:

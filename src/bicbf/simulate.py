@@ -13,7 +13,7 @@ the two routes reach the same decision.
 Trials run in blocks of as many as stack at most 2^18 observations, or of
 one trial where a trial has more.  A block's datasets are generated in one
 pass: the substreams of all its trials are keyed in one array pass
-(``bicbf.rng.substreams``) and each trial's draws fill its rows of one
+(``bicbf.rng.label_substreams``) and each trial's draws fill its rows of one
 stacked array, which is fitted in one array pass; the oracle sets up and
 integrates the whole block at once (``bicbf.gprior``).  The BIC runs per
 trial.  A block that fails runs its two halves in order, recursively, so
@@ -46,7 +46,7 @@ import numpy as np
 from .anova import EFFECTS, FactorialDataset, _fit_block, bic_bf_for_effect
 from .errors import BicbfError, DomainError, SimulationError
 from .gprior import GPriorSpec, _evaluate, _setup
-from .rng import substreams
+from .rng import label_substreams
 from .summary import invert
 
 __all__ = [
@@ -160,17 +160,14 @@ def _block_data(config: SimulationConfig, trials: Sequence[int]) -> np.ndarray:
     (alpha, tau, then gamma row by row; exactly zero when g = 0) from its
     "effects" substream, its noise one draw from its "noise" substream.
     Both streams of every trial are keyed in one array pass
-    (``bicbf.rng.substreams``); each trial's values are drawn into its own
+    (``bicbf.rng.label_substreams``); each trial's values are drawn into its own
     rows and composed elementwise, so a row is bitwise the same in any block.
     """
     a, b, cell_n = config.a_levels, config.b_levels, config.cell_n
     effects = np.empty((len(trials), a + b + a * b))
     y = np.empty((len(trials), a, b, cell_n))
-    for row, effects_rng, noise_rng in zip(
-        range(len(trials)),
-        substreams(config.seed, "effects", trials),
-        substreams(config.seed, "noise", trials),
-    ):
+    streams = label_substreams(config.seed, ("effects", "noise"), trials)
+    for row, (effects_rng, noise_rng) in enumerate(zip(*streams)):
         effects_rng.standard_normal(out=effects[row])
         noise_rng.standard_normal(out=y[row])
     effects *= math.sqrt(config.g)

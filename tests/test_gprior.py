@@ -1,10 +1,14 @@
 """g-prior Bayes factors: dense-matrix oracle, limits, quadrature accuracy."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,10 @@ from hypothesis import given, reject
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy.linalg import helmert
+from scipy.special import logsumexp
 from scipy.stats import invgamma
+
+import bicbf
 
 from bicbf import (
     DEFAULT_PRIOR_SCALE,
@@ -28,17 +35,21 @@ from bicbf import (
 )
 from bicbf.anova import _table
 from bicbf.gprior import (
+    _LATTICES,
+    _LOG_TAU_MIN,
     _PRIOR_SCALES,
     _RULE,
     MODEL_PAIRS,
     _column_norms,
+    _lattice,
     _log_conditional_bf10,
+    _log_g_grid,
     _outer_rule,
     _outer_spacing,
     _setup,
     _table_bf10,
 )
-from bicbf.simulate import generate_dataset
+from bicbf.simulate import generate_dataset, run_simulation
 from conftest import random_dataset
 
 
@@ -218,6 +229,27 @@ def nested_quad_log_marginal(table, effects, scale: float = DEFAULT_PRIOR_SCALE)
     val, _ = integrate.quad(lambda v: math.exp(log_f(v) - top), mode - 80 / math.sqrt(k),
                             mode + 8, points=[mode], limit=400, epsabs=0, epsrel=1e-12)
     return top + math.log(val)
+
+
+def direct_nested_log_bf10(table, spec: GPriorSpec = GPriorSpec(), rule=_RULE) -> float:
+    """log BF10 of AB by the nested rule with each log I_e taken directly.
+
+    The rule before the lattice: at every outer node, each log I_e is a
+    logsumexp over the table's own log-g grid, whose window reaches past
+    the farthest posterior mode of g.  The outer rule and the grid's
+    spacing are the oracle's.
+    """
+    setup = _setup([table], "AB", spec.scale, rule)
+    outer, k = setup.outer, setup.k
+    u, log_w = _log_g_grid(setup.beta, setup.step, rule, int(setup.count[0]))
+    shrink = 1.0 / (1.0 + setup.c[:, None] * np.exp(u))
+    log_node = log_w + 0.5 * setup.df[:, None] * np.log(shrink)
+    v = np.linspace(outer.lo, outer.hi[0], outer.count[0])
+    frac = np.array([table.ss(e) / table.ss_total for e in EFFECTS])
+    log_i = logsumexp(log_node - (np.exp(v)[:, None] * frac)[:, :, None] * shrink, axis=-1)
+    f_num = k * v - np.exp(v) * outer.rho[0] + log_i.sum(axis=1)
+    f_den = k * v - np.exp(v) * outer.rho_den[0] + log_i[:, outer.den].sum(axis=1)
+    return float(logsumexp(f_num) - logsumexp(f_den))
 
 
 def near_constant_cells(noise: float) -> FactorialDataset:
@@ -479,6 +511,7 @@ def finer_rule(factor: int = 4):
         s_step=_RULE.s_step / factor,
         s_max_step=_RULE.s_max_step / factor,
         s_edge=2.0 * _RULE.s_edge,
+        tau_step=_RULE.tau_step / factor,
     )
 
 
@@ -524,6 +557,31 @@ class TestQuadratureRule:
                         want = _table_bf10(table, effect, spec, fine).log_bf
                         worst = max(worst, abs(got - want))
         assert worst <= 1e-8
+
+    def test_interaction_within_bound_of_the_direct_rule(self):
+        # The lattice's interpolation error, against log I_e taken at every
+        # outer node on the table's own log-g grid.
+        worst = max(abs(_table_bf10(table, "AB", GPriorSpec()).log_bf
+                        - direct_nested_log_bf10(table)) for table in study_tables())
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("scale", [0.05, DEFAULT_PRIOR_SCALE, 10.0])
+    @pytest.mark.parametrize("a, b, cell_n", [(3, 4, 5), (5, 5, 3)], ids=["3x4", "5x5"])
+    def test_interaction_within_bound_of_the_direct_rule_across_prior_scales(
+        self, a, b, cell_n, scale
+    ):
+        # At r = 0.05 the prior's bulk and its tail trade places within a
+        # few hundredths of log tau on the 16-contrast block of 5x5; the
+        # lattice step is set by this bound there.
+        spec = GPriorSpec(scale=scale)
+        worst = 0.0
+        for seed in range(6):
+            for effect_scale in (1.0, 3.0):
+                table = fit_two_way(random_dataset(seed, a=a, b=b, cell_n=cell_n,
+                                                   effect_scale=effect_scale))
+                got = _table_bf10(table, "AB", spec).log_bf
+                worst = max(worst, abs(got - direct_nested_log_bf10(table, spec)))
+        assert worst <= 1e-10
 
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
     def test_main_effects_on_near_constant_cells(self, noise):
@@ -618,3 +676,63 @@ class TestSharedOuterGrid:
             assert hi[0] <= outer.hi[0]
             assert outer.step[0] <= _outer_spacing(setup.k)
             assert list(outer.den) == [e in den for e in num]
+
+
+def desk_records_bits() -> list[str]:
+    config = SimulationConfig(cell_n=50, g=0.2, trials=40, seed=1)
+    return [r.log_bf10_default.hex() for r in run_simulation(config)]
+
+
+DESK_RECORDS = """
+from bicbf import SimulationConfig, run_simulation
+config = SimulationConfig(cell_n=50, g=0.2, trials=40, seed=1)
+print(" ".join(r.log_bf10_default.hex() for r in run_simulation(config)))
+"""
+
+
+class TestLattice:
+    def test_records_do_not_depend_on_what_the_cache_holds(self):
+        _lattice.cache_clear()
+        empty = desk_records_bits()
+        spec = GPriorSpec()
+        reached = _lattice(50.0, 2.0, 0.5 * spec.scale**2, _RULE.g_step, _RULE).coef.shape[1]
+        # SSE/SST = 1e-100 on the desk design: the interaction's lattices,
+        # built afresh, reach some 235 past the study's end in log tau
+        _lattice.cache_clear()
+        table = _table(2, 3, 50, False, False, 1.0, 2.0, 3.0, 6e-100, 6.0 + 6e-100)
+        assert math.isfinite(_table_bf10(table, "AB", spec).log_bf)
+        lattice = _lattice(50.0, 2.0, 0.5 * spec.scale**2, _RULE.g_step, _RULE)
+        assert lattice.coef.shape[1] > reached + 200 / _RULE.tau_step
+        assert desk_records_bits() == empty
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        fresh = subprocess.run([sys.executable, "-c", DESK_RECORDS], env=env, check=True,
+                               capture_output=True, text=True).stdout.split()
+        assert fresh == empty
+
+    def test_one_trial_gives_its_block_value(self):
+        config = SimulationConfig(cell_n=50, g=0.2, trials=40, seed=1)
+        bits = desk_records_bits()
+        for trial in (0, 17, 39):
+            data = generate_dataset(config, trial)
+            for column, effect in enumerate(EFFECTS):
+                got = default_bf10(data, effect, config.oracle).log_bf.hex()
+                assert got == bits[3 * trial + column], (trial, effect)
+
+    def test_nodes_are_read_back_exactly_and_small_tau_is_tau_zero(self):
+        lattice = _lattice(50.0, 2.0, 0.25, _RULE.g_step, _RULE)
+        j = np.arange(-400, 400, 37)
+        at_nodes = lattice.log_i(j * _RULE.tau_step)
+        assert at_nodes.tobytes() == lattice._nodes(j * _RULE.tau_step).tobytes()
+        below = lattice.log_i(np.array([-np.inf, -40.0, np.nextafter(_LOG_TAU_MIN, -np.inf)]))
+        assert (below == lattice.log_i0).all()
+        # |d log I_e / d tau| <= 1: at tau = 1e-12 the lattice is within 1e-12 of I_e(0)
+        assert abs(lattice.log_i(np.array([_LOG_TAU_MIN]))[0] - lattice.log_i0) <= 1e-12
+
+    @given(random_tables())
+    def test_the_cache_stays_within_its_bound(self, table):
+        for effect in EFFECTS:
+            try:
+                _table_bf10(table, effect, GPriorSpec())
+            except DegenerateDataError:
+                pass
+        assert _lattice.cache_info().currsize <= _LATTICES

@@ -10,8 +10,16 @@ import itertools
 import numpy as np
 import pytest
 
+import bicbf.rng
 from bicbf import DomainError, SimulationConfig, generate_dataset
-from bicbf.rng import _SeedWords, label_key, stream_words, substream, substreams
+from bicbf.rng import (
+    _SeedWords,
+    label_key,
+    label_substreams,
+    stream_words,
+    substream,
+    substreams,
+)
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70 + 3]
 LABELS = ["effects", "noise", "gprior/AB"]
@@ -41,6 +49,21 @@ def test_an_index_array_may_cross_two_to_the_32(seed):
     for index, generator in zip(indices.tolist(), generators):
         want = np.random.PCG64(_numpy_seed_sequence(seed, "noise", index))
         assert generator.bit_generator.random_raw(4).tolist() == want.random_raw(4).tolist()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_labels_keyed_in_one_pass_are_numpys_streams(seed, monkeypatch):
+    # A label key below 2**32 is one entropy word, so its rows hash apart
+    # from the others', as do the indices of two words.
+    keys = {"effects": label_key("effects"), "noise": label_key("noise"), "short": 12345}
+    monkeypatch.setattr(bicbf.rng, "label_key", keys.__getitem__)
+    streams = label_substreams(seed, list(keys), INDICES)
+    assert [len(generators) for generators in streams] == [len(INDICES)] * len(keys)
+    for label, generators in zip(keys, streams):
+        for index, generator in zip(INDICES, generators):
+            want = np.random.PCG64(np.random.SeedSequence([seed, keys[label], index]))
+            got = generator.bit_generator.random_raw(4).tolist()
+            assert got == want.random_raw(4).tolist(), (label, index)
 
 
 # Draws of the rule as numpy gave them before this module hashed the
