@@ -11,7 +11,7 @@ Results files compatible with `bicbf report` are written next to a config
 file per condition.
 
 The full study (three cell sizes, 1000 trials) runs in one process, in
-about 2 s on one core; pass --quick for a 100-trial smoke run.  The
+about 1.5 s on one core; pass --quick for a 100-trial smoke run.  The
 nine conditions are independent, so for more cores run them as separate
 `bicbf simulate` calls.
 """

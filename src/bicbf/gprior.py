@@ -104,18 +104,20 @@ quadrature to 3.4e-13.  The result is a deterministic function of the data
 and the prior scale, so ``standard_error`` is exactly 0.
 
 Block evaluation.  ``_setup`` does the set-up of one effect for a block of
-tables in arrays: its checks, the node counts, and the shares rho and
-frac_e from the block's sums-of-squares columns.  A table that fails a
-check fails the whole set-up, with the error it gives alone; the
-simulation study then runs the block's trials one at a time to name the
-lowest failing one.  The grid's ends, spacing and weights depend only on
-the design and the prior scale, so the tables of a block share them.
+fits in arrays (``bicbf.anova._Block``, one row per table): its checks,
+the node counts, and the shares rho and frac_e, read straight from the
+block's sums-of-squares columns.  A table that fails a check fails the
+whole set-up, with the error it gives alone; the simulation study then
+splits the block to name the lowest failing trial.  The grid's ends,
+spacing and weights depend only on the design and the prior scale, so the
+tables of a block share them.
 ``_evaluate`` integrates the set-up: the simulation study passes a block
 of trials, and ``default_bf10`` is the one-table case.  A main effect's
-tables with the same log-g node count share (tables, nodes) arrays.  The
-interaction's tables go in order of outer node count, in chunks of whole
-tables of about 2^14 outer nodes, which bounds memory however many tables
-a block holds or however wide a near-zero error variance makes a window.
+tables with the same log-g node count share (tables, nodes) arrays, in
+chunks of whole tables of about 2^14 values.  The interaction's tables
+go in order of outer node count, in chunks of whole tables of about 2^14
+outer nodes.  Both bound memory however many tables a block holds or
+however wide a near-zero error variance makes a window.
 Interpolation is elementwise, and every sum and max runs along the last
 axis over one table's own nodes, with no padding, because padding would
 change numpy's pairwise summation.  So each value is bitwise what the
@@ -132,7 +134,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .anova import EFFECTS, AnovaTable, FactorialDataset, fit_two_way
+from .anova import EFFECTS, AnovaTable, FactorialDataset, _Block, fit_two_way
 from .errors import DegenerateDataError, DomainError
 from .summary import BayesFactorValue
 
@@ -159,9 +161,9 @@ MODEL_PAIRS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
-def _column_norms(table: AnovaTable) -> dict[str, int]:
+def _column_norms(table: AnovaTable | _Block) -> dict[str, int]:
     """c_e per effect: X_e'X_e = c_e I for orthonormal contrasts of balanced data."""
-    a, b = table.df_a + 1, table.df_b + 1
+    a, b = table.df("A") + 1, table.df("B") + 1
     return {"A": table.n_total // a, "B": table.n_total // b, "AB": table.n_total // (a * b)}
 
 
@@ -300,7 +302,7 @@ class _Rule:
 
 
 _RULE = _Rule()
-_ROWS = 2**14  # (table, outer node) rows interpolated at once, in whole tables
+_ROWS = 2**14  # (table, node) values taken at once, in whole tables
 _NODE_VALUES = 2**17  # (lattice node, log-g node) values taken at once
 _LATTICES = 32  # lattices kept, the most recently used
 _STENCIL = np.arange(-3, 5)  # lattice nodes of an interval, around its left end
@@ -354,28 +356,24 @@ def _table_bf10(
     table: AnovaTable, effect: str, spec: GPriorSpec, rule: _Rule = _RULE
 ) -> GPriorBayesFactor:
     """``default_bf10`` of a fitted table, for a known effect."""
-    setup = _setup([table], effect, spec.scale, rule)
+    setup = _setup(_Block.of(table), effect, spec.scale, rule)
     return GPriorBayesFactor(float(_evaluate(setup)[0]), "10")
 
 
-def _setup(
-    tables: Sequence[AnovaTable], effect: str, scale: float, rule: _Rule = _RULE
-) -> _Setup:
-    """Set-up of ``effect`` for each of a block of tables, in arrays.
+def _setup(block: _Block, effect: str, scale: float, rule: _Rule = _RULE) -> _Setup:
+    """Set-up of ``effect`` for each table of a block of fits, in arrays.
 
-    The tables share one design.  Every DegenerateDataError check of
-    ``default_bf10`` runs on every table, and the first failing table's
-    error is raised, with the message that table gives alone.
+    Every DegenerateDataError check of ``default_bf10`` runs on every row,
+    and the first failing row's error is raised, with the message that
+    table gives alone.
     """
     num_effects, den_effects = MODEL_PAIRS[effect]
-    design = tables[0]
-    columns = np.array([[t.ss_a, t.ss_b, t.ss_ab, t.ss_error, t.ss_total] for t in tables])
-    ss_of = dict(zip(EFFECTS, columns.T))
-    ss_error, ss_total = columns[:, 3], columns[:, 4]
-    k = 0.5 * (design.n_total - 1)
-    norms = _column_norms(design)
+    ss_of = {e: block.ss(e) for e in EFFECTS}
+    ss_error, ss_total = block.ss_error, block.ss_total
+    k = 0.5 * (block.n_total - 1)
+    norms = _column_norms(block)
     c = np.array([float(norms[e]) for e in num_effects])
-    df = np.array([float(design.df(e)) for e in num_effects])
+    df = np.array([float(block.df(e)) for e in num_effects])
     q = _residual(ss_error, ss_of, num_effects)
     ss = np.stack([ss_of[e] for e in num_effects], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -463,8 +461,9 @@ def _evaluate(setup: _Setup) -> np.ndarray:
     """log BF10 of each table of a set-up, bitwise what it gives alone.
 
     A main effect's tables with the same log-g node count share arrays,
-    one row each.  Every sum and max runs along the last axis over one
-    row's own nodes: padding a row would change numpy's pairwise summation.
+    one row each, in chunks of whole tables of about ``_ROWS`` values.
+    Every sum and max runs along the last axis over one row's own nodes:
+    padding a row would change numpy's pairwise summation.
     """
     if setup.outer is not None:
         return _nested_log_bf10(setup)
@@ -474,9 +473,10 @@ def _evaluate(setup: _Setup) -> np.ndarray:
     g = np.exp(u)
     for n in np.unique(count):  # one effect against the intercept: its conditional BF
         which = np.flatnonzero(count == n)
-        block = (setup.ss[which], setup.c[0], setup.df[0])
-        log_bf[which] = _logsumexp(log_w[:n] + _log_bf10_given_g(
-            setup.ss_total[which, None], setup.q[which, None], setup.k, [block], [g[:n]]))
+        for part in np.array_split(which, -(-which.size * n // _ROWS)):
+            block = (setup.ss[part], setup.c[0], setup.df[0])
+            log_bf[part] = _logsumexp(log_w[:n] + _log_bf10_given_g(
+                setup.ss_total[part, None], setup.q[part, None], setup.k, [block], [g[:n]]))
     return log_bf
 
 

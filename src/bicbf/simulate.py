@@ -14,11 +14,14 @@ Trials run in blocks of as many as stack at most 2^18 observations, or of
 one trial where a trial has more.  A block's datasets are generated in one
 pass: the substreams of all its trials are keyed in one array pass
 (``bicbf.rng.label_substreams``) and each trial's draws fill its rows of one
-stacked array, which is fitted in one array pass; the oracle sets up and
-integrates the whole block at once (``bicbf.gprior``).  The BIC runs per
-trial.  A block that fails runs its two halves in order, recursively, so
-the error names its lowest failing trial with the message it gives alone.
-``generate_dataset`` is the one-trial block.
+stacked array, which is fitted in one array pass into sums-of-squares
+columns (``bicbf.anova._fit_block``).  The BIC of each effect is one pass
+over the block's F column (``bicbf.anova._bic_log_bf10``), and the oracle
+sets up and integrates the whole block at once from the same columns
+(``bicbf.gprior``); no per-trial table is built.  A block that fails runs
+its two halves in order, recursively, so the error names its lowest
+failing trial with the message it gives alone.  ``generate_dataset`` is
+the one-trial block.
 
 Determinism: every draw comes from a substream keyed by (seed, label,
 trial), with separate labels for effect draws and noise draws, and each
@@ -43,11 +46,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .anova import EFFECTS, FactorialDataset, _fit_block, bic_bf_for_effect
+from .anova import EFFECTS, FactorialDataset, _bic_log_bf10, _fit_block
 from .errors import BicbfError, DomainError, SimulationError
 from .gprior import GPriorSpec, _evaluate, _setup
 from .rng import label_substreams
-from .summary import invert
 
 __all__ = [
     "SimulationConfig",
@@ -205,22 +207,24 @@ def run_simulation(
 def _block_records(config: SimulationConfig, trials: range) -> list[SimulationRecord]:
     """Records of consecutive trials, with one array pass per stage.
 
-    The block's datasets are generated in one pass and checked finite, the
-    BIC is computed one trial at a time, and the fit, the oracle's set-up
-    and its quadrature run on the whole block.  A block of several trials
-    that fails runs its two halves in order, recursively, so the error
-    names the lowest failing trial with the message that trial gives
-    alone: within a trial, effect by effect, the BIC before the oracle.
+    The block's datasets are generated in one pass and checked finite.
+    The fit gives one column per sum of squares, and each effect's BIC and
+    oracle read those columns for the whole block; only a row whose F
+    ratio is degenerate or not finite takes the one-table BIC, for its
+    error or its log-split branch.  A block of several trials that fails
+    runs its two halves in order, recursively, so the error names the
+    lowest failing trial with the message that trial gives alone: within
+    a trial, effect by effect, the BIC before the oracle.
     """
     try:
         y = _block_data(config, trials)
         if not np.isfinite(y).all():
             raise DomainError("observations must be finite")
-        tables = _fit_block(y)
+        block = _fit_block(y)
         bics, defaults = [], []
         for effect in EFFECTS:
-            bics.append([invert(bic_bf_for_effect(table, effect)).log_bf for table in tables])
-            defaults.append(_evaluate(_setup(tables, effect, config.oracle.scale)).tolist())
+            bics.append(_bic_log_bf10(block, effect))
+            defaults.append(_evaluate(_setup(block, effect, config.oracle.scale)).tolist())
         return [
             SimulationRecord(trial, effect, bic[row], default[row],
                              decide(bic[row]), decide(default[row]))

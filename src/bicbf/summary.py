@@ -173,7 +173,15 @@ def bf01_from_stat(stat: SummaryStat) -> BayesFactorValue:
         # R is above every ratio the finite branch sees; rounding must not put
         # its log term below theirs, or log BF01 would rise with F
         log1p_ratio = max(log1p_ratio, math.log1p(sys.float_info.max / df2))
-    return BayesFactorValue(0.5 * df1 * math.log(stat.n) - 0.5 * stat.n * log1p_ratio, "01")
+    return BayesFactorValue(_bic_log_bf01(df1, stat.n, log1p_ratio), "01")
+
+
+def _bic_log_bf01(df1: int, n: int, log1p_ratio):
+    """log BF01 = (df1/2) ln(n) - (n/2) ln(1 + F*df1/df2), given that last log.
+
+    The same operations on a float or on each element of an array.
+    """
+    return 0.5 * df1 * math.log(n) - 0.5 * n * log1p_ratio
 
 
 def delta_bic_10(sse1: float, sse0: float, n: int, dk: int) -> float:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
-from bicbf import FactorialDataset
+from bicbf import FactorialDataset, SimulationConfig, fit_two_way, generate_dataset
+from bicbf.anova import _table
 
 settings.register_profile(
     "bicbf",
@@ -34,3 +36,27 @@ def random_dataset(
 @pytest.fixture
 def make_dataset():
     return random_dataset
+
+
+def study_tables():
+    """Trials of the desk (cell_n 50) and wide (cell_n 20) designs at each g,
+    and 2x2 designs with 3 and 5 observations per cell."""
+    for cell_n in (50, 20):
+        for g in (0.0, 0.05, 0.2):
+            config = SimulationConfig(cell_n=cell_n, g=g, trials=8, seed=2026)
+            for trial in range(config.trials):
+                yield fit_two_way(generate_dataset(config, trial))
+    for cell_n in (3, 5):
+        for seed in range(6):
+            yield fit_two_way(random_dataset(seed, a=2, b=2, cell_n=cell_n))
+            yield fit_two_way(random_dataset(seed, a=2, b=2, cell_n=cell_n, effect_scale=3.0))
+
+
+@st.composite
+def random_tables(draw):
+    """The table of a random balanced design, its sums of squares spread over 120 decades."""
+    a, b = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cell_n = draw(st.integers(2, 60))
+    ss_a, ss_b, ss_ab, ss_error = (10.0 ** draw(st.floats(-60.0, 60.0)) for _ in range(4))
+    ss_total = ss_a + ss_b + ss_ab + ss_error
+    return _table(a, b, cell_n, ss_a, ss_b, ss_ab, ss_error, ss_total)

@@ -1,11 +1,14 @@
 """Two-way ANOVA: hand-checked cases, a least-squares oracle, invariances."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from bicbf import (
+    AnovaTable,
     DegenerateDataError,
     DomainError,
     FactorialDataset,
@@ -16,8 +19,10 @@ from bicbf import (
     default_bf10,
     delta_bic_10,
     fit_two_way,
+    invert,
 )
-from conftest import random_dataset
+from bicbf.anova import _bic_log_bf10, _Block, _fit_block, _table
+from conftest import random_dataset, random_tables, study_tables
 
 # 2x2x2 dataset crafted so only the interaction carries signal.  Cell means
 # are (1, -1; -1, 1), marginal means all zero, every observation lies one
@@ -110,6 +115,88 @@ class TestHandOracle:
             default_bf10(data, "AB")
         for effect in ("A", "B"):
             assert math.isfinite(default_bf10(data, effect).log_bf)
+
+    def test_an_error_mean_square_that_underflows_is_degenerate(self):
+        # SSE is a subnormal 1e-323, nonzero, but SSE/df_error rounds to 0.0
+        data = FactorialDataset(2, 2, 2, [[[0, 4.5e-162], [0, 0]], [[5, 5], [1, 1]]])
+        table = fit_two_way(data)
+        assert table.ss_error > 0.0 and table.ss_error / table.df_error == 0.0
+        assert table.degenerate
+        assert math.isnan(table.f_b)
+        with pytest.raises(DegenerateDataError, match="zero error variance"):
+            bic_bf_for_effect(table, "B")
+
+
+def _stacked(tables) -> _Block:
+    """The block of tables of one design, one row per table."""
+    columns = ("ss_a", "ss_b", "ss_ab", "ss_error", "ss_total")
+    design = _Block.of(tables[0])
+    return _Block(design.a, design.b, design.cell_n,
+                  *(np.array([getattr(t, name) for t in tables]) for name in columns))
+
+
+def _bic_bits(block: _Block, tables, effect: str) -> tuple[list[str], list[str]]:
+    """The block's BIC column and each table's scalar BIC, as hex."""
+    column = [value.hex() for value in _bic_log_bf10(block, effect)]
+    scalar = [invert(bic_bf_for_effect(table, effect)).log_bf.hex() for table in tables]
+    return column, scalar
+
+
+class TestBlockColumns:
+    """The columnar fit and BIC of the simulation study, bit for bit."""
+
+    def test_fit_two_way_is_its_block_row(self):
+        datasets = [random_dataset(seed, a=2, b=3, cell_n=3) for seed in range(4)]
+        flat = np.arange(6.0).reshape(2, 3, 1).repeat(3, axis=2)
+        tiny = flat.copy()
+        tiny[0, 0] = [0.0, 4.5e-162, 0.0]  # SSE/df_error underflows
+        huge = datasets[0].y.copy()
+        huge[0] += 1e200  # the effect sums of squares overflow to inf
+        for y in (np.full((2, 3, 3), 3.0), flat, tiny, huge):
+            datasets.append(FactorialDataset(2, 3, 3, y))
+        block = _fit_block(np.stack([d.y for d in datasets]))
+        for row, data in enumerate(datasets):
+            table = fit_two_way(data)
+            got = {
+                "n_total": block.n_total, "df_a": block.df("A"), "df_b": block.df("B"),
+                "df_ab": block.df("AB"), "df_error": block.df_error,
+                "degenerate": block.degenerate[row],
+                **{f"ss_{e.lower()}": block.ss(e)[row] for e in ("A", "B", "AB")},
+                "ss_error": block.ss_error[row], "ss_total": block.ss_total[row],
+                **{f"f_{e.lower()}": block.f(e)[row] for e in ("A", "B", "AB")},
+            }
+            assert set(got) == {f.name for f in fields(AnovaTable)}
+            for name, value in got.items():
+                assert float(value).hex() == float(getattr(table, name)).hex(), (row, name)
+
+    def test_bic_column_of_the_study_tables(self):
+        designs: dict[tuple[int, int, int], list[AnovaTable]] = {}
+        for table in study_tables():
+            designs.setdefault((table.n_total, table.df_a, table.df_b), []).append(table)
+        for tables in designs.values():
+            block = _stacked(tables)
+            for effect in ("A", "B", "AB"):
+                column, scalar = _bic_bits(block, tables, effect)
+                assert column == scalar, effect
+
+    @given(random_tables())
+    def test_bic_column_of_random_tables(self, table):
+        for effect in ("A", "B", "AB"):
+            column, scalar = _bic_bits(_Block.of(table), [table], effect)
+            assert column == scalar, effect
+
+    def test_an_overflowing_ratio_takes_the_log_split_branch(self):
+        # F_B = 1e308 is finite, and F_B * df_B overflows
+        df_error, ss_b = 2 * 3 * 49, 1e300
+        ss_error = ss_b / 2 / 1e308 * df_error
+        table = _table(2, 3, 50, 1.0, ss_b, 1.0, ss_error, ss_b + 2.0 + ss_error)
+        assert math.isfinite(table.f_b) and math.isinf(table.f_b * table.df_b)
+        tables = [fit_two_way(random_dataset(seed, a=2, b=3, cell_n=50)) for seed in (1, 2)]
+        tables.insert(1, table)
+        block = _stacked(tables)
+        for effect in ("A", "B", "AB"):
+            column, scalar = _bic_bits(block, tables, effect)
+            assert column == scalar, effect
 
 
 class TestLstsqOracle:

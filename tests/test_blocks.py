@@ -10,12 +10,15 @@ array's length and layout, which is tested here rather than assumed.
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import bicbf.anova
 import bicbf.simulate
+import bicbf.summary
 from bicbf import (
     DegenerateDataError,
     FactorialDataset,
@@ -291,6 +294,45 @@ def test_a_trial_failing_two_effects_reports_the_first(monkeypatch):
     _sabotage(monkeypatch, {4: _a_double_range()})
     message = _error(SimulationConfig(cell_n=3, g=0.2, trials=10, seed=0))
     assert message.startswith("trial 4: ") and "of model A: " in message
+
+
+FLAT_CELLS = np.arange(6.0).reshape(2, 3, 1).repeat(3, axis=2)  # zero SSE, cells differ
+
+
+def _overflowing() -> np.ndarray:
+    """Factor A's sum of squares overflows to inf, the error's stays finite."""
+    y = np.random.default_rng(9).normal(size=(2, 3, 3))
+    y[0] = 1e200
+    return y
+
+
+@pytest.mark.parametrize(
+    "trial, bad, match",
+    [(5, FLAT_CELLS, "zero error variance"), (3, _overflowing(), "got inf")],
+    ids=["flat-cells", "overflow"],
+)
+def test_the_block_bic_fails_as_the_trial_alone_without_warnings(monkeypatch, trial, bad,
+                                                                 match):
+    # the CI runs the CLI with PYTHONWARNINGS=error::RuntimeWarning
+    config = SimulationConfig(cell_n=3, g=0.2, trials=20, seed=0)
+    _sabotage(monkeypatch, {trial: bad})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = _error(config)
+        alone = _error(replace(config, trials=trial + 1), block=1)
+    assert message.startswith(f"trial {trial}: ") and match in message
+    assert message == alone
+
+
+def test_a_block_without_special_rows_builds_no_table_or_statistic(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a per-trial object was built")
+
+    for module, name in ((bicbf.anova, "_table"), (bicbf.anova, "AnovaTable"),
+                         (bicbf.summary, "SummaryStat"), (bicbf.summary, "BayesFactorValue")):
+        monkeypatch.setattr(module, name, built)
+    for cell_n in (50, 20, 2):
+        assert len(run_simulation(SimulationConfig(cell_n=cell_n, g=0.2, trials=30, seed=1))) == 90
 
 
 def test_a_block_holds_a_bounded_number_of_observations():

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, reject
-from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy.linalg import helmert
 from scipy.special import logsumexp
@@ -33,7 +32,7 @@ from bicbf import (
     default_bf10,
     fit_two_way,
 )
-from bicbf.anova import _table
+from bicbf.anova import _Block, _table
 from bicbf.gprior import (
     _LATTICES,
     _LOG_TAU_MIN,
@@ -50,7 +49,7 @@ from bicbf.gprior import (
     _table_bf10,
 )
 from bicbf.simulate import generate_dataset, run_simulation
-from conftest import random_dataset
+from conftest import random_dataset, random_tables, study_tables
 
 
 def contrasts(levels: int) -> np.ndarray:
@@ -239,7 +238,7 @@ def direct_nested_log_bf10(table, spec: GPriorSpec = GPriorSpec(), rule=_RULE) -
     the farthest posterior mode of g.  The outer rule and the grid's
     spacing are the oracle's.
     """
-    setup = _setup([table], "AB", spec.scale, rule)
+    setup = _setup(_Block.of(table), "AB", spec.scale, rule)
     outer, k = setup.outer, setup.k
     u, log_w = _log_g_grid(setup.beta, setup.step, rule, int(setup.count[0]))
     shrink = 1.0 / (1.0 + setup.c[:, None] * np.exp(u))
@@ -515,20 +514,6 @@ def finer_rule(factor: int = 4):
     )
 
 
-def study_tables():
-    """Trials of the desk (cell_n 50) and wide (cell_n 20) designs at each g,
-    and 2x2 designs with 3 and 5 observations per cell."""
-    for cell_n in (50, 20):
-        for g in (0.0, 0.05, 0.2):
-            config = SimulationConfig(cell_n=cell_n, g=g, trials=8, seed=2026)
-            for trial in range(config.trials):
-                yield fit_two_way(generate_dataset(config, trial))
-    for cell_n in (3, 5):
-        for seed in range(6):
-            yield fit_two_way(random_dataset(seed, a=2, b=2, cell_n=cell_n))
-            yield fit_two_way(random_dataset(seed, a=2, b=2, cell_n=cell_n, effect_scale=3.0))
-
-
 class TestQuadratureRule:
     def test_within_bound_of_a_four_times_finer_rule(self):
         fine = finer_rule(4)
@@ -645,16 +630,6 @@ class TestQuadratureRule:
         assert peak < 16 * 2**20
 
 
-@st.composite
-def random_tables(draw):
-    """The table of a random balanced design, its sums of squares spread over 120 decades."""
-    a, b = draw(st.integers(2, 6)), draw(st.integers(2, 6))
-    cell_n = draw(st.integers(2, 60))
-    ss_a, ss_b, ss_ab, ss_error = (10.0 ** draw(st.floats(-60.0, 60.0)) for _ in range(4))
-    ss_total = ss_a + ss_b + ss_ab + ss_error
-    return _table(a, b, cell_n, False, False, ss_a, ss_b, ss_ab, ss_error, ss_total)
-
-
 class TestSharedOuterGrid:
     @given(random_tables())
     def test_denominator_window_lies_inside_the_numerators(self, table):
@@ -666,7 +641,7 @@ class TestSharedOuterGrid:
             if not den:
                 continue
             try:
-                setup = _setup([table], effect, DEFAULT_PRIOR_SCALE)
+                setup = _setup(_Block.of(table), effect, DEFAULT_PRIOR_SCALE)
             except DegenerateDataError:
                 reject()
             outer = setup.outer
@@ -699,7 +674,7 @@ class TestLattice:
         # SSE/SST = 1e-100 on the desk design: the interaction's lattices,
         # built afresh, reach some 235 past the study's end in log tau
         _lattice.cache_clear()
-        table = _table(2, 3, 50, False, False, 1.0, 2.0, 3.0, 6e-100, 6.0 + 6e-100)
+        table = _table(2, 3, 50, 1.0, 2.0, 3.0, 6e-100, 6.0 + 6e-100)
         assert math.isfinite(_table_bf10(table, "AB", spec).log_bf)
         lattice = _lattice(50.0, 2.0, 0.5 * spec.scale**2, _RULE.g_step, _RULE)
         assert lattice.coef.shape[1] > reached + 200 / _RULE.tau_step
