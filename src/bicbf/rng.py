@@ -21,10 +21,12 @@ runs ``SeedSequence``'s hash (O'Neill's seed_seq_fe with a pool of four
 one row per (label, index), and gives each row the four uint64 words that
 ``SeedSequence([seed, key, index]).generate_state(4, np.uint64)`` gives.
 The hash costs a fixed number of small array operations per pass, whatever
-the rows, so ``label_substreams`` keys a trial block's "effects" and
-"noise" streams in one pass.  PCG64 still seeds itself from those words,
-through numpy's ``ISeedSequence`` interface, so every stream is bit for bit
-the one ``PCG64(SeedSequence([seed, key, index]))`` gives.
+the rows, so a trial block's "effects" and "noise" streams are keyed in
+one pass.  PCG64 still seeds itself from those words, through numpy's
+``ISeedSequence`` interface (``_generator``), so every stream is bit for
+bit the one ``PCG64(SeedSequence([seed, key, index]))`` gives.  The words
+take 32 bytes a stream and a generator some 750 traced, so the study keeps
+a block's words and builds each trial's generators only for its draws.
 ``stream_words`` and ``substreams`` are the one-label cases and
 ``substream`` the one-index case.
 """
@@ -195,12 +197,17 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The generator of one stream from its row of ``_label_words``."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def label_substreams(
     seed: int, labels: Sequence[str], indices
 ) -> list[list[np.random.Generator]]:
     """Generators of the ``(seed, label, index)`` substreams: one list per
     label, one generator per index, every stream keyed in one hash pass."""
-    return [[np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in rows]
+    return [[_generator(words) for words in rows]
             for rows in _label_words(seed, labels, indices)]
 
 

@@ -13,7 +13,7 @@ the two routes reach the same decision.
 Trials run in blocks of as many as stack at most 2^18 observations, or of
 one trial where a trial has more.  A block's datasets are generated in one
 pass: the substreams of all its trials are keyed in one array pass
-(``bicbf.rng.label_substreams``) and each trial's draws fill its rows of one
+(``bicbf.rng._label_words``) and each trial's draws fill its rows of one
 stacked array, which is fitted in one array pass into sums-of-squares
 columns (``bicbf.anova._fit_block``).  The BIC of each effect is one pass
 over the block's F column (``bicbf.anova._bic_log_bf10``), and the oracle
@@ -49,7 +49,7 @@ import numpy as np
 from .anova import EFFECTS, FactorialDataset, _bic_log_bf10, _fit_block
 from .errors import BicbfError, DomainError, SimulationError
 from .gprior import GPriorSpec, _evaluate, _setup
-from .rng import label_substreams
+from .rng import _generator, _label_words
 
 __all__ = [
     "SimulationConfig",
@@ -162,16 +162,18 @@ def _block_data(config: SimulationConfig, trials: Sequence[int]) -> np.ndarray:
     (alpha, tau, then gamma row by row; exactly zero when g = 0) from its
     "effects" substream, its noise one draw from its "noise" substream.
     Both streams of every trial are keyed in one array pass
-    (``bicbf.rng.label_substreams``); each trial's values are drawn into its own
-    rows and composed elementwise, so a row is bitwise the same in any block.
+    (``bicbf.rng._label_words``), and a trial's two generators are built
+    from its words only for its draws, so a block holds one trial's
+    generators at a time.  Each trial's values are drawn into its own rows
+    and composed elementwise, so a row is bitwise the same in any block.
     """
     a, b, cell_n = config.a_levels, config.b_levels, config.cell_n
     effects = np.empty((len(trials), a + b + a * b))
     y = np.empty((len(trials), a, b, cell_n))
-    streams = label_substreams(config.seed, ("effects", "noise"), trials)
-    for row, (effects_rng, noise_rng) in enumerate(zip(*streams)):
-        effects_rng.standard_normal(out=effects[row])
-        noise_rng.standard_normal(out=y[row])
+    words = _label_words(config.seed, ("effects", "noise"), trials)
+    for row, (effects_words, noise_words) in enumerate(zip(*words)):
+        _generator(effects_words).standard_normal(out=effects[row])
+        _generator(noise_words).standard_normal(out=y[row])
     effects *= math.sqrt(config.g)
     alpha, tau, gamma = effects[:, :a], effects[:, a : a + b], effects[:, a + b :]
     cells = alpha[:, :, None, None] + tau[:, None, :, None] + gamma.reshape(-1, a, b, 1)
@@ -314,6 +316,23 @@ class DensitySeries:
     density: np.ndarray = field(repr=False)
 
 
+_KDE_VALUES = 2**14  # (grid point, value) products taken at once, in whole grid rows
+
+
+def _kernel_sums(x: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+    """Row sums of exp(-0.5 * z * z), z = (x[i] - values[j]) / h, in chunks of rows."""
+    sums = np.empty(x.size)
+    rows = max(1, _KDE_VALUES // values.size)
+    for start in range(0, x.size, rows):
+        z = np.subtract.outer(x[start : start + rows], values)
+        z /= h
+        t = np.multiply(z, -0.5)
+        t *= z
+        np.exp(t, out=t)
+        t.sum(axis=1, out=sums[start : start + rows])
+    return sums
+
+
 def emit_density_data(
     records: Iterable[SimulationRecord], bandwidth: float | None = None
 ) -> list[DensitySeries]:
@@ -323,6 +342,13 @@ def emit_density_data(
     h being ``bandwidth`` or Silverman's rule.  A group with no spread, or a
     bandwidth that takes its grid or density out of the double range, has no
     density; the error names it.
+
+    The kernel sums run in chunks of whole grid rows of about
+    ``_KDE_VALUES`` (grid point, value) products, so memory does not grow
+    with the grid times the trials.  Each product goes through the IEEE
+    operations of the one-shot ``exp(-0.5 * z * z).sum(axis=1)`` with
+    z = (x - value) / h, and each row is summed alone over the same
+    contiguous values, so the densities are bitwise the one-shot formula's.
     """
     records = list(records)
     if not records:
@@ -346,10 +372,8 @@ def emit_density_data(
             h = bandwidth if bandwidth is not None else silverman_bandwidth(array)
             with np.errstate(all="ignore"):  # z * z may overflow: exp(-inf) = 0 is right
                 x = np.linspace(array.min() - 3 * h, array.max() + 3 * h, DENSITY_GRID_POINTS)
-                z = (x[:, None] - array[None, :]) / h
-                density = np.exp(-0.5 * z * z).sum(axis=1) / (
-                    array.size * h * math.sqrt(2.0 * math.pi)
-                )
+                density = _kernel_sums(x, array, h)
+                density /= array.size * h * math.sqrt(2.0 * math.pi)
             if not (np.isfinite(x).all() and np.isfinite(density).all()):
                 raise DomainError(f"bandwidth {h!r} takes the effect {effect}, {bf_type} "
                                   "density grid or values out of the double range")
@@ -357,22 +381,21 @@ def emit_density_data(
     return series
 
 
+# Rows as the csv module writes them: no field of either file needs quoting
+# (effects, BF types and decisions are fixed words; numbers have no comma),
+# and "\r\n" is its line terminator.
+_RESULTS_ROW = "%d,%s,%.17g,%.17g,%s,%s\r\n"
+
+
 def write_records(records: Iterable[SimulationRecord], path: str | Path) -> None:
     """Write the results file: one row per (trial, effect), 17 significant digits."""
     with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RESULTS_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.trial,
-                    r.effect,
-                    "%.17g" % r.log_bf10_bic,
-                    "%.17g" % r.log_bf10_default,
-                    r.decision_bic,
-                    r.decision_default,
-                ]
-            )
+        handle.write(",".join(RESULTS_HEADER) + "\r\n")
+        handle.writelines(
+            _RESULTS_ROW % (r.trial, r.effect, r.log_bf10_bic, r.log_bf10_default,
+                            r.decision_bic, r.decision_default)
+            for r in records
+        )
 
 
 def read_records(path: str | Path) -> list[SimulationRecord]:
@@ -415,11 +438,10 @@ def read_records(path: str | Path) -> list[SimulationRecord]:
 def write_density_data(series: Iterable[DensitySeries], path: str | Path) -> None:
     """Write density series as delimited rows: effect, bf_type, x, density."""
     with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(DENSITY_HEADER)
+        handle.write(",".join(DENSITY_HEADER) + "\r\n")
         for s in series:
-            for x, d in zip(s.x, s.density):
-                writer.writerow([s.effect, s.bf_type, "%.17g" % x, "%.17g" % d])
+            values = np.column_stack((s.x, s.density)).ravel().tolist()  # x, density, ...
+            handle.write((f"{s.effect},{s.bf_type},%.17g,%.17g\r\n" * len(s.x)) % tuple(values))
 
 
 # Field annotations are strings under ``from __future__ import annotations``.

@@ -1,7 +1,9 @@
 """Simulation harness: generation, determinism, summaries, file formats."""
 
+import csv
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ import pytest
 
 import bicbf.simulate
 from bicbf import (
+    DensitySeries,
     DomainError,
     FiveNumber,
     GPriorSpec,
@@ -294,6 +297,111 @@ class TestDensity:
         peak = 1.0 / (2 * 1e-300 * math.sqrt(2 * math.pi))
         assert s.density[0] == s.density[-1] == pytest.approx(peak, rel=1e-12)
         assert np.all(s.density[1:-1] == 0.0)
+
+
+def one_shot_density(values, h):
+    """Grid and density by the one-shot formula, one (rows, values) array
+    per slab of grid rows; its rows are independent, and slabs of 2^21
+    values bound the test's memory at large groups."""
+    with np.errstate(all="ignore"):
+        x = np.linspace(values.min() - 3 * h, values.max() + 3 * h, 512)
+        rows = max(1, 2**21 // values.size)
+        sums = []
+        for start in range(0, x.size, rows):
+            z = (x[start : start + rows, None] - values[None, :]) / h
+            sums.append(np.exp(-0.5 * z * z).sum(axis=1))
+        return x, np.concatenate(sums) / (values.size * h * math.sqrt(2.0 * math.pi))
+
+
+class TestChunkedDensity:
+    """The kernel sums run in chunks of grid rows; every bit stays the
+    one-shot formula's, whatever the group size and bandwidth."""
+
+    # 1000 values give chunks of 16 rows and 32 chunks; 16385 and 33000
+    # give chunks of one row
+    @pytest.mark.parametrize("size", [1000, 16385, 33000])
+    @pytest.mark.parametrize("bandwidth", [1e-300, 0.5, 1e150, None],
+                             ids=["tiny", "half", "huge", "silverman"])
+    def test_densities_are_bitwise_the_one_shot_formula(self, size, bandwidth):
+        rng = np.random.default_rng(size)
+        bic = np.round(rng.standard_normal(size) * 10, 3)  # ties, far tails
+        default = rng.standard_cauchy(size)
+        records = [record(t, "A", b, d) for t, (b, d) in enumerate(zip(bic.tolist(),
+                                                                       default.tolist()))]
+        series = emit_density_data(records, bandwidth=bandwidth)
+        for s, values in zip(series, (bic, default)):
+            h = bandwidth if bandwidth is not None else silverman_bandwidth(values)
+            assert s.bandwidth == h
+            x, density = one_shot_density(values, h)
+            assert np.array_equal(s.x, x)
+            assert np.array_equal(s.density, density), (s.bf_type, size, bandwidth)
+
+    def test_memory_does_not_grow_with_grid_times_values(self):
+        # one (512, 20000) temporary alone is 78 MiB
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((20000, 3, 2)).tolist()
+        records = [record(t, effect, bic, default)
+                   for t, row in enumerate(values)
+                   for effect, (bic, default) in zip(("A", "B", "AB"), row)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            emit_density_data(records)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB traced"
+
+
+# The writers as they were with the csv module, which the one-format writers
+# must match byte for byte.
+def csv_write_records(records, path):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(bicbf.simulate.RESULTS_HEADER)
+        for r in records:
+            writer.writerow([r.trial, r.effect, "%.17g" % r.log_bf10_bic,
+                             "%.17g" % r.log_bf10_default, r.decision_bic, r.decision_default])
+
+
+def csv_write_density_data(series, path):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(bicbf.simulate.DENSITY_HEADER)
+        for s in series:
+            for x, d in zip(s.x, s.density):
+                writer.writerow([s.effect, s.bf_type, "%.17g" % x, "%.17g" % d])
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308,
+            -1.7976931348623157e308, 0.1, -2.5, 1e22, 123456789.0]
+
+
+class TestWritersMatchTheCsvModule:
+    def test_results_file_bytes(self, null_run, tmp_path):
+        _, records = null_run
+        extremes = [record(trial, effect, bic, default)
+                    for trial, (effect, bic, default) in zip(
+                        [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 7, 8, 9, 10, 11],
+                        zip(["A", "B", "AB"] * 4, EXTREMES, EXTREMES[::-1]))]
+        for rows in ([], extremes, records + extremes):
+            want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+            csv_write_records(rows, want)
+            write_records(rows, got)
+            assert got.read_bytes() == want.read_bytes()
+            assert read_records(got) == rows
+
+    def test_density_file_bytes(self, null_run, tmp_path):
+        _, records = null_run
+        extremes = np.array(EXTREMES)
+        series = [*emit_density_data(records),
+                  DensitySeries("AB", "default", 1.0, extremes, extremes[::-1].copy()),
+                  DensitySeries("A", "bic", 1.0, np.array([]), np.array([]))]
+        for rows in ([], series[:1], series):
+            want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+            csv_write_density_data(rows, want)
+            write_density_data(rows, got)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestResultsFiles:
