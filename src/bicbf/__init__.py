@@ -55,6 +55,7 @@ _LAZY_NAMES = {
     "DensitySeries": "simulate",
     "EffectSummary": "simulate",
     "FiveNumber": "simulate",
+    "RecordTable": "simulate",
     "SimulationConfig": "simulate",
     "SimulationRecord": "simulate",
     "decide": "simulate",

@@ -23,6 +23,11 @@ its two halves in order, recursively, so the error names its lowest
 failing trial with the message it gives alone.  ``generate_dataset`` is
 the one-trial block.
 
+The records stay columns from the block to the report: ``run_simulation``
+and ``read_records`` return one ``RecordTable``, which the writer, the
+summaries and the densities read column by column.  A ``SimulationRecord``
+is built only when a table is indexed or iterated.
+
 Determinism: every draw comes from a substream keyed by (seed, label,
 trial), with separate labels for effect draws and noise draws, and each
 stream is bit for bit ``PCG64(SeedSequence([seed, key, trial]))``; the
@@ -40,9 +45,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -54,6 +62,7 @@ from .rng import _generator, _label_words
 __all__ = [
     "SimulationConfig",
     "SimulationRecord",
+    "RecordTable",
     "FiveNumber",
     "EffectSummary",
     "DensitySeries",
@@ -149,6 +158,134 @@ def decide(log_bf10: float) -> str:
     return "H1" if log_bf10 > 0 else "H0"
 
 
+def _decisions(log_bf10: np.ndarray) -> np.ndarray:
+    """``decide`` of each value."""
+    return np.where(log_bf10 > 0, "H1", "H0")
+
+
+def _trial_column(trials) -> np.ndarray:
+    """Trial numbers as int64, or as Python ints where one does not fit."""
+    try:
+        return np.array(trials, dtype=np.int64)
+    except OverflowError:
+        return np.array(trials, dtype=object)
+
+
+_EFFECT_CODES = {effect: code for code, effect in enumerate(EFFECTS)}
+_EFFECT_NAMES = np.array(EFFECTS, dtype=object)
+_DECISION_CODES = {"H0": 0, "H1": 1}  # a decision's code is its log BF10 > 0
+
+
+class RecordTable(Sequence):
+    """Records as columns: a read-only list of ``SimulationRecord``.
+
+    ``trial`` holds the trial numbers (int64, or Python ints where one does
+    not fit), ``effect`` each record's index into ``EFFECTS`` (int8), and
+    ``log_bf10_bic`` and ``log_bf10_default`` the float64 log Bayes
+    factors; each decision is its log BF10 > 0, as ``decide`` takes it.
+    The columns are taken as checked: ``run_simulation`` and
+    ``read_records`` check them in arrays, and ``RecordTable.of`` builds a
+    table from records, which check themselves.
+
+    A table has a length, takes int, negative and stepped-slice indices
+    (a slice is a table), iterates, and compares equal to another table or
+    to any sequence of the same records, from either side; ``+`` joins it
+    with a table or a list of records.  An index or iteration builds each
+    record on demand, a validated ``SimulationRecord`` with Python int,
+    str and float fields.
+    """
+
+    __slots__ = ("trial", "effect", "log_bf10_bic", "log_bf10_default")
+
+    def __init__(self, trial: np.ndarray, effect: np.ndarray, log_bf10_bic: np.ndarray,
+                 log_bf10_default: np.ndarray):
+        columns = (trial, effect, log_bf10_bic, log_bf10_default)
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError(f"columns of different lengths {[len(c) for c in columns]}")
+        for name, column in zip(self.__slots__, columns):
+            column = column.view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        return RecordTable, self._columns()
+
+    @classmethod
+    def of(cls, records: Iterable[SimulationRecord]) -> "RecordTable":
+        """The records as a table; a table is itself."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        return cls(_trial_column([r.trial for r in records]),
+                   np.array([_EFFECT_CODES[r.effect] for r in records], dtype=np.int8),
+                   np.array([r.log_bf10_bic for r in records], dtype=float),
+                   np.array([r.log_bf10_default for r in records], dtype=float))
+
+    @classmethod
+    def concat(cls, tables: Sequence["RecordTable"]) -> "RecordTable":
+        """The tables one after another."""
+        return cls(*(np.concatenate([getattr(t, name) for t in tables])
+                     for name in cls.__slots__))
+
+    def _columns(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordTable(*(column[index] for column in self._columns()))
+        try:
+            row = range(len(self))[index]
+        except TypeError:
+            raise TypeError(f"record table indices must be integers or slices, "
+                            f"not {type(index).__name__}") from None
+        except IndexError:
+            raise IndexError("record table index out of range") from None
+        bic, default = float(self.log_bf10_bic[row]), float(self.log_bf10_default[row])
+        return SimulationRecord(int(self.trial[row]), EFFECTS[self.effect[row]], bic, default,
+                                decide(bic), decide(default))
+
+    def __iter__(self):
+        bic, default = self.log_bf10_bic, self.log_bf10_default
+        return map(SimulationRecord, self.trial.tolist(), _EFFECT_NAMES[self.effect].tolist(),
+                   bic.tolist(), default.tolist(), _decisions(bic).tolist(),
+                   _decisions(default).tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, RecordTable):
+            return len(self) == len(other) and all(
+                np.array_equal(mine, theirs)
+                for mine, theirs in zip(self._columns(), other._columns()))
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __add__(self, other):
+        if not isinstance(other, (RecordTable, list)):
+            return NotImplemented
+        return RecordTable.concat([self, RecordTable.of(other)])
+
+    def __radd__(self, other):
+        if not isinstance(other, list):
+            return NotImplemented
+        return RecordTable.concat([RecordTable.of(other), self])
+
+    def __repr__(self) -> str:
+        return f"<RecordTable of {len(self)} records>"
+
+    def _effect_columns(self):
+        """(effect, its log_bf10_bic, its log_bf10_default) per effect present, in file order."""
+        for code, effect in enumerate(EFFECTS):
+            rows = self.effect == code
+            if rows.any():
+                yield effect, self.log_bf10_bic[rows], self.log_bf10_default[rows]
+
+
 def generate_dataset(config: SimulationConfig, trial: int) -> FactorialDataset:
     """The dataset of one trial: the one-trial case of ``_block_data``."""
     y = _block_data(config, [trial])[0]
@@ -186,7 +323,7 @@ _BLOCK_VALUES = 2**18  # observations stacked in a block, which bound its memory
 def run_simulation(
     config: SimulationConfig,
     progress: Callable[[int, int], None] | None = None,
-) -> list[SimulationRecord]:
+) -> RecordTable:
     """All records of the configured study, in (trial, effect) order.
 
     Trials run in blocks of as many as stack at most ``_BLOCK_VALUES``
@@ -196,43 +333,48 @@ def run_simulation(
     """
     per_trial = config.a_levels * config.b_levels * config.cell_n
     size = max(1, _BLOCK_VALUES // per_trial)
-    records = []
+    blocks = []
     for start in range(0, config.trials, size):
         trials = range(start, min(start + size, config.trials))
-        records += _block_records(config, trials)
+        blocks.append(_block_records(config, trials))
         if progress is not None:
             for trial in trials:
                 progress(trial + 1, config.trials)
-    return records
+    return RecordTable.concat(blocks)
 
 
-def _block_records(config: SimulationConfig, trials: range) -> list[SimulationRecord]:
+def _block_records(config: SimulationConfig, trials: range) -> RecordTable:
     """Records of consecutive trials, with one array pass per stage.
 
     The block's datasets are generated in one pass and checked finite.
     The fit gives one column per sum of squares, and each effect's BIC and
     oracle read those columns for the whole block; only a row whose F
     ratio is degenerate or not finite takes the one-table BIC, for its
-    error or its log-split branch.  A block of several trials that fails
-    runs its two halves in order, recursively, so the error names the
-    lowest failing trial with the message that trial gives alone: within
-    a trial, effect by effect, the BIC before the oracle.
+    error or its log-split branch.  The log Bayes factors are checked
+    finite in arrays, in record order, as ``SimulationRecord`` checks them.
+    A block of several trials that fails runs its two halves in order,
+    recursively, so the error names the lowest failing trial with the
+    message that trial gives alone: within a trial, effect by effect, the
+    BIC before the oracle.
     """
     try:
         y = _block_data(config, trials)
         if not np.isfinite(y).all():
             raise DomainError("observations must be finite")
         block = _fit_block(y)
-        bics, defaults = [], []
-        for effect in EFFECTS:
-            bics.append(_bic_log_bf10(block, effect))
-            defaults.append(_evaluate(_setup(block, effect, config.oracle.scale)).tolist())
-        return [
-            SimulationRecord(trial, effect, bic[row], default[row],
-                             decide(bic[row]), decide(default[row]))
-            for row, trial in enumerate(trials)
-            for effect, bic, default in zip(EFFECTS, bics, defaults)
-        ]
+        bic = np.empty((len(trials), len(EFFECTS)))
+        default = np.empty_like(bic)
+        for column, effect in enumerate(EFFECTS):
+            bic[:, column] = _bic_log_bf10(block, effect)
+            default[:, column] = _evaluate(_setup(block, effect, config.oracle.scale))
+        routes = np.stack((bic, default), axis=-1)  # trial, effect, then route
+        bad = np.flatnonzero(~np.isfinite(routes))
+        if bad.size:
+            label = ("bic", "default")[bad[0] % 2]
+            raise DomainError(f"log_bf10_{label} must be finite, got {routes.flat[bad[0]]}")
+        return RecordTable(np.repeat(np.arange(trials.start, trials.stop), len(EFFECTS)),
+                           np.tile(np.arange(len(EFFECTS), dtype=np.int8), len(trials)),
+                           bic.ravel(), default.ravel())
     except BicbfError as exc:
         if len(trials) == 1:
             raise SimulationError(f"trial {trials[0]}: {exc}") from exc
@@ -274,21 +416,18 @@ class EffectSummary:
 
 def summarize(records: Iterable[SimulationRecord]) -> dict[str, EffectSummary]:
     """Per-effect summaries, keyed by effect, for the effects present."""
-    records = list(records)
-    if not records:
+    records = RecordTable.of(records)
+    if not len(records):
         raise DomainError("no records to summarize")
     out: dict[str, EffectSummary] = {}
-    for effect in EFFECTS:
-        group = [r for r in records if r.effect == effect]
-        if not group:
-            continue
-        agree = sum(r.decision_bic == r.decision_default for r in group)
+    for effect, bic, default in records._effect_columns():
+        agree = int(np.count_nonzero((bic > 0) == (default > 0)))
         out[effect] = EffectSummary(
             effect=effect,
-            n_trials=len(group),
-            bic=FiveNumber.of([r.log_bf10_bic for r in group]),
-            default=FiveNumber.of([r.log_bf10_default for r in group]),
-            consistency=agree / len(group),
+            n_trials=bic.size,
+            bic=FiveNumber.of(bic),
+            default=FiveNumber.of(default),
+            consistency=agree / bic.size,
         )
     return out
 
@@ -350,21 +489,14 @@ def emit_density_data(
     z = (x - value) / h, and each row is summed alone over the same
     contiguous values, so the densities are bitwise the one-shot formula's.
     """
-    records = list(records)
-    if not records:
+    records = RecordTable.of(records)
+    if not len(records):
         raise DomainError("no records for density estimation")
     if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
         raise DomainError(f"bandwidth must be positive, got {bandwidth}")
     series = []
-    for effect in EFFECTS:
-        group = [r for r in records if r.effect == effect]
-        if not group:
-            continue
-        for bf_type, values in (
-            ("bic", [r.log_bf10_bic for r in group]),
-            ("default", [r.log_bf10_default for r in group]),
-        ):
-            array = np.asarray(values)
+    for effect, bic, default in records._effect_columns():
+        for bf_type, array in (("bic", bic), ("default", default)):
             if np.all(array == array[0]):
                 raise DomainError(
                     f"effect {effect}, {bf_type} log BFs are constant; no density"
@@ -385,54 +517,172 @@ def emit_density_data(
 # (effects, BF types and decisions are fixed words; numbers have no comma),
 # and "\r\n" is its line terminator.
 _RESULTS_ROW = "%d,%s,%.17g,%.17g,%s,%s\r\n"
+_WRITE_ROWS = 2**14  # results rows formatted at once
 
 
 def write_records(records: Iterable[SimulationRecord], path: str | Path) -> None:
-    """Write the results file: one row per (trial, effect), 17 significant digits."""
+    """Write the results file: one row per (trial, effect), 17 significant digits.
+
+    Rows are formatted from the columns, ``_WRITE_ROWS`` at a time, each
+    value as a Python int, str or float.
+    """
+    records = RecordTable.of(records)
     with Path(path).open("w", newline="") as handle:
         handle.write(",".join(RESULTS_HEADER) + "\r\n")
-        handle.writelines(
-            _RESULTS_ROW % (r.trial, r.effect, r.log_bf10_bic, r.log_bf10_default,
-                            r.decision_bic, r.decision_default)
-            for r in records
-        )
+        for start in range(0, len(records), _WRITE_ROWS):
+            part = records[start : start + _WRITE_ROWS]
+            fields = np.empty((len(part), len(RESULTS_HEADER)), dtype=object)
+            fields[:, 0] = part.trial
+            fields[:, 1] = _EFFECT_NAMES[part.effect]
+            fields[:, 2] = part.log_bf10_bic
+            fields[:, 3] = part.log_bf10_default
+            fields[:, 4] = _decisions(part.log_bf10_bic)
+            fields[:, 5] = _decisions(part.log_bf10_default)
+            handle.write((_RESULTS_ROW * len(part)) % tuple(fields.ravel().tolist()))
 
 
-def read_records(path: str | Path) -> list[SimulationRecord]:
-    """Read a results file back; the first malformed row is named on error."""
+_READ_ROWS = 2**14  # rows parsed at once, which bound the reader's memory
+
+
+def read_records(path: str | Path) -> RecordTable:
+    """Read a results file back; the first malformed or repeated row is named on error.
+
+    The rows are parsed and checked in arrays, ``_READ_ROWS`` at a time.
+    Only the first bad row, if any, goes through ``SimulationRecord`` on its
+    own, so its error is the one that row alone gives.  A row whose (trial,
+    effect) an earlier row has is named with that row's line.  A problem of
+    the file itself (text that is not UTF-8, a field over the csv module's
+    size limit) is reported when no row read before it is bad.
+    """
     path = Path(path)
-    records = []
+    failures: list[Exception] = []
+    tables, linenos, bad = [], [], None
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        rows = _rows_until_failure(reader, failures)
+        header = next(rows, None)
+        if header is None or tuple(col.strip() for col in header) != RESULTS_HEADER:
+            if failures:
+                raise _file_error(path, failures[0], reader)
+            raise DomainError(f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}")
+        lineno = 2  # of the chunk's first row; a blank row counts only here
+        while chunk := list(islice(rows, _READ_ROWS)):
+            numbers = lineno + np.flatnonzero(np.fromiter(map(bool, chunk), bool, len(chunk)))
+            lineno += len(chunk)
+            chunk = list(filter(None, chunk))
+            table, good = _leading_rows(chunk)
+            tables.append(table)
+            linenos.append(numbers[:good])
+            if good < len(chunk):
+                bad = chunk[good], numbers[good]
+                break
+    table = RecordTable.concat(tables) if tables else RecordTable.of([])
+    linenos = np.concatenate(linenos) if linenos else np.empty(0, dtype=np.intp)
+    repeat = _first_repeat(table)
+    if repeat is not None:
+        row, earlier = repeat
+        record = table[row]
+        raise DomainError(f"{path}:{linenos[row]}: trial {record.trial}, effect "
+                          f"{record.effect} repeats line {linenos[earlier]}")
+    if bad is not None:
+        row, lineno = bad
+        try:
+            _row_record(row)
+        except (BicbfError, ValueError) as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from exc
+        raise AssertionError(f"{path}:{lineno}: a row the array checks reject passes alone")
+    if failures:
+        raise _file_error(path, failures[0], reader)
+    return table
+
+
+def _rows_until_failure(reader, failures: list[Exception]):
+    """The reader's rows up to a problem of the file itself, which goes to ``failures``."""
     try:
-        with path.open(newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(col.strip() for col in header) != RESULTS_HEADER:
-                raise DomainError(
-                    f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    if len(row) != 6:
-                        raise DomainError(f"expected 6 fields, got {len(row)}")
-                    records.append(
-                        SimulationRecord(
-                            trial=int(row[0]),
-                            effect=row[1],
-                            log_bf10_bic=float(row[2]),
-                            log_bf10_default=float(row[3]),
-                            decision_bic=row[4],
-                            decision_default=row[5],
-                        )
-                    )
-                except (BicbfError, ValueError) as exc:
-                    raise DomainError(f"{path}:{lineno}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise DomainError(f"{path}:{reader.line_num}: {exc}") from exc
-    return records
+        yield from reader
+    except (UnicodeDecodeError, csv.Error) as exc:  # e.g. a field over the size limit
+        failures.append(exc)
+
+
+def _file_error(path: Path, exc: Exception, reader) -> DomainError:
+    where = "" if isinstance(exc, UnicodeDecodeError) else f":{reader.line_num}"
+    error = DomainError(f"{path}{where}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
+def _row_record(row: list[str]) -> SimulationRecord:
+    """One row as a record, or the error of its first fault."""
+    if len(row) != 6:
+        raise DomainError(f"expected 6 fields, got {len(row)}")
+    return SimulationRecord(
+        trial=int(row[0]),
+        effect=row[1],
+        log_bf10_bic=float(row[2]),
+        log_bf10_default=float(row[3]),
+        decision_bic=row[4],
+        decision_default=row[5],
+    )
+
+
+def _converted(kind: Callable[[str], object], fields: Sequence[str]) -> list:
+    """``kind`` of each field, up to the first it cannot convert."""
+    try:
+        return list(map(kind, fields))
+    except ValueError:
+        values = []
+        for text in fields:
+            try:
+                values.append(kind(text))
+            except ValueError:
+                break
+        return values
+
+
+def _codes(mapping: dict[str, int], fields: Sequence[str]) -> np.ndarray:
+    """The code of each field, -1 for a field that has none."""
+    return np.fromiter(map(mapping.get, fields, repeat(-1)), np.int8, len(fields))
+
+
+def _first(bad: np.ndarray) -> int:
+    """The index of the first true value, or the length when there is none."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else bad.size
+
+
+def _leading_rows(rows: list[list[str]]) -> tuple[RecordTable, int]:
+    """The rows before the first bad one, as a table, and their count.
+
+    Each check runs over a column and cuts the rows at its first failure,
+    so the count is the index of the first row that has the wrong number
+    of fields, a trial or log BF that does not parse, or a value that
+    ``SimulationRecord`` rejects.
+    """
+    good = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != len(RESULTS_HEADER))
+    fields = list(zip(*rows[:good])) or [()] * len(RESULTS_HEADER)
+    trial = _converted(int, fields[0])
+    bic = _converted(float, fields[2][: len(trial)])
+    default = _converted(float, fields[3][: len(bic)])
+    good = len(default)
+    trial, bic, default = _trial_column(trial[:good]), np.array(bic[:good]), np.array(default)
+    effect = _codes(_EFFECT_CODES, fields[1][:good])
+    decision_bic = _codes(_DECISION_CODES, fields[4][:good])
+    decision_default = _codes(_DECISION_CODES, fields[5][:good])
+    good = _first((trial < 0) | (effect < 0) | ~np.isfinite(bic) | ~np.isfinite(default)
+                  | (decision_bic != (bic > 0)) | (decision_default != (default > 0)))
+    return RecordTable(trial, effect, bic, default)[:good], good
+
+
+def _first_repeat(table: RecordTable) -> tuple[int, int] | None:
+    """The first row whose (trial, effect) an earlier row has, and the first such row."""
+    order = np.lexsort((table.effect, table.trial))  # stable: a key's rows in file order
+    trial, effect = table.trial[order], table.effect[order]
+    repeats = order[1:][(trial[1:] == trial[:-1]) & (effect[1:] == effect[:-1])]
+    if not repeats.size:
+        return None
+    row = int(repeats.min())
+    same = (table.trial == table.trial[row]) & (table.effect == table.effect[row])
+    return row, int(np.flatnonzero(same)[0])
 
 
 def write_density_data(series: Iterable[DensitySeries], path: str | Path) -> None:

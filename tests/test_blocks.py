@@ -373,3 +373,38 @@ def test_a_block_builds_one_trials_generators_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak / config.trials < 1024, peak / config.trials
+
+
+@pytest.mark.parametrize("effect, value", [("A", math.inf), ("B", math.nan), ("AB", -math.inf)])
+def test_a_non_finite_log_bf_in_one_trial_of_a_block_is_named(monkeypatch, effect, value):
+    # the block's log Bayes factors are checked finite in arrays; the trial's
+    # error is the one its record would give alone, without numpy warnings
+    config = SimulationConfig(cell_n=3, g=0.2, trials=70, seed=0)
+    bad_trial = 37
+    current = {}
+    real_data, real_setup = bicbf.simulate._block_data, bicbf.simulate._setup
+    real_evaluate = bicbf.simulate._evaluate
+
+    def block_data(cfg, trials):
+        current["trials"] = list(trials)
+        return real_data(cfg, trials)
+
+    def setup(block, name, scale):
+        current["effect"] = name
+        return real_setup(block, name, scale)
+
+    def evaluate(the_setup):
+        log_bf = real_evaluate(the_setup)
+        if current["effect"] == effect and bad_trial in current["trials"]:
+            log_bf[current["trials"].index(bad_trial)] = value
+        return log_bf
+
+    monkeypatch.setattr(bicbf.simulate, "_block_data", block_data)
+    monkeypatch.setattr(bicbf.simulate, "_setup", setup)
+    monkeypatch.setattr(bicbf.simulate, "_evaluate", evaluate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = _error(config)
+        alone = _error(replace(config, trials=bad_trial + 1), block=1)
+    assert message == f"trial {bad_trial}: log_bf10_default must be finite, got {value}"
+    assert message == alone

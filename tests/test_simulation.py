@@ -12,16 +12,20 @@ import pytest
 
 import bicbf.simulate
 from bicbf import (
+    EFFECTS,
     DensitySeries,
     DomainError,
     FiveNumber,
     GPriorSpec,
+    RecordTable,
     SimulationConfig,
     SimulationError,
     SimulationRecord,
+    bic_bf_for_effect,
     decide,
     default_bf10,
     emit_density_data,
+    fit_two_way,
     generate_dataset,
     read_config,
     read_records,
@@ -32,6 +36,7 @@ from bicbf import (
     write_density_data,
     write_records,
 )
+from bicbf.cli import main as cli_main
 from bicbf.rng import substream
 
 
@@ -384,7 +389,9 @@ class TestWritersMatchTheCsvModule:
                     for trial, (effect, bic, default) in zip(
                         [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 7, 8, 9, 10, 11],
                         zip(["A", "B", "AB"] * 4, EXTREMES, EXTREMES[::-1]))]
-        for rows in ([], extremes, records + extremes):
+        # trials 0-11 of the run would repeat (trial, effect) keys of the
+        # extremes, and a results file holds each key once
+        for rows in ([], extremes, records[3 * 12 :] + extremes):
             want, got = tmp_path / "want.csv", tmp_path / "got.csv"
             csv_write_records(rows, want)
             write_records(rows, got)
@@ -554,3 +561,271 @@ class TestConfigFiles:
             "cell_n = 20\ng = 0.2\ntrials = 10\nseed = 1\na_levels = 3\nb_levels = 4\n"
             "oracle.scale = 0.5\noracle.mc_samples = 2000\noracle.seed = 7\n"
         )
+
+
+class TestRecordTable:
+    """A records table behaves as the list of its records."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return run_simulation(SimulationConfig(cell_n=3, g=0.2, trials=7, seed=4))
+
+    def test_iteration_builds_records_of_python_values(self, table):
+        assert isinstance(table, RecordTable) and len(table) == 21
+        as_list = list(table)
+        assert len(as_list) == 21
+        for r in as_list:
+            assert type(r) is SimulationRecord
+            assert type(r.trial) is int and type(r.effect) is str
+            assert type(r.log_bf10_bic) is float and type(r.log_bf10_default) is float
+            assert r.decision_bic == decide(r.log_bf10_bic)
+            assert r.decision_default == decide(r.log_bf10_default)
+        assert [(r.trial, r.effect) for r in as_list] == [
+            (t, e) for t in range(7) for e in ("A", "B", "AB")]
+
+    def test_integer_indices(self, table):
+        as_list = list(table)
+        for i in range(-len(table), len(table)):
+            assert table[i] == as_list[i]
+            assert type(table[i].log_bf10_bic) is float and type(table[i].trial) is int
+        assert table[np.int64(4)] == as_list[4]
+        for i in (len(table), -len(table) - 1):
+            with pytest.raises(IndexError):
+                table[i]
+        for i in ("0", 1.0):
+            with pytest.raises(TypeError):
+                table[i]
+
+    @pytest.mark.parametrize("index", [
+        slice(None), slice(3, 9), slice(None, None, 2), slice(1, 17, 5), slice(-4, None),
+        slice(None, None, -1), slice(20, 2, -3), slice(5, 5), slice(100, 200)])
+    def test_slices_are_tables(self, table, index):
+        as_list = list(table)
+        part = table[index]
+        assert isinstance(part, RecordTable)
+        assert len(part) == len(as_list[index])
+        assert list(part) == as_list[index]
+        assert part == as_list[index] and as_list[index] == part
+
+    def test_equality_from_either_side(self, table, tmp_path):
+        as_list = list(table)
+        assert table == as_list and as_list == table
+        assert table == tuple(as_list) and tuple(as_list) == table
+        assert table == RecordTable.of(as_list) == RecordTable.of(iter(as_list))
+        assert not (table != as_list) and not (as_list != table)
+        path = tmp_path / "results.csv"
+        write_records(table, path)
+        assert read_records(path) == table
+        changed = as_list[:-1] + [replace(as_list[-1], log_bf10_default=-5.0,
+                                          decision_default="H0")]
+        assert table != changed and changed != table
+        assert table != RecordTable.of(changed) and RecordTable.of(changed) != table
+        assert table != as_list[:-1] and as_list[:-1] != table
+        assert table != table[:-1] and table[1:] != table[:-1]
+        assert table != as_list[::-1]
+        assert table != 5 and not (table == "AB") and table != [1, 2]
+
+    def test_concatenation(self, table):
+        as_list = list(table)
+        for joined, want in ((table + table, as_list + as_list),
+                             (table + as_list[:4], as_list + as_list[:4]),
+                             (as_list[:4] + table, as_list[:4] + as_list),
+                             (table[::2] + table[1::2], as_list[::2] + as_list[1::2]),
+                             (table + [], as_list), ([] + table, as_list)):
+            assert isinstance(joined, RecordTable)
+            assert joined == want and list(joined) == want
+        with pytest.raises(TypeError):
+            table + tuple(as_list)
+        with pytest.raises(TypeError):
+            tuple(as_list) + table
+
+    def test_empty_table(self, table, tmp_path):
+        empty = RecordTable.of([])
+        for other in (empty, table[5:5], RecordTable.of(iter(()))):
+            assert len(other) == 0 and list(other) == []
+            assert other == [] and [] == other and other == () and not (other != [])
+            assert other == empty
+        assert empty != table and table != empty and empty != list(table)
+        assert empty + [] == [] and empty + table == table and table + empty == table
+        assert empty[:] == [] and empty[::-1] == []
+        with pytest.raises(IndexError):
+            empty[0]
+        path = tmp_path / "results.csv"
+        write_records(empty, path)
+        assert path.read_text().splitlines() == [",".join(bicbf.simulate.RESULTS_HEADER)]
+        assert read_records(path) == empty == []
+
+    def test_a_table_is_read_only(self, table):
+        with pytest.raises(AttributeError):
+            table.trial = table.trial
+        with pytest.raises(ValueError):
+            table.log_bf10_bic[0] = 1.0
+        with pytest.raises(ValueError):
+            table[2:].log_bf10_default[0] = 1.0
+
+    @pytest.mark.parametrize("cell_n, a_levels, b_levels", [(50, 2, 3), (20, 2, 3), (2, 2, 3)],
+                             ids=["desk", "wide", "2x3x2"])
+    def test_block_bits_are_the_per_record_reference(self, cell_n, a_levels, b_levels):
+        config = SimulationConfig(cell_n=cell_n, g=0.2, trials=20, seed=2026,
+                                  a_levels=a_levels, b_levels=b_levels)
+        want = []
+        for trial in range(config.trials):
+            data = generate_dataset(config, trial)
+            table = fit_two_way(data)
+            for effect in EFFECTS:
+                bic = -bic_bf_for_effect(table, effect).log_bf
+                default = default_bf10(data, effect, config.oracle).log_bf
+                want.append((trial, effect, bic.hex(), default.hex()))
+        assert _bits(run_simulation(config)) == want
+
+
+def _bits(records):
+    return [(r.trial, r.effect, r.log_bf10_bic.hex(), r.log_bf10_default.hex()) for r in records]
+
+
+def test_the_study_and_its_report_build_no_record(monkeypatch, tmp_path):
+    # a table builds records only when indexed or iterated
+    def built(self):
+        raise AssertionError("a SimulationRecord was built")
+
+    monkeypatch.setattr(SimulationRecord, "__post_init__", built)
+    for cell_n, trials in ((50, 300), (20, 1000)):  # the desk and wide studies
+        config = SimulationConfig(cell_n=cell_n, g=0.2, trials=trials, seed=1)
+        path = tmp_path / "results.csv"
+        write_records(run_simulation(config), path)
+        table = read_records(path)
+        assert summarize(table)["AB"].n_trials == trials
+        write_density_data(emit_density_data(table), tmp_path / "density.csv")
+    with pytest.raises(AssertionError, match="was built"):
+        table[0]
+
+
+BIG_TRIALS = 10_000
+FAULT_ROW = 25_000  # a data row deep in the file: trial 8333, effect B
+BLANK_BEFORE = 100  # a blank line before data row 100 shifts the later rows' lines
+
+
+@pytest.fixture(scope="module")
+def big_lines(tmp_path_factory):
+    """The data lines of a results file of 10 000 trials, without terminators."""
+    values = np.random.default_rng(5).standard_normal((BIG_TRIALS, 3, 2)).tolist()
+    path = tmp_path_factory.mktemp("big") / "results.csv"
+    write_records([record(t, e, b, d) for t, row in enumerate(values)
+                   for e, (b, d) in zip(EFFECTS, row)], path)
+    return path.read_bytes().decode().split("\r\n")[1:-1]
+
+
+def _write_big(path, lines, edits: dict) -> None:
+    """The file with data row k's fields edited by edits[k], a blank line
+    before row BLANK_BEFORE, and "@@" in a field as the byte 0xff."""
+    lines = list(lines)
+    for row, edit in edits.items():
+        fields = lines[row].split(",")
+        edit(fields)
+        lines[row] = ",".join(fields)
+    lines.insert(BLANK_BEFORE, "")
+    text = ",".join(bicbf.simulate.RESULTS_HEADER) + "\r\n" + "\r\n".join(lines) + "\r\n"
+    path.write_bytes(text.encode().replace(b"@@", b"\xff"))
+
+
+def _set(index, value):
+    def edit(fields):
+        fields[index] = value
+    return edit
+
+
+def _flip_decision(fields):
+    fields[4] = "H0" if fields[4] == "H1" else "H1"
+
+
+ROW_FAULTS = {
+    "fields": (lambda fields: fields.pop(), "expected 6 fields, got 5"),
+    "int": (_set(0, "8333.0"), "invalid literal for int() with base 10: '8333.0'"),
+    "float": (_set(2, "1.5e"), "could not convert string to float: '1.5e'"),
+    "effect": (_set(1, "C"), "effect must be one of ('A', 'B', 'AB'), got 'C'"),
+    "finite": (_set(3, "nan"), "log_bf10_default must be finite, got nan"),
+    "negative-trial": (_set(0, "-1"), "trial must be nonnegative, got -1"),
+    "decision": (_flip_decision, None),  # the message names the row's own values
+}
+OVERSIZE = _set(3, "1" * (csv.field_size_limit() + 1))
+NOT_UTF8 = _set(1, "@@")
+
+
+def _fault_line(row: int) -> int:
+    return row + 2 + (row >= BLANK_BEFORE)  # the header is line 1
+
+
+class TestReadRecordsErrors:
+    """Each error names its line in a large file, and the first problem wins."""
+
+    @pytest.mark.parametrize("fault", list(ROW_FAULTS))
+    def test_a_row_fault_deep_in_a_large_file_names_its_line(self, big_lines, tmp_path, fault):
+        edit, message = ROW_FAULTS[fault]
+        path = tmp_path / "results.csv"
+        _write_big(path, big_lines, {FAULT_ROW: edit})
+        if message is None:
+            fields = big_lines[FAULT_ROW].split(",")
+            flipped = "H0" if fields[4] == "H1" else "H1"
+            message = f"decision_bic={flipped!r} contradicts log_bf10_bic={float(fields[2])}"
+        with pytest.raises(DomainError) as info:
+            read_records(path)
+        assert str(info.value) == f"{path}:{_fault_line(FAULT_ROW)}: {message}"
+
+    @pytest.mark.parametrize("problem", ["oversize", "not-utf8"])
+    def test_a_bad_row_before_a_file_problem_is_the_error(self, big_lines, tmp_path, problem):
+        path = tmp_path / "results.csv"
+        later = {"oversize": OVERSIZE, "not-utf8": NOT_UTF8}[problem]
+        edit, message = ROW_FAULTS["effect"]
+        _write_big(path, big_lines, {FAULT_ROW: edit, len(big_lines) - 1: later})
+        with pytest.raises(DomainError) as info:
+            read_records(path)
+        assert str(info.value) == f"{path}:{_fault_line(FAULT_ROW)}: {message}"
+
+    def test_a_field_over_the_size_limit_before_a_bad_row_is_the_error(self, big_lines,
+                                                                         tmp_path):
+        path = tmp_path / "results.csv"
+        _write_big(path, big_lines, {FAULT_ROW: OVERSIZE,
+                                     len(big_lines) - 1: ROW_FAULTS["effect"][0]})
+        with pytest.raises(DomainError) as info:
+            read_records(path)
+        limit = csv.field_size_limit()
+        assert str(info.value) == (f"{path}:{_fault_line(FAULT_ROW)}: "
+                                   f"field larger than field limit ({limit})")
+
+    def test_text_that_is_not_utf8_before_a_bad_row_is_the_error(self, big_lines, tmp_path):
+        path = tmp_path / "results.csv"
+        _write_big(path, big_lines, {FAULT_ROW: NOT_UTF8,
+                                     len(big_lines) - 1: ROW_FAULTS["effect"][0]})
+        with pytest.raises(DomainError) as info:
+            read_records(path)
+        assert re.fullmatch(re.escape(f"{path}: 'utf-8' codec can't decode byte 0xff in "
+                                      "position ") + r"\d+: invalid start byte", str(info.value))
+
+    def test_a_repeated_row_names_the_line_it_repeats(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_records([record(t, e, 0.5 * t - 1, 1.0 - t) for t in range(3) for e in EFFECTS],
+                      path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, "", lines[5]]) + "\n")  # trial 1, effect B again
+        with pytest.raises(DomainError) as info:
+            read_records(path)
+        assert str(info.value) == f"{path}:12: trial 1, effect B repeats line 6"
+
+    def test_a_repeated_key_deep_in_a_large_file_is_named(self, big_lines, tmp_path):
+        # the same (trial, effect) with other values, after a fault-free stretch
+        path = tmp_path / "results.csv"
+        _write_big(path, big_lines, {FAULT_ROW: _set(0, "1")})  # trial 1, effect B
+        with pytest.raises(DomainError) as info:
+            read_records(path)
+        assert str(info.value) == (f"{path}:{_fault_line(FAULT_ROW)}: trial 1, effect B "
+                                   f"repeats line {_fault_line(4)}")
+
+    def test_report_rejects_a_repeated_row(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        write_records(run_simulation(SimulationConfig(cell_n=3, g=0.2, trials=1, seed=1)), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[1]]) + "\n")
+        assert cli_main(["report", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}:5: trial 0, effect A repeats line 2\n"
