@@ -25,13 +25,13 @@ SST - sum_{e in M} SS_e c_e g_e / (1 + c_e g_e), which cancels to nothing
 at large g when the error variance is small.
 
 ``default_bf10`` integrates over g, each g_e Inverse-Gamma(1/2, r^2/2) with
-r = sqrt(2)/2 by default, by deterministic quadrature:
+r = sqrt(2)/2 by default, by deterministic quadrature, with one rule for
+every effect.  Each effect is a pair of nested models (``MODEL_PAIRS``): a
+main effect alone against the intercept-only model, the interaction the
+full model against A+B.  BF10 is the ratio of the two models' marginal
+likelihoods, each a |M|-dimensional integral:
 
-* A main effect is one integral over u = log g: a trapezoid rule with the
-  prior density of u folded into the weights.
-* The interaction compares the full model with A+B, and each marginal
-  likelihood m_M is a |M|-dimensional integral.  The blocks are coupled only
-  through q^-k, k = (N-1)/2; the Gamma identity
+* The blocks are coupled only through q^-k, k = (N-1)/2; the Gamma identity
   q^-k = Gamma(k)^-1 int t^(k-1) e^(-tq) dt factors the integrand by block:
 
       log m_M = -log Gamma(k) + log int exp(k v - e^v rho_M
@@ -47,23 +47,28 @@ r = sqrt(2)/2 by default, by deterministic quadrature:
   lies 20 below that outside [log k - 1 - 20/k, log(k/rho_M) + log 2T],
   T = 1 + 20/k - log rho_M.
 * Both marginals share the numerator's outer grid.  frac_e is the same in
-  both models and rho_A+B >= rho_A+B+AB, so the denominator's window has
-  the same lower end, ends no later and keeps the same spacing bound.
-  Each log I_e is read once per outer node and feeds both:
+  both models and the denominator leaves more in its residual,
+  rho_den >= rho_num, so its window has the same lower end, ends no later
+  and keeps the same spacing bound.  Each log I_e is read once per outer
+  node and feeds both:
 
-      f_num(v) = k v - rho_num e^v + log I_A + log I_B + log I_AB,
-      f_den(v) = k v - rho_den e^v + log I_A + log I_B,
+      f_num(v) = k v - rho_num e^v + sum_{e in num} log I_e,
+      f_den(v) = k v - rho_den e^v + sum_{e in den} log I_e,
 
-  the denominator's terms picked by an effect mask.  log Gamma(k) and the
-  log of the outer step cancel in the ratio.
+  the denominator's terms picked by an effect mask.  A main effect's
+  denominator is the empty model, f_den(v) = k v - rho_den e^v with
+  rho_den = 1 up to rounding, summed on the same nodes rather than taken
+  in closed form.  log Gamma(k) and the log of the outer step cancel in
+  the ratio.
 
 The lattice.  I_e depends on the table only through tau = e^v frac_e; c_e
 and df_e are fixed by the design and the prior by r.  So log I_e is
 tabulated once per (c_e, df_e, r, log-g step) on the nodes log tau = j h,
 h = 1/64, j an integer.  Node j is the trapezoid rule of log I_e(tau_j) on
-the log-g grid of the main effects' spacing, from 4 below log(r^2/2) to 35
-past max(log r^2, log(tau_j / c_e)), beyond which its integrand decays at
-least like e^-u.  That window comes from tau_j alone, so a node's value
+a log-g grid (spacing under Node counts), with the prior density of
+u = log g folded into the weights, from 4 below log(r^2/2), where that
+density has fallen below exp(-e^4), to 35 past max(log r^2,
+log(tau_j / c_e)), beyond which its integrand decays at least like e^-u.  That window comes from tau_j alone, so a node's value
 depends only on its key and j.  Between nodes log I_e is the 8-point
 centred Lagrange polynomial through nodes j - 3 to j + 4 of the interval
 [j h, (j + 1) h) holding log tau, kept as its monomial coefficients.
@@ -77,52 +82,49 @@ bulk (g near r^2/2, a factor near e^-tau) and its tail trade places within
 a few hundredths of log tau, and there h = 1/16 reads up to 3.4e-8 and
 h = 1/32 up to 8.1e-10 off the direct rule on 3x4 and 5x5 designs.
 
-Node counts.  The log-g grid has spacing 0.4, times sqrt(3/(df + 1)) for a
-block with df > 2 contrasts, whose integrand is narrower.  For a main
-effect it runs from 4 below log(r^2/2), where the prior density has fallen
-below exp(-e^4), to 35 past the farthest posterior mode of g, beyond which
-every integrand decays at least like e^-u: 101 to 105 nodes on the study
-designs, more only where a near-zero error variance sends the posterior of
-g far out.  Outer nodes are 0.8/sqrt(k) apart, at most 0.2, since the
-curvature -f'' at the mode is at most k: 31 to 60 per interaction on the
-desk design, 24 to 42 on the wide one (900 trials each), 27 to 67 on 2x2
-designs with 3 to 5 observations per cell, and some 1460 where
-SSE/SST = 1e-121.
+Node counts.  The lattice's log-g grids have spacing 0.4, times
+sqrt(3/(df + 1)) where the model has a block with df > 2 contrasts, whose
+integrand is narrower.  Outer nodes are 0.8/sqrt(k) apart, at most 0.2,
+since the curvature -f'' at the mode is at most k: 31 to 48 per main
+effect and 31 to 55 per interaction on the desk design, 24 to 37 and 24
+to 39 on the wide one (900 trials each), 26 to 54 and 27 to 65 on 2x2
+designs with 3 to 5 observations per cell, and some 1460 for the
+interaction where SSE/SST = 1e-121.
 
 Measured error in log BF, against the same rules 4 times finer (lattice
 step included) with wider windows: at most 1.5e-9 over 360 desk and wide
 study trials, 240 2x2 designs, 3x4 and 5x5 designs at prior scales from
-0.05 to 10, and near-constant cells (A, B and AB each).  The tests hold it
-to 1e-8.  Against the direct rule, which takes each log I_e at every
-outer node on the table's own log-g grid, the interaction is within
-4.1e-12 on those trials and designs, and within 3.6e-12 on 400 random
-tables whose sums of squares span 120 decades; the tests hold it to
-1e-10.  Main effects match scipy's adaptive quadrature to 1.5e-9, also at
-the ends of the accepted prior scales, 1e-100 and 1e100; on near-constant
-cells (log BF of AB = 291) the interaction matches nested adaptive
-quadrature to 3.4e-13.  The result is a deterministic function of the data
-and the prior scale, so ``standard_error`` is exactly 0.
+0.05 to 10, and near-constant cells (A, B and AB each).  The tests hold
+it to 1e-8.  Against the direct rule, which takes each log I_e at every
+outer node on the table's own log-g grid, the main effects are within
+1.7e-13 and the interaction within 4.1e-12 on those trials and designs,
+and within 8.5e-14 and 1.8e-12 on 400 random tables whose sums of
+squares span 120 decades; the tests hold it to 1e-10.  Main effects match
+scipy's adaptive quadrature to 1.5e-9, and to 1.1e-9 at the ends of the
+accepted prior scales, 1e-100 and 1e100; on near-constant cells (log BF
+of AB = 291) the interaction matches nested adaptive quadrature to
+3.4e-13.  At k = 8.5 (2x3 cells of 3) the empty model's sum reads up to
+8.6e-11 off its closed form, lgamma(k) - k log rho_den less the log of
+the outer step.  The result is a deterministic function of the data and
+the prior scale, so ``standard_error`` is exactly 0.
 
 Block evaluation.  ``_setup`` does the set-up of one effect for a block of
 fits in arrays (``bicbf.anova._Block``, one row per table): its checks,
-the node counts, and the shares rho and frac_e, read straight from the
-block's sums-of-squares columns.  A table that fails a check fails the
-whole set-up, with the error it gives alone; the simulation study then
-splits the block to name the lowest failing trial.  The grid's ends,
-spacing and weights depend only on the design and the prior scale, so the
-tables of a block share them.
+the outer windows and node counts, and the shares rho and frac_e, read
+straight from the block's sums-of-squares columns.  A table that fails a
+check fails the whole set-up, with the error it gives alone; the
+simulation study then splits the block to name the lowest failing trial.
 ``_evaluate`` integrates the set-up: the simulation study passes a block
-of trials, and ``default_bf10`` is the one-table case.  A main effect's
-tables with the same log-g node count share (tables, nodes) arrays, in
-chunks of whole tables of about 2^14 values.  The interaction's tables
-go in order of outer node count, in chunks of whole tables of about 2^14
-outer nodes.  Both bound memory however many tables a block holds or
-however wide a near-zero error variance makes a window.
-Interpolation is elementwise, and every sum and max runs along the last
-axis over one table's own nodes, with no padding, because padding would
-change numpy's pairwise summation.  So each value is bitwise what the
-table gives alone, whatever else shares its block and whatever the
-lattices already hold; the tests check the numpy behaviour this rests on.
+of trials, and ``default_bf10`` is the one-table case.  Tables go in
+order, in chunks of whole tables of about 2^14 outer nodes, which bounds
+memory however many tables a block holds or however wide a near-zero
+error variance makes a window.  A chunk's tables are consecutive segments
+of one (2, nodes) array, a row per marginal; each marginal's max and sum
+are one ``reduceat`` over the segments.  Interpolation is elementwise, and
+each reduction runs over one table's own nodes, with no padding.  So each
+value is bitwise what the table gives alone, whatever else shares its
+block and whatever the lattices already hold; the tests check the numpy
+behaviour this rests on.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ _PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 # Numerator/denominator model per tested effect: each main effect against
 # the intercept-only model, the interaction against the two main effects.
 # Each denominator's effects are among its numerator's, and the nested
-# rule picks them by an effect mask (``_Outer.den``).
+# rule picks them by an effect mask (``_Setup.den``).
 MODEL_PAIRS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "A": (("A",), ()),
     "B": (("B",), ()),
@@ -191,34 +193,25 @@ def conditional_bf10(table: AnovaTable, effects: Sequence[str], g) -> float:
 def _log_conditional_bf10(
     table: AnovaTable, effects: tuple[str, ...], g_matrix: np.ndarray
 ) -> np.ndarray:
-    """log conditional BF10 for each row of g_matrix, shape (m, len(effects))."""
+    """log conditional BF10, the module docstring's formula, per row of g_matrix.
+
+    ``g_matrix`` has shape (m, len(effects)), one column per listed effect.
+    """
     if not effects:
         return np.zeros(g_matrix.shape[0])
     if table.ss_total == 0.0:
         raise DegenerateDataError("constant response: Bayes factor undefined")
     norms = _column_norms(table)
-    blocks = [(table.ss(e), norms[e], table.df(e)) for e in effects]
-    g_columns = [g_matrix[:, column] for column in range(len(effects))]
-    q = _residual(table.ss_error, {e: table.ss(e) for e in EFFECTS}, effects)
-    return _log_bf10_given_g(table.ss_total, q, 0.5 * (table.n_total - 1), blocks, g_columns)
-
-
-def _log_bf10_given_g(ss_total, q, k, blocks, g_columns) -> np.ndarray:
-    """log conditional BF10 from sums of squares, the module docstring's formula.
-
-    ``q`` is the residual sum of squares of the model, ``k`` = (N - 1)/2,
-    ``blocks`` holds (SS_e, c_e, df_e) per effect of the model and
-    ``g_columns`` its g.  Scalars, or arrays with one evaluation per row.
-    """
     # q = y'(I + XGX')^-1 y as a sum of nonnegative terms; SST minus the
     # shrunk effect sums would cancel catastrophically once q << SST.
+    q = _residual(table.ss_error, {e: table.ss(e) for e in EFFECTS}, effects)
     log_det = 0.0
-    for (ss, c, df), g in zip(blocks, g_columns):
-        cg = c * g
-        q = q + ss / (1.0 + cg)
-        log_det = log_det + df * np.log1p(cg)
+    for column, effect in enumerate(effects):
+        cg = norms[effect] * g_matrix[:, column]
+        q = q + table.ss(effect) / (1.0 + cg)
+        log_det = log_det + table.df(effect) * np.log1p(cg)
     # SST/q first, then one log: exact under power-of-two rescaling of y
-    return -0.5 * log_det + k * np.log(ss_total / q)
+    return -0.5 * log_det + 0.5 * (table.n_total - 1) * np.log(table.ss_total / q)
 
 
 @dataclass(frozen=True)
@@ -302,22 +295,32 @@ class _Rule:
 
 
 _RULE = _Rule()
-_ROWS = 2**14  # (table, node) values taken at once, in whole tables
+_ROWS = 2**14  # outer nodes taken at once, in whole tables
 _NODE_VALUES = 2**17  # (lattice node, log-g node) values taken at once
 _LATTICES = 32  # lattices kept, the most recently used
 _STENCIL = np.arange(-3, 5)  # lattice nodes of an interval, around its left end
 _LOG_TAU_MIN = math.log(1e-12)  # below it, log I_e(tau) = log I_e(0) to within tau
 
 
-class _Outer(NamedTuple):
-    """The interaction's outer trapezoid rule on v = log s, one per table.
+class _Setup(NamedTuple):
+    """The set-up of one effect for a block of tables of one design.
 
-    Both marginals are summed on the numerator's ``count`` nodes lo + i * step,
-    the last at exactly hi (as ``np.linspace``).  ``rho`` and ``rho_den`` are
-    the two models' residual shares, ``log_frac`` holds log frac_e per
-    numerator effect and ``den`` masks the denominator's effects among them.
+    Both marginals of the pair are summed on the numerator's outer
+    trapezoid rule on v = log s: table i has ``count[i]`` nodes
+    lo + j * step[i], the last at exactly hi[i] (as ``np.linspace``).
+    ``rho`` and ``rho_den`` are the two models' residual shares,
+    ``log_frac`` holds log frac_e per numerator effect and ``den`` masks the
+    denominator's effects among them.  ``c`` and ``df`` hold c_e and df_e per
+    numerator effect, and each log I_e is read from the lattice of c_e,
+    df_e, ``beta``, the log-g spacing ``g_step`` and ``rule``.
     """
 
+    k: float
+    beta: float
+    g_step: float
+    rule: _Rule
+    c: np.ndarray
+    df: np.ndarray
     rho: np.ndarray
     rho_den: np.ndarray
     log_frac: np.ndarray  # (tables, effects)
@@ -326,30 +329,6 @@ class _Outer(NamedTuple):
     hi: np.ndarray
     step: np.ndarray
     count: np.ndarray
-
-
-class _Setup(NamedTuple):
-    """The set-up of one effect for a block of tables of one design.
-
-    The log-g grid of table i has ``count[i]`` nodes spaced ``step`` apart,
-    and ``c`` and ``df`` hold c_e and df_e per numerator effect.  A main
-    effect is integrated on that grid in the conditional form from its
-    model's residual ``q`` and sum of squares ``ss``.  The interaction
-    carries its ``outer`` rule and reads log I_e from the lattices of
-    ``rule``, which share the grid's spacing but fix each window by tau.
-    """
-
-    k: float
-    beta: float
-    step: float
-    rule: _Rule
-    c: np.ndarray
-    df: np.ndarray
-    count: np.ndarray
-    ss_total: np.ndarray
-    q: np.ndarray
-    ss: np.ndarray
-    outer: _Outer | None
 
 
 def _table_bf10(
@@ -374,10 +353,9 @@ def _setup(block: _Block, effect: str, scale: float, rule: _Rule = _RULE) -> _Se
     norms = _column_norms(block)
     c = np.array([float(norms[e]) for e in num_effects])
     df = np.array([float(block.df(e)) for e in num_effects])
-    q = _residual(ss_error, ss_of, num_effects)
     ss = np.stack([ss_of[e] for e in num_effects], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = q / ss_total
+        rho = _residual(ss_error, ss_of, num_effects) / ss_total
         frac = ss / ss_total[:, None]
         # log g at which the posterior of the farthest-reaching block peaks, at most
         top = np.max(frac / c, axis=1)
@@ -397,26 +375,17 @@ def _setup(block: _Block, effect: str, scale: float, rule: _Rule = _RULE) -> _Se
             f"residual sum of squares {float(ss_error[first])!r} too small against "
             f"the effects of model {model}: the posterior of g leaves the double range"
         )
-    # The log-g grid covers the prior and every posterior peaking at
-    # log g <= reach.  A block with df contrasts narrows the integrand in
-    # log g like (df + 1)^-1/2, so the spacing shrinks with it beyond df = 2.
-    beta = 0.5 * scale**2
-    step = rule.g_step * min(1.0, math.sqrt(3.0 / (df.max() + 1.0)))
-    lo = math.log(beta) - rule.g_below
-    hi = np.maximum(math.log(2.0 * beta), reach) + rule.g_above
-    outer = None
-    if den_effects:
-        rho_den = _residual(ss_error, ss_of, den_effects) / ss_total
-        v_lo, v_hi, v_count = _outer_rule(k, rho, rule)
-        with np.errstate(divide="ignore"):  # an effect of zero sum of squares has tau = 0
-            log_frac = np.log(frac)
-        outer = _Outer(
-            rho, rho_den, log_frac, np.array([e in den_effects for e in num_effects]),
-            v_lo, v_hi, (v_hi - v_lo) / (v_count - 1), v_count,
-        )
+    # A block with df contrasts narrows the integrand of I_e in log g like
+    # (df + 1)^-1/2, so the spacing shrinks with it beyond df = 2.
+    g_step = rule.g_step * min(1.0, math.sqrt(3.0 / (df.max() + 1.0)))
+    lo, hi, count = _outer_rule(k, rho, rule)
+    with np.errstate(divide="ignore"):  # an effect of zero sum of squares has tau = 0
+        log_frac = np.log(frac)
     return _Setup(
-        k, beta, step, rule, c, df, (np.ceil((hi - lo) / step) + 1).astype(int),
-        ss_total, q, ss, outer,
+        k, 0.5 * scale**2, g_step, rule, c, df,
+        rho, _residual(ss_error, ss_of, den_effects) / ss_total,
+        log_frac, np.array([e in den_effects for e in num_effects]),
+        lo, hi, (hi - lo) / (count - 1), count,
     )
 
 
@@ -460,76 +429,50 @@ def _log_g_grid(beta: float, step: float, rule: _Rule, n: int):
 def _evaluate(setup: _Setup) -> np.ndarray:
     """log BF10 of each table of a set-up, bitwise what it gives alone.
 
-    A main effect's tables with the same log-g node count share arrays,
-    one row each, in chunks of whole tables of about ``_ROWS`` values.
-    Every sum and max runs along the last axis over one row's own nodes:
-    padding a row would change numpy's pairwise summation.
+    Tables go in order, in chunks of whole tables of about ``_ROWS`` outer
+    nodes.  Each log I_e is read from its lattice once per outer node and
+    feeds both marginals; log Gamma(k) and the log of the shared outer step
+    cancel in the ratio.
     """
-    if setup.outer is not None:
-        return _nested_log_bf10(setup)
-    count = setup.count
-    log_bf = np.empty(count.size)
-    u, log_w = _log_g_grid(setup.beta, setup.step, setup.rule, count.max())
-    g = np.exp(u)
-    for n in np.unique(count):  # one effect against the intercept: its conditional BF
-        which = np.flatnonzero(count == n)
-        for part in np.array_split(which, -(-which.size * n // _ROWS)):
-            block = (setup.ss[part], setup.c[0], setup.df[0])
-            log_bf[part] = _logsumexp(log_w[:n] + _log_bf10_given_g(
-                setup.ss_total[part, None], setup.q[part, None], setup.k, [block], [g[:n]]))
-    return log_bf
-
-
-def _nested_log_bf10(setup: _Setup) -> np.ndarray:
-    """log BF10 of the interaction by the nested rule, for every table.
-
-    Tables go in order of outer node count, in chunks of whole tables of
-    about ``_ROWS`` outer nodes, so that a chunk's tables of one count are
-    consecutive.  Each log I_e is read from its lattice once per outer node
-    and feeds both marginals; log Gamma(k) and the log of the shared outer
-    step cancel in the ratio.
-    """
-    lattices = [_lattice(float(c), float(df), setup.beta, setup.step, setup.rule)
+    lattices = [_lattice(float(c), float(df), setup.beta, setup.g_step, setup.rule)
                 for c, df in zip(setup.c, setup.df)]
-    order = np.argsort(setup.outer.count, kind="stable")
-    counts = setup.outer.count[order]
-    chunk = (np.cumsum(counts) - counts) // _ROWS  # the chunk of each table's first row
-    edges = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), counts.size]
-    out = np.empty(counts.size)
+    chunk = (np.cumsum(setup.count) - setup.count) // _ROWS  # of each table's first node
+    edges = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), chunk.size]
+    out = np.empty(chunk.size)
     for start, stop in zip(edges[:-1], edges[1:]):
-        tables = order[start:stop]
-        out[tables] = _nested_chunk(setup, lattices, tables)
+        out[start:stop] = _nested_chunk(setup, lattices, slice(start, stop))
     return out
 
 
-def _nested_chunk(setup: _Setup, lattices: list, tables: np.ndarray) -> np.ndarray:
-    """log BF10 of the interaction for tables of nondecreasing outer node count."""
-    outer, k = setup.outer, setup.k
-    counts, step, hi = outer.count[tables], outer.step[tables], outer.hi[tables]
+def _nested_chunk(setup: _Setup, lattices: list, tables: slice) -> np.ndarray:
+    """log BF10 of a run of consecutive tables.
+
+    Each table's nodes are one segment of the (2, nodes) log-integrands,
+    and each marginal's logsumexp is one ragged ``reduceat`` over the
+    segments: no padding, so each sum runs over its table's own nodes.
+    """
+    counts = setup.count[tables]
     ends = np.cumsum(counts)
-    # one row per (table, outer node), at the nodes of np.linspace(lo, hi, count)
-    table = tables[np.repeat(np.arange(tables.size), counts)]
-    v = (np.arange(ends[-1]) - np.repeat(ends - counts, counts)) * step.repeat(counts) + outer.lo
-    v[ends - 1] = hi
+    starts = ends - counts
+    # one column per (table, outer node), at the nodes of np.linspace(lo, hi, count)
+    v = (np.arange(ends[-1]) - starts.repeat(counts)) * setup.step[tables].repeat(counts)
+    v += setup.lo
+    v[ends - 1] = setup.hi[tables]
     log_i_den, log_i_num = 0.0, 0.0
     for effect, lattice in enumerate(lattices):
-        log_i = lattice.log_i(v + outer.log_frac[table, effect])
-        if outer.den[effect]:
+        log_i = lattice.log_i(v + setup.log_frac[tables, effect].repeat(counts))
+        if setup.den[effect]:
             log_i_den = log_i_den + log_i
         else:
             log_i_num = log_i_num + log_i
-    s, kv = np.exp(v), k * v
-    f = np.empty((2, v.size))  # the full model's log-integrand, then A+B's
-    np.add(kv - s * outer.rho[table], log_i_den + log_i_num, out=f[0])
-    np.add(kv - s * outer.rho_den[table], log_i_den, out=f[1])
-    # the tables of one count are consecutive, and their rows one block
-    out = np.empty(tables.size)
-    firsts = np.flatnonzero(np.diff(counts, prepend=0)).tolist()
-    for first, last in zip(firsts, [*firsts[1:], tables.size]):
-        n = int(counts[first])
-        log_m = _logsumexp(f[:, ends[first] - n : ends[last - 1]].reshape(2, last - first, n))
-        out[first:last] = log_m[0] - log_m[1]
-    return out
+    s, kv = np.exp(v), setup.k * v
+    f = np.empty((2, v.size))  # the numerator's log-integrand, then the denominator's
+    np.add(kv - s * setup.rho[tables].repeat(counts), log_i_den + log_i_num, out=f[0])
+    np.add(kv - s * setup.rho_den[tables].repeat(counts), log_i_den, out=f[1])
+    top = np.maximum.reduceat(f, starts, axis=1)
+    np.subtract(f, top.repeat(counts, axis=1), out=f)
+    log_m = top + np.log(np.add.reduceat(np.exp(f, out=f), starts, axis=1))
+    return log_m[0] - log_m[1]
 
 
 class _Lattice:

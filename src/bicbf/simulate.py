@@ -605,8 +605,19 @@ def _rows_until_failure(reader, failures: list[Exception]):
 
 
 def _file_error(path: Path, exc: Exception, reader) -> DomainError:
-    where = "" if isinstance(exc, UnicodeDecodeError) else f":{reader.line_num}"
-    error = DomainError(f"{path}{where}: {exc}")
+    where, what = f":{reader.line_num}", exc
+    if isinstance(exc, UnicodeDecodeError):
+        # The decoder's position is within its chunk, so name the first line
+        # that does not decode alone: UTF-8 never puts b"\n" inside a character.
+        where = ""
+        with path.open("rb") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                try:
+                    line.decode(exc.encoding)
+                except UnicodeDecodeError as line_exc:
+                    where, what = f":{lineno}", line_exc
+                    break
+    error = DomainError(f"{path}{where}: {what}")
     error.__cause__ = exc
     return error
 

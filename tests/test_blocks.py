@@ -90,11 +90,36 @@ def _max_by_reduceat(x: np.ndarray) -> np.ndarray:
     return flat.reshape(x.shape[:-1])
 
 
+def _by_ragged_reduceat(ufunc):
+    """The reduction over the last axis as the nested rule takes it: each row
+    one segment of a (2, nodes) array, between segments of other lengths,
+    all reduced by one ``reduceat`` along the nodes.
+
+    ``add.reduceat`` does not sum pairwise as ``np.sum`` does, so a segment
+    is held to the same ``reduceat`` of it alone, which is how a one-table
+    block takes it.
+    """
+    def reduce(x):
+        rows = x.reshape(-1, x.shape[-1])
+        gaps = np.random.default_rng(rows.shape[0]).integers(1, 9, size=rows.shape[0] + 1)
+        pieces = [np.full(gaps[0], 3.0)]
+        for row, gap in zip(rows, gaps[1:]):
+            pieces += [row, np.full(gap, -2.0)]
+        lengths = np.array([piece.size for piece in pieces])
+        line = np.concatenate(pieces)
+        both = np.stack([line, line[::-1].copy()])
+        segments = ufunc.reduceat(both, np.cumsum(lengths) - lengths, axis=1)
+        return segments[0, 1::2].reshape(x.shape[:-1])
+    return reduce
+
+
 @pytest.mark.parametrize(
     "reduce, of_row",
     [(lambda x: np.sum(x, axis=-1), np.sum), (lambda x: np.max(x, axis=-1), np.max),
-     (_max_by_reduceat, np.max)],
-    ids=["sum", "max", "max-by-reduceat"],
+     (_max_by_reduceat, np.max),
+     (_by_ragged_reduceat(np.add), lambda row: np.add.reduceat(row, [0])[0]),
+     (_by_ragged_reduceat(np.maximum), lambda row: np.maximum.reduceat(row, [0])[0])],
+    ids=["sum", "max", "max-by-reduceat", "sum-by-ragged-reduceat", "max-by-ragged-reduceat"],
 )
 def test_last_axis_reductions_are_the_reductions_of_each_row(reduce, of_row):
     rng = np.random.default_rng(7)
@@ -131,8 +156,8 @@ def alone():
                          ids=["block-1", "block-7", "block-64", "default"])
 def test_records_do_not_depend_on_the_block(monkeypatch, alone, block):
     # 70 trials put block edges at 7, 14, ... or at 64, and are one block by
-    # default; g = 0.2 on a 2x3x5 design gives the trials different log-g
-    # and outer node counts.
+    # default; g = 0.2 on a 2x3x5 design gives the trials different outer
+    # node counts.
     config, want = alone
     if block is not None:
         _block_of(monkeypatch, config, block)

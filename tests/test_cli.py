@@ -479,9 +479,10 @@ class TestTopLevel:
         assert code == 2
         assert f"argument {argv[-2]}: {message}" in err
 
-    @pytest.mark.parametrize("argv", [["report"], ["simulate", "--out", "o.csv", "--config"]],
+    @pytest.mark.parametrize("argv, where",
+                             [(["report"], ":1"), (["simulate", "--out", "o.csv", "--config"], "")],
                              ids=["report", "simulate"])
-    def test_file_that_is_not_utf8(self, tmp_path, argv):
+    def test_file_that_is_not_utf8(self, tmp_path, argv, where):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\xff\xfe1\x00")  # a UTF-16 byte-order mark
         env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
@@ -489,7 +490,7 @@ class TestTopLevel:
                               cwd=tmp_path, capture_output=True, text=True, timeout=60)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
-        assert done.stderr.startswith(f"error: {path}: 'utf-8' codec can't decode")
+        assert done.stderr.startswith(f"error: {path}{where}: 'utf-8' codec can't decode")
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

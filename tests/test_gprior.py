@@ -230,24 +230,28 @@ def nested_quad_log_marginal(table, effects, scale: float = DEFAULT_PRIOR_SCALE)
     return top + math.log(val)
 
 
-def direct_nested_log_bf10(table, spec: GPriorSpec = GPriorSpec(), rule=_RULE) -> float:
-    """log BF10 of AB by the nested rule with each log I_e taken directly.
+def direct_nested_log_bf10(table, effect, spec: GPriorSpec = GPriorSpec(), rule=_RULE) -> float:
+    """log BF10 of ``effect`` by the nested rule with each log I_e taken directly.
 
-    The rule before the lattice: at every outer node, each log I_e is a
-    logsumexp over the table's own log-g grid, whose window reaches past
-    the farthest posterior mode of g.  The outer rule and the grid's
+    The rule without the lattice: at every outer node, each log I_e is a
+    logsumexp over the table's own log-g grid, from 4 below log(r^2/2) to 35
+    past the farthest posterior mode of g.  The outer rule and the grid's
     spacing are the oracle's.
     """
-    setup = _setup(_Block.of(table), "AB", spec.scale, rule)
-    outer, k = setup.outer, setup.k
-    u, log_w = _log_g_grid(setup.beta, setup.step, rule, int(setup.count[0]))
+    setup = _setup(_Block.of(table), effect, spec.scale, rule)
+    k, (num, _) = setup.k, MODEL_PAIRS[effect]
+    frac = np.array([table.ss(e) / table.ss_total for e in num])
+    reach = math.log(k) + math.log(max(np.max(frac / setup.c), 1e-300)) - math.log(setup.rho[0])
+    lo = math.log(setup.beta) - rule.g_below
+    hi = max(math.log(2.0 * setup.beta), reach) + rule.g_above
+    u, log_w = _log_g_grid(setup.beta, setup.g_step, rule,
+                           math.ceil((hi - lo) / setup.g_step) + 1)
     shrink = 1.0 / (1.0 + setup.c[:, None] * np.exp(u))
     log_node = log_w + 0.5 * setup.df[:, None] * np.log(shrink)
-    v = np.linspace(outer.lo, outer.hi[0], outer.count[0])
-    frac = np.array([table.ss(e) / table.ss_total for e in EFFECTS])
+    v = np.linspace(setup.lo, setup.hi[0], setup.count[0])
     log_i = logsumexp(log_node - (np.exp(v)[:, None] * frac)[:, :, None] * shrink, axis=-1)
-    f_num = k * v - np.exp(v) * outer.rho[0] + log_i.sum(axis=1)
-    f_den = k * v - np.exp(v) * outer.rho_den[0] + log_i[:, outer.den].sum(axis=1)
+    f_num = k * v - np.exp(v) * setup.rho[0] + log_i.sum(axis=1)
+    f_den = k * v - np.exp(v) * setup.rho_den[0] + log_i[:, setup.den].sum(axis=1)
     return float(logsumexp(f_num) - logsumexp(f_den))
 
 
@@ -543,17 +547,20 @@ class TestQuadratureRule:
                         worst = max(worst, abs(got - want))
         assert worst <= 1e-8
 
-    def test_interaction_within_bound_of_the_direct_rule(self):
+    @pytest.mark.parametrize("effect", list(MODEL_PAIRS))
+    def test_interaction_within_bound_of_the_direct_rule(self, effect):
         # The lattice's interpolation error, against log I_e taken at every
-        # outer node on the table's own log-g grid.
-        worst = max(abs(_table_bf10(table, "AB", GPriorSpec()).log_bf
-                        - direct_nested_log_bf10(table)) for table in study_tables())
+        # outer node on the table's own log-g grid; for the main effects'
+        # pairs as for the interaction's.
+        worst = max(abs(_table_bf10(table, effect, GPriorSpec()).log_bf
+                        - direct_nested_log_bf10(table, effect)) for table in study_tables())
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("effect", list(MODEL_PAIRS))
     @pytest.mark.parametrize("scale", [0.05, DEFAULT_PRIOR_SCALE, 10.0])
     @pytest.mark.parametrize("a, b, cell_n", [(3, 4, 5), (5, 5, 3)], ids=["3x4", "5x5"])
     def test_interaction_within_bound_of_the_direct_rule_across_prior_scales(
-        self, a, b, cell_n, scale
+        self, a, b, cell_n, scale, effect
     ):
         # At r = 0.05 the prior's bulk and its tail trade places within a
         # few hundredths of log tau on the 16-contrast block of 5x5; the
@@ -564,8 +571,8 @@ class TestQuadratureRule:
             for effect_scale in (1.0, 3.0):
                 table = fit_two_way(random_dataset(seed, a=a, b=b, cell_n=cell_n,
                                                    effect_scale=effect_scale))
-                got = _table_bf10(table, "AB", spec).log_bf
-                worst = max(worst, abs(got - direct_nested_log_bf10(table, spec)))
+                got = _table_bf10(table, effect, spec).log_bf
+                worst = max(worst, abs(got - direct_nested_log_bf10(table, effect, spec)))
         assert worst <= 1e-10
 
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
@@ -638,19 +645,16 @@ class TestSharedOuterGrid:
         # window starts at the same lo and ends no later, and the shared
         # nodes are no farther apart than its own rule allows.
         for effect, (num, den) in MODEL_PAIRS.items():
-            if not den:
-                continue
             try:
                 setup = _setup(_Block.of(table), effect, DEFAULT_PRIOR_SCALE)
             except DegenerateDataError:
                 reject()
-            outer = setup.outer
-            assert outer.rho_den[0] >= outer.rho[0]
-            lo, hi, _ = _outer_rule(setup.k, outer.rho_den)
-            assert lo == outer.lo
-            assert hi[0] <= outer.hi[0]
-            assert outer.step[0] <= _outer_spacing(setup.k)
-            assert list(outer.den) == [e in den for e in num]
+            assert setup.rho_den[0] >= setup.rho[0]
+            lo, hi, _ = _outer_rule(setup.k, setup.rho_den)
+            assert lo == setup.lo
+            assert hi[0] <= setup.hi[0]
+            assert setup.step[0] <= _outer_spacing(setup.k)
+            assert list(setup.den) == [e in den for e in num]
 
 
 def desk_records_bits() -> list[str]:

@@ -438,7 +438,8 @@ class TestResultsFiles:
     def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "results.csv"
         path.write_bytes(b"\xff\xfet\x00r\x00")  # a UTF-16 byte-order mark
-        with pytest.raises(DomainError, match="results.csv: 'utf-8' codec can't decode"):
+        with pytest.raises(DomainError, match="results.csv:1: 'utf-8' codec can't decode byte "
+                                              "0xff in position 0: invalid start byte"):
             read_records(path)
 
     def test_tampered_decision_is_caught(self, tmp_path):
@@ -798,8 +799,10 @@ class TestReadRecordsErrors:
                                      len(big_lines) - 1: ROW_FAULTS["effect"][0]})
         with pytest.raises(DomainError) as info:
             read_records(path)
-        assert re.fullmatch(re.escape(f"{path}: 'utf-8' codec can't decode byte 0xff in "
-                                      "position ") + r"\d+: invalid start byte", str(info.value))
+        # the byte's line in the file, and its position in that line
+        position = len(big_lines[FAULT_ROW].split(",")[0]) + 1
+        assert str(info.value) == (f"{path}:{_fault_line(FAULT_ROW)}: 'utf-8' codec can't "
+                                   f"decode byte 0xff in position {position}: invalid start byte")
 
     def test_a_repeated_row_names_the_line_it_repeats(self, tmp_path):
         path = tmp_path / "results.csv"
