@@ -20,14 +20,12 @@ is an empty cell.  A non-finite value is ``inf`` in plain and csv output and
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import re
 import sys
 import time
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import BicbfError
 from .parsing import parse_stat, render_stat
@@ -304,17 +302,22 @@ def _emit(fmt: str, rows: dict | list[dict], plain: list[str]) -> None:
     plain prints the given lines.  csv writes a header from the keys and
     one row per dict: a float as its repr (csv.writer's rule), None as an
     empty cell, a list joined by "; ".  json writes a non-finite float as
-    null, since strict JSON has no inf, and a dict as an object.
+    null, since strict JSON has no inf, and a dict as an object.  csv and
+    json are imported here, by the one format that needs each.
     """
     table = rows if isinstance(rows, list) else [rows]
     if fmt == "plain":
         print("\n".join(plain))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(table[0].keys())
         for row in table:
             writer.writerow("; ".join(v) if isinstance(v, list) else v for v in row.values())
     else:
+        import json
+
         strict = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
                    for key, v in row.items()} for row in table]
         print(json.dumps(strict if isinstance(rows, list) else strict[0]))

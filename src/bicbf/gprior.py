@@ -242,7 +242,6 @@ class GPriorSpec:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
-@dataclass(frozen=True)
 class GPriorBayesFactor(BayesFactorValue):
     """Default Bayes factor from ``default_bf10``.
 
@@ -251,7 +250,11 @@ class GPriorBayesFactor(BayesFactorValue):
     removed with the benchmark change of ROADMAP item 1.
     """
 
-    standard_error: float = 0.0
+    __slots__ = ("standard_error",)
+
+    def __init__(self, log_bf: float, direction: str, standard_error: float = 0.0):
+        super().__init__(log_bf, direction)
+        self._set(standard_error=standard_error)
 
 
 def default_bf10(

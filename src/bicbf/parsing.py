@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import ParseError
-from .summary import SummaryStat
+from .summary import SummaryStat, _Value
 
 __all__ = ["ParsedReport", "parse_stat", "render_stat"]
 
@@ -29,13 +28,13 @@ _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _DF_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class ParsedReport:
+class ParsedReport(_Value):
     """A parsed statistic together with its source text and any warnings."""
 
-    stat: SummaryStat
-    raw: str
-    warnings: tuple[str, ...]
+    __slots__ = ("stat", "raw", "warnings")
+
+    def __init__(self, stat: SummaryStat, raw: str, warnings: tuple[str, ...]):
+        self._set(stat=stat, raw=raw, warnings=warnings)
 
 
 class _Cursor:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -56,8 +55,62 @@ def _exp(log_value: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class SummaryStat:
+class _Value:
+    """Base of the frozen value types: fields in ``__slots__``, set once.
+
+    A subclass lists its own fields in ``__slots__``, after those of its
+    bases, and its ``__init__`` validates them and sets them with ``_set``.
+    Instances compare equal by type and fields, hash, repr and pickle as a
+    frozen dataclass would, and refuse assignment and deletion.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += cls.__dict__.get("__slots__", ())
+        cls.__match_args__ = cls._fields
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, validated as a new value."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _check_count(name: str, count) -> None:
+    """A count above the double range cannot enter the float arithmetic."""
+    if count is not None and count > sys.float_info.max:  # exact for an int
+        raise DomainError(f"{name} must be at most {sys.float_info.max:.6g}")
+
+
+class SummaryStat(_Value):
     """A reported test statistic with its degrees of freedom.
 
     ``n`` may be None when the source text did not state a sample size; it
@@ -68,54 +121,50 @@ class SummaryStat:
     route (``bf01_from_f``, ``bf01_from_t``, parsed text, CLI flags) built it.
     """
 
-    kind: str  # "F" or "t"
-    statistic: float
-    df1: int | None
-    df2: int
-    n: int | None = None
-    p_reported: float | None = None
+    __slots__ = ("kind", "statistic", "df1", "df2", "n", "p_reported")
 
-    def __post_init__(self):
-        if self.kind == "F":
-            if not math.isfinite(self.statistic) or self.statistic < 0:
-                raise DomainError(f"f must be finite and nonnegative, got {self.statistic}")
-            if self.df1 is None or self.df1 < 1:
-                raise DomainError(f"df1 must be a positive integer, got {self.df1}")
-        elif self.kind == "t":
-            if not math.isfinite(self.statistic):
-                raise DomainError(f"t must be finite, got {self.statistic}")
-            if self.df1 not in (None, 1):
+    def __init__(self, kind: str, statistic: float, df1: int | None, df2: int,
+                 n: int | None = None, p_reported: float | None = None):
+        if kind == "F":
+            if not math.isfinite(statistic) or statistic < 0:
+                raise DomainError(f"f must be finite and nonnegative, got {statistic}")
+            if df1 is None or df1 < 1:
+                raise DomainError(f"df1 must be a positive integer, got {df1}")
+        elif kind == "t":
+            if not math.isfinite(statistic):
+                raise DomainError(f"t must be finite, got {statistic}")
+            if df1 not in (None, 1):
                 raise DomainError("a t statistic carries no df1 (it is fixed to 1 on conversion)")
         else:
-            raise DomainError(f"kind must be 'F' or 't', got {self.kind!r}")
-        if self.df2 < 1:
-            raise DomainError(f"df2 must be a positive integer, got {self.df2}")
-        if self.n is not None and self.n < 2:
-            raise DomainError(f"n must be at least 2, got {self.n}")
-        for name in ("df1", "df2", "n"):
-            count = getattr(self, name)
-            if count is not None and count > sys.float_info.max:  # exact for an int
-                raise DomainError(f"{name} must be at most {sys.float_info.max:.6g}")
-        if self.p_reported is not None and not 0.0 <= self.p_reported <= 1.0:
-            raise DomainError(f"p_reported must lie in [0, 1], got {self.p_reported}")
+            raise DomainError(f"kind must be 'F' or 't', got {kind!r}")
+        if df2 < 1:
+            raise DomainError(f"df2 must be a positive integer, got {df2}")
+        if n is not None and n < 2:
+            raise DomainError(f"n must be at least 2, got {n}")
+        _check_count("df1", df1)
+        _check_count("df2", df2)
+        _check_count("n", n)
+        if p_reported is not None and not 0.0 <= p_reported <= 1.0:
+            raise DomainError(f"p_reported must lie in [0, 1], got {p_reported}")
+        self._set(kind=kind, statistic=statistic, df1=df1, df2=df2, n=n,
+                  p_reported=p_reported)
 
 
-@dataclass(frozen=True)
-class BayesFactorValue:
+class BayesFactorValue(_Value):
     """A Bayes factor held in natural-log space with an explicit direction.
 
     ``direction`` "01" means the stored value is BF01 (evidence for the null
     over the alternative); "10" is the reciprocal orientation.
     """
 
-    log_bf: float
-    direction: str
+    __slots__ = ("log_bf", "direction")
 
-    def __post_init__(self):
-        if self.direction not in _DIRECTIONS:
-            raise DomainError(f"direction must be '01' or '10', got {self.direction!r}")
-        if not math.isfinite(self.log_bf):
+    def __init__(self, log_bf: float, direction: str):
+        if direction not in _DIRECTIONS:
+            raise DomainError(f"direction must be '01' or '10', got {direction!r}")
+        if not math.isfinite(log_bf):
             raise DomainError("log_bf must be finite")
+        self._set(log_bf=log_bf, direction=direction)
 
     @property
     def bf(self) -> float:
@@ -131,13 +180,18 @@ class BayesFactorValue:
         return invert(self)
 
 
-@dataclass(frozen=True)
-class EvidenceClass:
-    """Folded evidence label: which hypothesis is favored and how strongly."""
+class EvidenceClass(_Value):
+    """Folded evidence label: which hypothesis is favored and how strongly.
 
-    favored: str  # "H0" or "H1"
-    category: str  # "weak" | "positive" | "strong" | "very strong"
-    bf_in_favored_direction: float
+    ``favored`` is "H0" or "H1"; ``category`` one of "weak", "positive",
+    "strong" and "very strong".
+    """
+
+    __slots__ = ("favored", "category", "bf_in_favored_direction")
+
+    def __init__(self, favored: str, category: str, bf_in_favored_direction: float):
+        self._set(favored=favored, category=category,
+                  bf_in_favored_direction=bf_in_favored_direction)
 
 
 def bf01_from_f(f: float, df1: int, df2: int, n: int) -> BayesFactorValue:
@@ -189,8 +243,13 @@ def delta_bic_10(sse1: float, sse0: float, n: int, dk: int) -> float:
 
     ``sse1``/``sse0`` are the residual sums of squares under the alternative
     and null models; ``dk`` the number of extra parameters the alternative
-    spends.  Returns n*ln(sse1/sse0) + dk*ln(n).
+    spends.  Returns n*ln(sse1/sse0) + dk*ln(n); where sse1/sse0 underflows
+    a normal double, ln(sse1/sse0) is taken as ln sse1 - ln sse0.  Raises
+    DomainError where the difference itself leaves the double range.
     """
+    for name, sse in (("sse1", sse1), ("sse0", sse0)):
+        if not math.isfinite(sse):
+            raise DomainError(f"{name} must be finite, got {sse}")
     if not sse1 > 0:
         raise DomainError(f"sse1 must be positive, got {sse1}")
     if sse0 < sse1:
@@ -199,7 +258,17 @@ def delta_bic_10(sse1: float, sse0: float, n: int, dk: int) -> float:
         raise DomainError(f"n must be at least 2, got {n}")
     if dk < 1:
         raise DomainError(f"dk must be at least 1, got {dk}")
-    return n * math.log(sse1 / sse0) + dk * math.log(n)
+    _check_count("n", n)
+    _check_count("dk", dk)
+    ratio = sse1 / sse0
+    if ratio >= sys.float_info.min:
+        log_ratio = math.log(ratio)
+    else:
+        log_ratio = math.log(sse1) - math.log(sse0)
+    delta = n * log_ratio + dk * math.log(n)
+    if not math.isfinite(delta):
+        raise DomainError("the BIC difference lies outside the double range")
+    return delta
 
 
 def bf01_from_delta_bic(delta_bic_10: float) -> BayesFactorValue:
@@ -217,6 +286,8 @@ def bf01_from_partial_eta_sq(eta_p2: float, n: int, df1: int) -> BayesFactorValu
         raise DomainError(f"n must be at least 2, got {n}")
     if df1 < 1:
         raise DomainError(f"df1 must be at least 1, got {df1}")
+    _check_count("n", n)
+    _check_count("df1", df1)
     log_bf = 0.5 * (n * math.log1p(-eta_p2) + df1 * math.log(n))
     return BayesFactorValue(log_bf, "01")
 

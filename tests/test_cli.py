@@ -1,5 +1,6 @@
 """Command-line interface: routing, formats, exit codes, file handling."""
 
+import ast
 import csv
 import io
 import json
@@ -604,3 +605,43 @@ def test_bf_and_parse_load_no_numpy_or_scipy():
         timeout=60, check=True,
     ).stdout
     assert out.splitlines() == ["[]", "[0, 0] []"]
+
+
+_BUDGET_PROBE = """
+import contextlib, io, sys
+bare = set(sys.modules)
+def loaded():
+    return sorted({m.split('.')[0] for m in set(sys.modules) - bare})
+from bicbf.cli import main
+calls = {
+    'plain': [['bf', '--f', '2.584', '--df1', '1', '--df2', '17', '--n', '18'],
+              ['bf', 't(71)=2.0', '--n', '73', '--direction', '10'],
+              ['parse', 'F(1,17)=2.584, p=0.126']],
+    'csv': [['parse', 't(71)=2.0, n=73', '--format', 'csv']],
+    'json': [['bf', 'F(1,17)=2.584', '--n', '18', '--format', 'json']],
+}
+for fmt, argvs in calls.items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes = [main(argv) for argv in argvs]
+    print(repr((fmt, codes, loaded())))
+"""
+
+_HEAVY = ("numpy", "scipy", "dataclasses", "inspect", "json", "csv", "typing")
+
+
+def test_bf_and_parse_import_only_what_their_format_needs():
+    # Start-up is most of a one-shot call: the bf/parse path leaves out
+    # dataclasses (which pulls in inspect), typing, and json and csv until
+    # a call asks for that format.  Modules the interpreter itself loads
+    # at start-up (some sites import typing) are not counted.
+    env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+    env.pop(FORMAT_ENV_VAR, None)
+    out = subprocess.run(
+        [sys.executable, "-c", _BUDGET_PROBE], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    ).stdout
+    steps = [ast.literal_eval(line) for line in out.splitlines()]
+    assert [(fmt, codes) for fmt, codes, _ in steps] == [
+        ("plain", [0, 0, 0]), ("csv", [0]), ("json", [0])]
+    heavy = {fmt: sorted(set(_HEAVY) & set(loaded)) for fmt, _, loaded in steps}
+    assert heavy == {"plain": [], "csv": ["csv"], "json": ["csv", "json"]}

@@ -7,7 +7,6 @@ a different arithmetic path than the log-space implementation under test.
 
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -197,6 +196,37 @@ class TestDeltaBic:
         with pytest.raises(DomainError, match="n"):
             delta_bic_10(1.0, 2.0, 1, 1)
 
+    @pytest.mark.parametrize(
+        "sse1, sse0, field",
+        [(1.0, math.nan, "sse0"), (math.nan, 1.0, "sse1"), (math.inf, math.inf, "sse1"),
+         (1.0, math.inf, "sse0")],
+    )
+    def test_nonfinite_sums_of_squares_rejected(self, sse1, sse0, field):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            delta_bic_10(sse1, sse0, 20, 1)
+
+    @pytest.mark.parametrize("field", ["n", "dk"])
+    def test_counts_beyond_the_double_range_rejected(self, field):
+        counts = {"n": 20, "dk": 1, field: 10**400}
+        with pytest.raises(DomainError, match=f"{field} must be at most"):
+            delta_bic_10(1.0, 2.0, counts["n"], counts["dk"])
+
+    def test_underflowing_quotient_stays_finite(self):
+        # 1e-320 / 1e308 is 0 in doubles; the logs themselves are finite
+        got = delta_bic_10(1e-320, 1e308, 20, 1)
+        expected = 20 * (math.log(1e-320) - math.log(1e308)) + math.log(20)
+        assert got == pytest.approx(expected, rel=1e-15)
+        # monotone across the switch: a smaller sse1 never raises the value
+        normal = delta_bic_10(1e-290, 1e8, 20, 1)
+        assert got < normal < delta_bic_10(1.0, 1e8, 20, 1)
+
+    def test_normal_quotient_keeps_its_bits(self):
+        assert delta_bic_10(3.0, 7.0, 40, 2) == 40 * math.log(3.0 / 7.0) + 2 * math.log(40)
+
+    def test_difference_beyond_the_double_range_rejected(self):
+        with pytest.raises(DomainError, match="double range"):
+            delta_bic_10(1e-300, 1.0, 10**308, 1)
+
 
 class TestBf01FromDeltaBic:
     def test_zero_gives_unit_bayes_factor(self):
@@ -232,13 +262,19 @@ class TestBf01FromPartialEtaSq:
         with pytest.raises(DomainError, match="eta_p2"):
             bf01_from_partial_eta_sq(math.nan, 18, 1)
 
+    @pytest.mark.parametrize("field", ["n", "df1"])
+    def test_counts_beyond_the_double_range_rejected(self, field):
+        counts = {"n": 18, "df1": 1, field: 10**400}
+        with pytest.raises(DomainError, match=f"{field} must be at most"):
+            bf01_from_partial_eta_sq(0.1, counts["n"], counts["df1"])
+
 
 class TestSummaryStat:
     def test_bf_from_stat_needs_n(self):
         stat = SummaryStat("t", 2.0, None, 71)
         with pytest.raises(DomainError, match="n"):
             bf01_from_stat(stat)
-        assert bf01_from_stat(replace(stat, n=73)).bf == pytest.approx(BF_T_20_71_73, rel=1e-12)
+        assert bf01_from_stat(stat.replace(n=73)).bf == pytest.approx(BF_T_20_71_73, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
