@@ -54,6 +54,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (BicbfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 class _Parser(argparse.ArgumentParser):

@@ -29,17 +29,20 @@ take 32 bytes a stream and a generator some 750 traced, so the study keeps
 a block's words and builds each trial's generators only for its draws.
 ``stream_words`` and ``substreams`` are the one-label cases and
 ``substream`` the one-index case.
+
+The engines, ``hashlib`` and ``numpy.random``, load on the first
+``label_key`` or ``_generator`` call (``_load_engines``), so code that
+reads or writes results without drawing (a config, a results file, a
+report) never imports them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 
@@ -55,9 +58,30 @@ _STATE_WORDS = 8  # uint32 words of the four uint64 words PCG64 asks for
 _OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
 
 
+# hashlib.sha256, numpy.random.Generator and numpy.random.PCG64, and
+# _SeedWords as a numpy seed sequence: bound by _load_engines on the first
+# label key or generator of the process
+_sha256 = _Generator = _PCG64 = _PCG64Seed = None
+
+
+def _load_engines() -> None:
+    global _sha256, _Generator, _PCG64, _PCG64Seed
+    import hashlib
+
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _PCG64Seed(_SeedWords, ISeedSequence):
+        """``_SeedWords`` as the seed sequence type that PCG64 takes."""
+
+    _sha256, _Generator, _PCG64 = hashlib.sha256, Generator, PCG64
+
+
 def label_key(label: str) -> int:
     """Stable 64-bit key for a substream label."""
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    if _sha256 is None:
+        _load_engines()
+    digest = _sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -122,6 +146,8 @@ def _words(value: int) -> list[int]:
 
 
 def _seed(seed) -> int:
+    if isinstance(seed, bool):  # no seed, as it is no index to _indices
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     try:
         seed = operator.index(seed)
     except TypeError:
@@ -185,21 +211,28 @@ def _label_words(seed: int, labels: Sequence[str], indices) -> np.ndarray:
     return out
 
 
-class _SeedWords(ISeedSequence):
-    """Seed words already generated, for numpy's own PCG64 seeding."""
+class _SeedWords:
+    """Seed words already generated, for numpy's own PCG64 seeding.
+
+    PCG64 takes its subclass ``_PCG64Seed``, which is also a numpy
+    ``ISeedSequence``; ``_load_engines`` makes it with numpy.random.
+    """
 
     def __init__(self, words: np.ndarray):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("holds the four uint64 words of one PCG64 seed only")
-        return self.words
+        # PCG64 asks for the type itself: test it before building a dtype
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+            return self.words
+        raise ValueError("holds the four uint64 words of one PCG64 seed only")
 
 
 def _generator(words: np.ndarray) -> np.random.Generator:
     """The generator of one stream from its row of ``_label_words``."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    if _PCG64 is None:
+        _load_engines()
+    return _Generator(_PCG64(_PCG64Seed(words)))
 
 
 def label_substreams(

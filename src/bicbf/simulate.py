@@ -49,6 +49,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import islice, repeat
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -93,13 +94,25 @@ DENSITY_HEADER = ("effect", "bf_type", "x", "density")
 DENSITY_GRID_POINTS = 512
 
 
+def _is_int(value) -> bool:
+    """Whether ``operator.index`` takes ``value`` (a numpy integer too) and
+    it is not a bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """One simulation condition.
 
     ``g`` is the effect variance relative to unit noise; ``seed`` keys the
     data-generating substreams.  Of the oracle spec only the prior scale
-    enters the results.
+    enters the results.  The counts and the seed must be integers (numpy
+    integers too, a bool not) and g a real number other than a bool, so
+    that every config runs and writes back a file ``read_config`` reads.
     """
 
     cell_n: int
@@ -111,6 +124,12 @@ class SimulationConfig:
     oracle: GPriorSpec = GPriorSpec()
 
     def __post_init__(self):
+        for name in ("cell_n", "trials", "seed", "a_levels", "b_levels"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.g, bool) or not isinstance(self.g, Real):
+            raise DomainError(f"g must be a real number, got {self.g!r}")
         if self.cell_n < 2:
             raise DomainError(f"cell_n must be at least 2, got {self.cell_n}")
         if not (math.isfinite(self.g) and self.g >= 0):
@@ -456,19 +475,55 @@ class DensitySeries:
 
 
 _KDE_VALUES = 2**14  # (grid point, value) products taken at once, in whole grid rows
+# Exponents below this are bracketed, not evaluated: exp(-700) ~ 9.9e-305 is
+# a normal double, in the range where numpy's exp takes its fast lanes
+_EXP_FLOOR = -700.0
+
+
+def _exponents(x: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+    """(x.size, values.size) -0.5 * z * z, z = (x[i] - values[j]) / h, rounded as
+    the one-shot formula rounds it."""
+    z = np.subtract.outer(x, values)
+    z /= h
+    t = np.multiply(z, -0.5)
+    t *= z
+    return t
+
+
+def _one_shot_sums(x: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+    """The one-shot ``exp(-0.5 * z * z).sum(axis=1)`` of grid points ``x``."""
+    t = _exponents(x, values, h)
+    return np.exp(t, out=t).sum(axis=1)
 
 
 def _kernel_sums(x: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
-    """Row sums of exp(-0.5 * z * z), z = (x[i] - values[j]) / h, in chunks of rows."""
+    """Row sums of exp(-0.5 * z * z), z = (x[i] - values[j]) / h, in chunks of rows.
+
+    A chunk with an exponent below ``_EXP_FLOOR`` (and no NaN) brackets
+    those products instead of evaluating them, whose exp is slow: each row
+    is summed with them at exp(_EXP_FLOOR), above their value, and at 0,
+    below it.  Rounded addition is monotone in each operand and all three
+    sums share one pairwise-sum tree, so a row whose two sums agree is
+    bitwise the one-shot sum; any other row is summed again by the one-shot
+    formula.  Any other chunk is the one-shot formula itself.
+    """
     sums = np.empty(x.size)
     rows = max(1, _KDE_VALUES // values.size)
     for start in range(0, x.size, rows):
-        z = np.subtract.outer(x[start : start + rows], values)
-        z /= h
-        t = np.multiply(z, -0.5)
-        t *= z
+        grid, out = x[start : start + rows], sums[start : start + rows]
+        t = _exponents(grid, values, h)
+        if not t.min() < _EXP_FLOOR:  # a NaN minimum also takes this path
+            np.exp(t, out=t)
+            t.sum(axis=1, out=out)
+            continue
+        low = t < _EXP_FLOOR
+        np.maximum(t, _EXP_FLOOR, out=t)
         np.exp(t, out=t)
-        t.sum(axis=1, out=sums[start : start + rows])
+        t.sum(axis=1, out=out)
+        np.copyto(t, 0.0, where=low)
+        redo = np.flatnonzero(out != t.sum(axis=1))
+        if redo.size:
+            out[redo] = _one_shot_sums(grid[redo], values, h)
     return sums
 
 
@@ -488,6 +543,9 @@ def emit_density_data(
     operations of the one-shot ``exp(-0.5 * z * z).sum(axis=1)`` with
     z = (x - value) / h, and each row is summed alone over the same
     contiguous values, so the densities are bitwise the one-shot formula's.
+    Products below exp(-700) are bracketed between 0 and exp(-700) rather
+    than evaluated, and a row the bracket does not settle is summed again
+    (``_kernel_sums``), so the bits stay the one-shot formula's.
     """
     records = RecordTable.of(records)
     if not len(records):

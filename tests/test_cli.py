@@ -299,6 +299,20 @@ class TestSimulate:
         assert code == 1
         assert err.splitlines()[-1].startswith("error:")
 
+    def test_running_out_of_memory_is_one_error_line(self, capsys, monkeypatch, tmp_path):
+        # as numpy reports an array of 1e5 x 1e5 levels; nothing is allocated
+        message = ("Unable to allocate 74.5 GiB for an array with shape "
+                   "(1, 100000, 100000) and data type float64")
+
+        def allocate(config, trials):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(bicbf.simulate, "_block_data", allocate)
+        code, out, err = run_cli(capsys, *self.BASE, "--out", str(tmp_path / "r.csv"))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: out of memory: {message}\n"
+
 
 class TestReport:
     def test_plain_table(self, capsys, results_file):

@@ -5,7 +5,12 @@ arithmetic, so that a block of trials keys its streams in one pass.  Every
 stream must stay bit for bit ``PCG64(SeedSequence([seed, key, index]))``.
 """
 
+import ast
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +100,7 @@ def test_golden_dataset():
     [
         (lambda: substream(-1, "noise", 0), "seed must be a nonnegative integer, got -1"),
         (lambda: substream(1.5, "noise", 0), "seed must be a nonnegative integer, got 1.5"),
+        (lambda: substream(True, "noise", 0), "seed must be a nonnegative integer, got True"),
         (lambda: substream(1, "noise", -1), "index must be a nonnegative integer, got -1"),
         (lambda: substream(1, "noise", 1.5), "index must be a nonnegative integer, got 1.5"),
         (lambda: substream(1, "noise", 2**64), "index must be below 2\\*\\*64"),
@@ -104,7 +110,7 @@ def test_golden_dataset():
         (lambda: generate_dataset(SimulationConfig(cell_n=2, g=0.1, trials=3, seed=0), -1),
          "index must be a nonnegative integer, got -1"),
     ],
-    ids=["negative-seed", "fractional-seed", "negative-index", "fractional-index",
+    ids=["negative-seed", "fractional-seed", "bool-seed", "negative-index", "fractional-index",
          "index-of-65-bits", "negative-in-array", "float-array", "array-negative-seed",
          "negative-trial"],
 )
@@ -118,3 +124,57 @@ def test_the_seed_words_serve_pcg64_only():
     assert words.generate_state(4, np.uint64) is words.words
     with pytest.raises(ValueError, match="PCG64 seed only"):
         words.generate_state(8)
+
+
+@pytest.mark.parametrize("request_", [(4, np.uint32), (4, "uint32"), (2, np.uint64)],
+                         ids=["uint32-type", "uint32-name", "two-words"])
+def test_the_seed_words_refuse_any_other_request(request_):
+    words = _SeedWords(stream_words(1, "noise", [0])[0])
+    assert words.generate_state(4, "uint64") is words.words
+    with pytest.raises(ValueError, match="PCG64 seed only"):
+        words.generate_state(*request_)
+
+
+# The engines of the draws, as a fresh interpreter loads them: nothing that
+# reads or writes configs, results or densities may load them, only a draw.
+_ENGINES_PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+import numpy
+
+def engines():
+    return sorted(m for m in sys.modules
+                  if m.startswith("numpy.random") or m in ("hashlib", "_hashlib"))
+
+baseline = engines()  # numpy 1.24 imports numpy.random itself
+import bicbf.simulate as sim
+from bicbf.cli import main
+
+out = Path(sys.argv[1])
+config = sim.SimulationConfig(cell_n=5, g=0.2, trials=4, seed=1)
+sim.write_config(config, out / "config.txt")
+assert sim.read_config(out / "config.txt") == config
+records = [sim.SimulationRecord(t, e, b, d, sim.decide(b), sim.decide(d))
+           for t in range(4) for e, b, d in (("A", t - 1.5, 0.25 * t), ("B", 1.0 + t, -t),
+                                             ("AB", t * t - 2.0, 3.0 - t))]
+sim.write_records(records, out / "results.csv")
+table = sim.read_records(out / "results.csv")
+sim.summarize(table)
+sim.write_density_data(sim.emit_density_data(table), out / "density.csv")
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(["report", str(out / "results.csv"), "--density", "--out",
+                 str(out / "density2.csv"), "--table"])
+print(repr((code, sorted(set(engines()) - set(baseline)))))
+sim.generate_dataset(config, 0)
+print(repr(sorted({"numpy.random", "hashlib"} & set(sys.modules))))
+"""
+
+
+def test_the_engines_load_on_the_first_draw(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(bicbf.rng.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _ENGINES_PROBE, str(tmp_path)], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    ).stdout
+    assert [ast.literal_eval(line) for line in out.splitlines()] == [
+        (0, []), ["hashlib", "numpy.random"]]

@@ -66,6 +66,35 @@ class TestConfig:
         with pytest.raises(DomainError, match="levels"):
             SimulationConfig(cell_n=2, g=0.0, trials=1, seed=0, a_levels=1)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"cell_n": 2.5}, "cell_n must be an integer, got 2.5"),
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"a_levels": 2.0}, "a_levels must be an integer, got 2.0"),
+            ({"b_levels": True}, "b_levels must be an integer, got True"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"g": True}, "g must be a real number, got True"),
+            ({"g": "0.2"}, "g must be a real number, got '0.2'"),
+        ],
+        ids=["fractional-cell_n", "fractional-trials", "float-a_levels", "bool-b_levels",
+             "fractional-seed", "bool-g", "text-g"],
+    )
+    def test_values_it_cannot_run_or_write_back_are_refused(self, setting, message):
+        # each ran into a bare TypeError, a trial's error or an unreadable config
+        base = {"cell_n": 3, "g": 0.2, "trials": 2, "seed": 1}
+        with pytest.raises(DomainError) as caught:
+            SimulationConfig(**{**base, **setting})
+        assert str(caught.value) == message
+
+    def test_numpy_numbers_are_accepted(self, tmp_path):
+        config = SimulationConfig(cell_n=np.int64(3), g=np.float64(0.2), trials=np.uint8(2),
+                                  seed=np.int32(1), a_levels=np.int16(2))
+        assert run_simulation(config) == run_simulation(
+            SimulationConfig(cell_n=3, g=0.2, trials=2, seed=1))
+        write_config(config, tmp_path / "config.txt")
+        assert read_config(tmp_path / "config.txt") == config
+
 
 class TestGeneration:
     def test_zero_g_dataset_is_exactly_the_noise_stream(self):
@@ -356,6 +385,74 @@ class TestChunkedDensity:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB traced"
+
+
+# exp(-700) ~ 9.9e-305 is a normal double; the smallest is ~2.2e-308
+EXP_FLOOR = bicbf.simulate._EXP_FLOOR
+
+
+class TestBracketedDensity:
+    """Products below exp(EXP_FLOOR) are bracketed between 0 and
+    exp(EXP_FLOOR), not evaluated; every bit stays the one-shot formula's."""
+
+    def test_the_bracket_holds_the_products_below_the_floor(self):
+        ceiling = np.exp(EXP_FLOOR)
+        assert EXP_FLOOR == -700.0
+        assert ceiling >= np.finfo(float).smallest_normal
+        below = np.array([np.nextafter(EXP_FLOOR, -np.inf), -700.5, -708.4, -709.0, -720.0,
+                          -745.0, -745.2, -800.0, -1e300, -np.finfo(float).max, -np.inf])
+        products = np.exp(below)
+        assert np.all((0.0 <= products) & (products <= ceiling))
+        assert np.any((0.0 < products) & (products < np.finfo(float).smallest_normal))
+
+    def test_a_study_series_that_underflows_is_bitwise_the_one_shot_formula(self):
+        table = run_simulation(SimulationConfig(cell_n=20, g=0, trials=1000, seed=1))
+        series = emit_density_data(table)
+        for s in series[:2]:  # the A series, both routes
+            values = (table.log_bf10_bic, table.log_bf10_default)[s.bf_type == "default"]
+            values = values[table.effect == EFFECTS.index("A")]
+            t = bicbf.simulate._exponents(s.x, values, s.bandwidth)
+            with np.errstate(under="ignore"):
+                products = np.exp(t)
+            assert np.mean(t < EXP_FLOOR) > 0.35, s.bf_type
+            subnormal = (products > 0) & (products < np.finfo(float).smallest_normal)
+            assert np.mean(subnormal) > 0.01, s.bf_type
+            x, density = one_shot_density(values, s.bandwidth)
+            assert np.array_equal(s.x, x)
+            assert np.array_equal(s.density, density), s.bf_type
+
+    def test_rows_the_bracket_cannot_settle_are_summed_again(self, monkeypatch):
+        # two clusters 1000 bandwidths apart: between them every product is
+        # clamped, so a row's two bracket sums differ and it is summed again
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.standard_normal(500), 1000.0 + rng.standard_normal(500)])
+        records = [record(t, "A", v, v) for t, v in enumerate(values.tolist())]
+        summed_again = []
+        one_shot = bicbf.simulate._one_shot_sums
+
+        def one_shot_sums(x, values, h):
+            summed_again.append(x.size)
+            return one_shot(x, values, h)
+
+        monkeypatch.setattr(bicbf.simulate, "_one_shot_sums", one_shot_sums)
+        s = emit_density_data(records, bandwidth=1.0)[0]
+        t = bicbf.simulate._exponents(s.x, values, 1.0)
+        gap = np.all(t < EXP_FLOOR, axis=1)
+        assert gap.sum() > 100
+        assert sum(summed_again) >= gap.sum()
+        x, density = one_shot_density(values, 1.0)
+        assert np.array_equal(s.x, x)
+        assert np.array_equal(s.density, density)
+
+    def test_a_chunk_holding_a_nan_is_summed_as_the_one_shot_formula(self):
+        values = np.array([0.0, 1.0, 2000.0])
+        x = np.array([0.5, np.nan, 1000.0, 3000.0])
+        with np.errstate(all="ignore"):
+            got = bicbf.simulate._kernel_sums(x, values, 1.0)
+            z = (x[:, None] - values[None, :]) / 1.0
+            want = np.exp(-0.5 * z * z).sum(axis=1)
+        assert np.array_equal(got, want, equal_nan=True)
+
 
 
 # The writers as they were with the csv module, which the one-format writers
