@@ -7,20 +7,31 @@ come straight from cell, marginal, and grand means and partition the total
 exactly.  Each effect's F ratio feeds the BIC Bayes factor with n equal to
 the total observation count.
 
+The layout is stated once, as data.  The factors are A and B, and the
+terms are ``EFFECTS``, each term being the set of factors in its name.
+Everything per term follows from the levels and cell_n: its effect is its
+cell means less the means of the terms inside it (inclusion-exclusion down
+to the grand mean), its degrees of freedom df_e are the product of
+(levels - 1) over its factors, and its column norm c_e = N / prod(levels)
+over its factors, N the observation count, so that X_e'X_e = c_e I for
+orthonormal contrasts and SS_e = c_e * sum(effect^2).  The nested model
+pairs of the default-prior oracle come from the same statement
+(``_inside``).
+
 The simulation study fits a block of datasets at once: ``_fit_block``
 returns their sums of squares as columns (``_Block``), one row per
-dataset, with no per-dataset table.  The study's BIC (``_bic_log_bf10``)
-and the default-prior oracle's set-up read those columns.  Every array
-operation is elementwise or runs along one dataset's own axes, in the
-order of the scalar code, so a row is bitwise the table that
-``fit_two_way`` gives for its dataset alone; ``fit_two_way`` is the
-one-row block.
+dataset and one column per term, with no per-dataset table.  The study's
+BIC (``_bic_log_bf10``) and the default-prior oracle's set-up read those
+columns.  Every array operation is elementwise or runs along one dataset's
+own axes, so a row is bitwise the table that ``fit_two_way`` gives for its
+dataset alone; ``fit_two_way`` is the one-row block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +46,18 @@ __all__ = [
     "bic_bf_for_effect",
 ]
 
-EFFECTS = ("A", "B", "AB")
+_FACTORS = ("A", "B")
+EFFECTS = ("A", "B", "AB")  # each term after the terms inside it
+
+
+def _inside(term: str) -> tuple[str, ...]:
+    """The terms whose factors all lie in ``term``, in ``EFFECTS`` order: ``term`` last."""
+    return tuple(t for t in EFFECTS if set(t) <= set(term))
+
+
+def _term_shape(levels: tuple[int, ...], term: str) -> tuple[int, ...]:
+    """A term's cells on the factor axes: its factors' level counts, 1 on the others."""
+    return tuple(n if f in term else 1 for f, n in zip(_FACTORS, levels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +120,13 @@ class AnovaTable:
     degenerate: bool
 
     def ss(self, effect: str) -> float:
-        return {"A": self.ss_a, "B": self.ss_b, "AB": self.ss_ab}[_checked(effect)]
+        return getattr(self, f"ss_{_checked(effect).lower()}")
 
     def df(self, effect: str) -> int:
-        return {"A": self.df_a, "B": self.df_b, "AB": self.df_ab}[_checked(effect)]
+        return getattr(self, f"df_{_checked(effect).lower()}")
 
     def f(self, effect: str) -> float:
-        return {"A": self.f_a, "B": self.f_b, "AB": self.f_ab}[_checked(effect)]
+        return getattr(self, f"f_{_checked(effect).lower()}")
 
 
 def _checked(effect: str) -> str:
@@ -122,112 +144,111 @@ def fit_two_way(data: FactorialDataset) -> AnovaTable:
 class _Block:
     """The fits of a block of datasets of one design, as columns.
 
-    Row i of each sums-of-squares column belongs to dataset i.  The
-    degrees of freedom and the F columns follow ``AnovaTable``, and
-    ``table(i)`` is row i's table.
+    ``levels`` holds the level count of each factor.  Row i of
+    ``ss_effects`` holds dataset i's sum of squares of each term, in
+    ``EFFECTS`` order, and row i of ``ss_error`` and ``ss_total`` its other
+    two.  Each term's df, c and F column follow from the levels and cell_n,
+    and ``table(i)`` is row i's table.
     """
 
-    a: int
-    b: int
+    levels: tuple[int, ...]
     cell_n: int
-    ss_a: np.ndarray
-    ss_b: np.ndarray
-    ss_ab: np.ndarray
+    ss_effects: np.ndarray  # (datasets, terms)
     ss_error: np.ndarray
     ss_total: np.ndarray
 
     @classmethod
     def of(cls, table: AnovaTable) -> "_Block":
-        """The one-row block of a table."""
-        a, b = table.df_a + 1, table.df_b + 1
-        columns = (table.ss_a, table.ss_b, table.ss_ab, table.ss_error, table.ss_total)
-        return cls(a, b, table.n_total // (a * b), *(np.array([ss]) for ss in columns))
+        """The one-row block of a table: a factor has its own term's df + 1 levels."""
+        levels = tuple(table.df(factor) + 1 for factor in _FACTORS)
+        ss = np.array([[table.ss(e) for e in EFFECTS]])
+        return cls(levels, table.n_total // math.prod(levels), ss,
+                   np.array([table.ss_error]), np.array([table.ss_total]))
 
     @property
     def n_total(self) -> int:
-        return self.a * self.b * self.cell_n
+        return math.prod(self.levels) * self.cell_n
 
     @property
     def df_error(self) -> int:
-        return self.a * self.b * (self.cell_n - 1)
+        return math.prod(self.levels) * (self.cell_n - 1)
 
     @property
     def degenerate(self) -> np.ndarray:
         return self.ss_error / self.df_error == 0.0
 
     def ss(self, effect: str) -> np.ndarray:
-        return {"A": self.ss_a, "B": self.ss_b, "AB": self.ss_ab}[_checked(effect)]
+        return self.ss_effects[:, EFFECTS.index(_checked(effect))]
 
     def df(self, effect: str) -> int:
-        df_a, df_b = self.a - 1, self.b - 1
-        return {"A": df_a, "B": df_b, "AB": df_a * df_b}[_checked(effect)]
+        return math.prod(n - 1 for f, n in zip(_FACTORS, self.levels) if f in _checked(effect))
+
+    def c(self, effect: str) -> int:
+        """c_e: N over the product of the term's levels."""
+        return self.n_total // math.prod(_term_shape(self.levels, _checked(effect)))
 
     def f(self, effect: str) -> np.ndarray:
-        """The F column of an effect, in ``_table``'s operations; NaN where degenerate."""
+        """The F column of an effect (read-only); NaN where degenerate."""
+        return self._f_effects[:, EFFECTS.index(_checked(effect))]
+
+    @cached_property
+    def _f_effects(self) -> np.ndarray:
+        # zero error variance: flat cells, residuals whose squares underflow
+        # (like 1e-170), or an error sum of squares whose mean square underflows
+        df = np.array([self.df(e) for e in EFFECTS])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f = (self.ss(effect) / self.df(effect)) / (self.ss_error / self.df_error)
+            f = (self.ss_effects / df) / (self.ss_error / self.df_error)[:, None]
         f[self.degenerate] = math.nan
+        f.flags.writeable = False
         return f
 
+    def residual(self, effects: tuple[str, ...]) -> np.ndarray:
+        """The residual sum of squares of the model with ``effects``, per row."""
+        return self.ss_error + sum(self.ss(e) for e in EFFECTS if e not in effects)
+
     def table(self, row: int) -> AnovaTable:
-        columns = (self.ss_a, self.ss_b, self.ss_ab, self.ss_error, self.ss_total)
-        return _table(self.a, self.b, self.cell_n, *(float(ss[row]) for ss in columns))
+        columns = zip(EFFECTS, self.ss_effects[row].tolist(), self._f_effects[row].tolist())
+        per_effect = {f"{kind}_{e.lower()}": value for e, ss, f in columns
+                      for kind, value in (("ss", ss), ("df", self.df(e)), ("f", f))}
+        return AnovaTable(n_total=self.n_total, ss_error=float(self.ss_error[row]),
+                          ss_total=float(self.ss_total[row]), df_error=self.df_error,
+                          degenerate=bool(self.degenerate[row]), **per_effect)
 
 
 def _fit_block(y: np.ndarray) -> _Block:
     """The fits of a stack of datasets of shape (m, a, b, cell_n), as columns.
 
-    Every sum and mean runs over one dataset's own elements, along trailing
-    axes, so each row is bitwise what its dataset gives alone.
+    Each term's effect is the mean over the axes outside it less the lower
+    terms' means by inclusion-exclusion, the larger terms first:
+    (cell - a) - b + grand.  Every sum and mean runs over one dataset's own
+    elements, along trailing axes, so each row is bitwise what its dataset
+    gives alone.
     """
-    _, a, b, cell_n = y.shape
-    grand = y.mean(axis=(1, 2, 3))
-    cell_means = y.mean(axis=3)
-    a_means = y.mean(axis=(2, 3))
-    b_means = y.mean(axis=(1, 3))
+    m, *levels, cell_n = y.shape
+    block = _Block(tuple(levels), cell_n, np.empty((m, len(EFFECTS))), np.empty(m), np.empty(m))
+    axes = tuple(range(1, y.ndim))  # one dataset's: its factors', then its cell's
+    means = {"": y.mean(axis=axes, keepdims=True)}
     with np.errstate(over="ignore"):  # a sum of squares beyond the double range is inf
-        ss_a = b * cell_n * np.sum((a_means - grand[:, None]) ** 2, axis=1)
-        ss_b = a * cell_n * np.sum((b_means - grand[:, None]) ** 2, axis=1)
-        interaction = cell_means - a_means[:, :, None] - b_means[:, None, :] + grand[:, None, None]
-        ss_ab = cell_n * np.sum(interaction**2, axis=(1, 2))
-        ss_total = np.sum((y - grand[:, None, None, None]) ** 2, axis=(1, 2, 3))
-        ss_error = np.sum((y - cell_means[..., None]) ** 2, axis=(1, 2, 3))
+        for column, term in enumerate(EFFECTS):
+            outside = tuple(axis for axis, f in enumerate(_FACTORS, 1) if f not in term)
+            effect = means[term] = y.mean(axis=outside + (y.ndim - 1,), keepdims=True)
+            for lower in sorted(("",) + _inside(term)[:-1], key=len, reverse=True):
+                op = np.subtract if (len(term) - len(lower)) % 2 else np.add
+                effect = op(effect, means[lower])
+            block.ss_effects[:, column] = block.c(term) * np.sum(effect**2, axis=axes)
+        block.ss_total[:] = np.sum((y - means[""]) ** 2, axis=axes)
+        block.ss_error[:] = np.sum((y - means["".join(_FACTORS)]) ** 2, axis=axes)
     # Zero error variance means every cell is constant; decide that exactly
     # rather than from the computed residuals, whose rounding can leave a
     # spurious 1e-30-ish sum for constant input.  A constant response gets
     # exact zeros in every sum of squares for the same reason.
-    flat_cells = np.all(y == y[..., :1], axis=(1, 2, 3))
-    constant = flat_cells & np.all(y == y[:, :1, :1, :1], axis=(1, 2, 3))
-    for ss in (ss_a, ss_b, ss_ab, ss_total):
-        ss[constant] = 0.0
-    ss_error[flat_cells] = 0.0
-    return _Block(a, b, cell_n, ss_a, ss_b, ss_ab, ss_error, ss_total)
-
-
-def _table(a, b, cell_n, ss_a, ss_b, ss_ab, ss_error, ss_total):
-    """One dataset's table from its sums of squares, in scalar arithmetic."""
-    df_a, df_b = a - 1, b - 1
-    df_ab = df_a * df_b
-    df_error = a * b * (cell_n - 1)
-    mse = ss_error / df_error
-    # zero error variance: flat cells, residuals whose squares underflow
-    # (like 1e-170), or an error sum of squares whose mean square underflows
-    degenerate = mse == 0.0
-    if degenerate:
-        f_a = f_b = f_ab = math.nan
-    else:
-        f_a = (ss_a / df_a) / mse
-        f_b = (ss_b / df_b) / mse
-        f_ab = (ss_ab / df_ab) / mse
-
-    return AnovaTable(
-        n_total=a * b * cell_n,
-        ss_a=ss_a, ss_b=ss_b, ss_ab=ss_ab,
-        ss_error=ss_error, ss_total=ss_total,
-        df_a=df_a, df_b=df_b, df_ab=df_ab, df_error=df_error,
-        f_a=f_a, f_b=f_b, f_ab=f_ab,
-        degenerate=degenerate,
-    )
+    flat_cells = np.all(y == y[..., :1], axis=axes)
+    values = y.reshape(m, -1)
+    constant = flat_cells & np.all(values == values[:, :1], axis=1)
+    block.ss_effects[constant] = 0.0
+    block.ss_total[constant] = 0.0
+    block.ss_error[flat_cells] = 0.0
+    return block
 
 
 def bic_bf_for_effect(table: AnovaTable, effect: str) -> BayesFactorValue:

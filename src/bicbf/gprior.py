@@ -12,9 +12,10 @@ model is
     BF10(g) = det(I + XGX')^(-1/2) * [ SST / (y'(I + XGX')^(-1) y) ]^((N-1)/2)
 
 with y centered.  For balanced data the blocks are mutually orthogonal and
-X_e'X_e = c_e I, with c_A = b*n, c_B = a*n and c_AB = n (n observations per
-cell), so both factors depend on the data only through the ANOVA sums of
-squares:
+X_e'X_e = c_e I, c_e = N over the product of the levels of e's factors
+(``bicbf.anova`` derives df_e and c_e of every term from its statement of
+the layout), so both factors depend on the data only through the ANOVA sums
+of squares:
 
     log BF10(g) = -1/2 sum_{e in M} df_e log(1 + c_e g_e)
                   + ((N-1)/2) log(SST / q),
@@ -26,10 +27,12 @@ at large g when the error variance is small.
 
 ``default_bf10`` integrates over g, each g_e Inverse-Gamma(1/2, r^2/2) with
 r = sqrt(2)/2 by default, by deterministic quadrature, with one rule for
-every effect.  Each effect is a pair of nested models (``MODEL_PAIRS``): a
-main effect alone against the intercept-only model, the interaction the
-full model against A+B.  BF10 is the ratio of the two models' marginal
-likelihoods, each a |M|-dimensional integral:
+every effect.  Each effect e is a pair of nested models (``MODEL_PAIRS``),
+derived from the layout's terms: the terms inside e with e against the
+same terms without it.  So a main effect is tested alone against the
+intercept-only model, and the interaction in the full model against A+B.
+BF10 is the ratio of the two models' marginal likelihoods, each a
+|M|-dimensional integral:
 
 * The blocks are coupled only through q^-k, k = (N-1)/2; the Gamma identity
   q^-k = Gamma(k)^-1 int t^(k-1) e^(-tq) dt factors the integrand by block:
@@ -132,11 +135,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .anova import EFFECTS, AnovaTable, FactorialDataset, _Block, fit_two_way
+from .anova import EFFECTS, AnovaTable, FactorialDataset, _Block, _inside, fit_two_way
 from .errors import DegenerateDataError, DomainError
 from .summary import BayesFactorValue
 
@@ -152,31 +156,31 @@ __all__ = [
 DEFAULT_PRIOR_SCALE = math.sqrt(2.0) / 2.0  # the "wide" setting
 _PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 
-# Numerator/denominator model per tested effect: each main effect against
-# the intercept-only model, the interaction against the two main effects.
-# Each denominator's effects are among its numerator's, and the nested
-# rule picks them by an effect mask (``_Setup.den``).
+# Numerator/denominator model per tested effect: the terms inside it, with
+# and without it.  Each denominator's effects are among its numerator's,
+# and the nested rule picks them by an effect mask (``_Setup.den``).
 MODEL_PAIRS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "A": (("A",), ()),
-    "B": (("B",), ()),
-    "AB": (("A", "B", "AB"), ("A", "B")),
+    e: (_inside(e), tuple(t for t in _inside(e) if t != e)) for e in EFFECTS
 }
 
 
-def _column_norms(table: AnovaTable | _Block) -> dict[str, int]:
-    """c_e per effect: X_e'X_e = c_e I for orthonormal contrasts of balanced data."""
-    a, b = table.df("A") + 1, table.df("B") + 1
-    return {"A": table.n_total // a, "B": table.n_total // b, "AB": table.n_total // (a * b)}
+def _number(name: str, value, kind=Real):
+    """``value``, a ``kind`` number (numpy's too) other than a bool; else a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is Integral else "a real number"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
-def conditional_bf10(table: AnovaTable, effects: Sequence[str], g) -> float:
+def conditional_bf10(table: AnovaTable, effects: Sequence[str] | str, g) -> float:
     """Bayes factor of the model with ``effects`` against the intercept-only model.
 
-    ``g`` holds one positive variance scale per listed effect, in the order
+    ``effects`` is a sequence of effects, or a string naming one.  ``g``
+    holds one positive variance scale per listed effect, in the order
     listed; a bare scalar is accepted for a single effect.  The empty model
     returns exactly 1.
     """
-    effects = tuple(effects)
+    effects = (effects,) if isinstance(effects, str) else tuple(effects)
     unknown = set(effects) - set(EFFECTS)
     if unknown:
         raise DomainError(f"unknown effects {sorted(unknown)}; choose from {EFFECTS}")
@@ -201,29 +205,32 @@ def _log_conditional_bf10(
         return np.zeros(g_matrix.shape[0])
     if table.ss_total == 0.0:
         raise DegenerateDataError("constant response: Bayes factor undefined")
-    norms = _column_norms(table)
+    block = _Block.of(table)
     # q = y'(I + XGX')^-1 y as a sum of nonnegative terms; SST minus the
     # shrunk effect sums would cancel catastrophically once q << SST.
-    q = _residual(table.ss_error, {e: table.ss(e) for e in EFFECTS}, effects)
+    q = block.residual(effects)
     log_det = 0.0
     for column, effect in enumerate(effects):
-        cg = norms[effect] * g_matrix[:, column]
-        q = q + table.ss(effect) / (1.0 + cg)
-        log_det = log_det + table.df(effect) * np.log1p(cg)
+        cg = block.c(effect) * g_matrix[:, column]
+        q = q + block.ss(effect) / (1.0 + cg)
+        log_det = log_det + block.df(effect) * np.log1p(cg)
     # SST/q first, then one log: exact under power-of-two rescaling of y
-    return -0.5 * log_det + 0.5 * (table.n_total - 1) * np.log(table.ss_total / q)
+    return -0.5 * log_det + 0.5 * (block.n_total - 1) * np.log(block.ss_total / q)
 
 
 @dataclass(frozen=True)
 class GPriorSpec:
     """Prior scale of ``default_bf10``.
 
-    ``scale`` must lie in [1e-100, 1e100].  Far outside that range the
-    rule's weights leave the double range: at 1e-200, r^2/2 underflows to 0.
+    ``scale`` must be a real number other than a bool, kept as a float, and
+    lie in [1e-100, 1e100].  Far outside that range the rule's weights leave
+    the double range: at 1e-200, r^2/2 underflows to 0.
 
     ``mc_samples`` and ``seed`` are ignored by the deterministic oracle;
     they are removed with the benchmark change of ROADMAP item 1.  Until
-    then they keep their old validation.
+    then they keep their old bounds, and must be integers (numpy integers
+    too, a bool not), so that every spec writes back a config file
+    ``read_config`` reads.
     """
 
     scale: float = DEFAULT_PRIOR_SCALE
@@ -231,6 +238,9 @@ class GPriorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "scale", float(_number("scale", self.scale)))
+        for name in ("mc_samples", "seed"):
+            _number(name, getattr(self, name), Integral)
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise DomainError(f"scale must be finite and positive, got {self.scale}")
         low, high = _PRIOR_SCALES
@@ -350,15 +360,13 @@ def _setup(block: _Block, effect: str, scale: float, rule: _Rule = _RULE) -> _Se
     table gives alone.
     """
     num_effects, den_effects = MODEL_PAIRS[effect]
-    ss_of = {e: block.ss(e) for e in EFFECTS}
     ss_error, ss_total = block.ss_error, block.ss_total
     k = 0.5 * (block.n_total - 1)
-    norms = _column_norms(block)
-    c = np.array([float(norms[e]) for e in num_effects])
+    c = np.array([float(block.c(e)) for e in num_effects])
     df = np.array([float(block.df(e)) for e in num_effects])
-    ss = np.stack([ss_of[e] for e in num_effects], axis=1)
+    ss = np.stack([block.ss(e) for e in num_effects], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = _residual(ss_error, ss_of, num_effects) / ss_total
+        rho = block.residual(num_effects) / ss_total
         frac = ss / ss_total[:, None]
         # log g at which the posterior of the farthest-reaching block peaks, at most
         top = np.max(frac / c, axis=1)
@@ -386,15 +394,10 @@ def _setup(block: _Block, effect: str, scale: float, rule: _Rule = _RULE) -> _Se
         log_frac = np.log(frac)
     return _Setup(
         k, 0.5 * scale**2, g_step, rule, c, df,
-        rho, _residual(ss_error, ss_of, den_effects) / ss_total,
+        rho, block.residual(den_effects) / ss_total,
         log_frac, np.array([e in den_effects for e in num_effects]),
         lo, hi, (hi - lo) / (count - 1), count,
     )
-
-
-def _residual(ss_error, ss: dict, effects: tuple[str, ...]):
-    """Residual sum of squares of the model ``effects``; scalars or arrays."""
-    return ss_error + sum(ss[e] for e in EFFECTS if e not in effects)
 
 
 def _outer_rule(k: float, rho: np.ndarray, rule: _Rule = _RULE):

@@ -48,16 +48,17 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import reduce
 from itertools import islice, repeat
-from numbers import Real
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .anova import EFFECTS, FactorialDataset, _bic_log_bf10, _fit_block
+from .anova import EFFECTS, FactorialDataset, _bic_log_bf10, _fit_block, _term_shape
 from .errors import BicbfError, DomainError, SimulationError
-from .gprior import GPriorSpec, _evaluate, _setup
+from .gprior import GPriorSpec, _evaluate, _number, _setup
 from .rng import _generator, _label_words
 
 __all__ = [
@@ -94,16 +95,6 @@ DENSITY_HEADER = ("effect", "bf_type", "x", "density")
 DENSITY_GRID_POINTS = 512
 
 
-def _is_int(value) -> bool:
-    """Whether ``operator.index`` takes ``value`` (a numpy integer too) and
-    it is not a bool."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """One simulation condition.
@@ -111,8 +102,9 @@ class SimulationConfig:
     ``g`` is the effect variance relative to unit noise; ``seed`` keys the
     data-generating substreams.  Of the oracle spec only the prior scale
     enters the results.  The counts and the seed must be integers (numpy
-    integers too, a bool not) and g a real number other than a bool, so
-    that every config runs and writes back a file ``read_config`` reads.
+    integers too, a bool not) and g a real number other than a bool, kept
+    as a float, so that every config runs and writes back a file
+    ``read_config`` reads as an equal config.
     """
 
     cell_n: int
@@ -125,11 +117,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("cell_n", "trials", "seed", "a_levels", "b_levels"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.g, bool) or not isinstance(self.g, Real):
-            raise DomainError(f"g must be a real number, got {self.g!r}")
+            _number(name, getattr(self, name), Integral)
+        object.__setattr__(self, "g", float(_number("g", self.g)))
         if self.cell_n < 2:
             raise DomainError(f"cell_n must be at least 2, got {self.cell_n}")
         if not (math.isfinite(self.g) and self.g >= 0):
@@ -315,24 +304,27 @@ def _block_data(config: SimulationConfig, trials: Sequence[int]) -> np.ndarray:
     """The stacked (len(trials), a, b, cell_n) observations of the trials.
 
     A trial's effects are one draw of a + b + a*b scaled standard normals
-    (alpha, tau, then gamma row by row; exactly zero when g = 0) from its
-    "effects" substream, its noise one draw from its "noise" substream.
-    Both streams of every trial are keyed in one array pass
-    (``bicbf.rng._label_words``), and a trial's two generators are built
-    from its words only for its draws, so a block holds one trial's
-    generators at a time.  Each trial's values are drawn into its own rows
-    and composed elementwise, so a row is bitwise the same in any block.
+    (the terms in ``EFFECTS`` order, each term's cells row-major; exactly
+    zero when g = 0) from its "effects" substream, its noise one draw from
+    its "noise" substream.  Both streams of every trial are keyed in one
+    array pass (``bicbf.rng._label_words``), and a trial's two generators
+    are built from its words only for its draws, so a block holds one
+    trial's generators at a time.  Each trial's values are drawn into its
+    own rows and composed elementwise, so a row is bitwise the same in any
+    block.
     """
-    a, b, cell_n = config.a_levels, config.b_levels, config.cell_n
-    effects = np.empty((len(trials), a + b + a * b))
-    y = np.empty((len(trials), a, b, cell_n))
+    levels = (config.a_levels, config.b_levels)
+    shapes = [_term_shape(levels, term) for term in EFFECTS]
+    sizes = [math.prod(shape) for shape in shapes]
+    effects = np.empty((len(trials), sum(sizes)))
+    y = np.empty((len(trials), *levels, config.cell_n))
     words = _label_words(config.seed, ("effects", "noise"), trials)
     for row, (effects_words, noise_words) in enumerate(zip(*words)):
         _generator(effects_words).standard_normal(out=effects[row])
         _generator(noise_words).standard_normal(out=y[row])
     effects *= math.sqrt(config.g)
-    alpha, tau, gamma = effects[:, :a], effects[:, a : a + b], effects[:, a + b :]
-    cells = alpha[:, :, None, None] + tau[:, None, :, None] + gamma.reshape(-1, a, b, 1)
+    terms = np.split(effects, np.cumsum(sizes)[:-1], axis=1)
+    cells = reduce(np.add, (term.reshape(-1, *shape, 1) for term, shape in zip(terms, shapes)))
     return np.add(cells, y, out=y)
 
 

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from bicbf import FactorialDataset, SimulationConfig, fit_two_way, generate_dataset
-from bicbf.anova import _table
+from bicbf.anova import _Block
 
 settings.register_profile(
     "bicbf",
@@ -31,6 +31,12 @@ def random_dataset(
     cell_means = effect_scale * rng.normal(size=(a, b, 1))
     y = cell_means + rng.normal(size=(a, b, cell_n))
     return FactorialDataset(a, b, cell_n, y)
+
+
+def table_of(a, b, cell_n, ss_a, ss_b, ss_ab, ss_error, ss_total):
+    """The table of one a x b design's sums of squares: its one-row block's."""
+    ss = np.array([[ss_a, ss_b, ss_ab]])
+    return _Block((a, b), cell_n, ss, np.array([ss_error]), np.array([ss_total])).table(0)
 
 
 @pytest.fixture
@@ -59,4 +65,4 @@ def random_tables(draw):
     cell_n = draw(st.integers(2, 60))
     ss_a, ss_b, ss_ab, ss_error = (10.0 ** draw(st.floats(-60.0, 60.0)) for _ in range(4))
     ss_total = ss_a + ss_b + ss_ab + ss_error
-    return _table(a, b, cell_n, ss_a, ss_b, ss_ab, ss_error, ss_total)
+    return table_of(a, b, cell_n, ss_a, ss_b, ss_ab, ss_error, ss_total)

@@ -21,8 +21,9 @@ from bicbf import (
     fit_two_way,
     invert,
 )
-from bicbf.anova import _bic_log_bf10, _Block, _fit_block, _table
-from conftest import random_dataset, random_tables, study_tables
+from bicbf.anova import EFFECTS, _bic_log_bf10, _Block, _fit_block
+from bicbf.gprior import MODEL_PAIRS
+from conftest import random_dataset, random_tables, study_tables, table_of
 
 # 2x2x2 dataset crafted so only the interaction carries signal.  Cell means
 # are (1, -1; -1, 1), marginal means all zero, every observation lies one
@@ -129,10 +130,10 @@ class TestHandOracle:
 
 def _stacked(tables) -> _Block:
     """The block of tables of one design, one row per table."""
-    columns = ("ss_a", "ss_b", "ss_ab", "ss_error", "ss_total")
     design = _Block.of(tables[0])
-    return _Block(design.a, design.b, design.cell_n,
-                  *(np.array([getattr(t, name) for t in tables]) for name in columns))
+    return _Block(design.levels, design.cell_n,
+                  np.array([[t.ss(e) for e in EFFECTS] for t in tables]),
+                  np.array([t.ss_error for t in tables]), np.array([t.ss_total for t in tables]))
 
 
 def _bic_bits(block: _Block, tables, effect: str) -> tuple[list[str], list[str]]:
@@ -189,7 +190,7 @@ class TestBlockColumns:
         # F_B = 1e308 is finite, and F_B * df_B overflows
         df_error, ss_b = 2 * 3 * 49, 1e300
         ss_error = ss_b / 2 / 1e308 * df_error
-        table = _table(2, 3, 50, 1.0, ss_b, 1.0, ss_error, ss_b + 2.0 + ss_error)
+        table = table_of(2, 3, 50, 1.0, ss_b, 1.0, ss_error, ss_b + 2.0 + ss_error)
         assert math.isfinite(table.f_b) and math.isinf(table.f_b * table.df_b)
         tables = [fit_two_way(random_dataset(seed, a=2, b=3, cell_n=50)) for seed in (1, 2)]
         tables.insert(1, table)
@@ -197,6 +198,87 @@ class TestBlockColumns:
         for effect in ("A", "B", "AB"):
             column, scalar = _bic_bits(block, tables, effect)
             assert column == scalar, effect
+
+
+def reference_fit(y: np.ndarray):
+    """The two-way fit written out effect by effect: the arithmetic the
+    term-by-term fit must reproduce bit for bit."""
+    _, a, b, cell_n = y.shape
+    grand = y.mean(axis=(1, 2, 3))
+    cell_means = y.mean(axis=3)
+    a_means = y.mean(axis=(2, 3))
+    b_means = y.mean(axis=(1, 3))
+    with np.errstate(over="ignore"):
+        ss_a = b * cell_n * np.sum((a_means - grand[:, None]) ** 2, axis=1)
+        ss_b = a * cell_n * np.sum((b_means - grand[:, None]) ** 2, axis=1)
+        interaction = cell_means - a_means[:, :, None] - b_means[:, None, :] + grand[:, None, None]
+        ss_ab = cell_n * np.sum(interaction**2, axis=(1, 2))
+        ss_total = np.sum((y - grand[:, None, None, None]) ** 2, axis=(1, 2, 3))
+        ss_error = np.sum((y - cell_means[..., None]) ** 2, axis=(1, 2, 3))
+    flat_cells = np.all(y == y[..., :1], axis=(1, 2, 3))
+    constant = flat_cells & np.all(y == y[:, :1, :1, :1], axis=(1, 2, 3))
+    for ss in (ss_a, ss_b, ss_ab, ss_total):
+        ss[constant] = 0.0
+    ss_error[flat_cells] = 0.0
+    return {"A": ss_a, "B": ss_b, "AB": ss_ab, "error": ss_error, "total": ss_total}
+
+
+def reference_design(a: int, b: int, cell_n: int) -> dict:
+    """df_e and c_e of each effect, the error df and N, written out by hand."""
+    df_a, df_b = a - 1, b - 1
+    return {
+        "df": {"A": df_a, "B": df_b, "AB": df_a * df_b},
+        "c": {"A": b * cell_n, "B": a * cell_n, "AB": cell_n},
+        "df_error": a * b * (cell_n - 1),
+        "n_total": a * b * cell_n,
+    }
+
+
+def layout_datasets(a: int, b: int, cell_n: int) -> np.ndarray:
+    """Random datasets over 12 decades, a constant one, flat cells, cells
+    whose residuals underflow, and effects whose sums of squares overflow."""
+    rng = np.random.default_rng(a * 100 + b * 10 + cell_n)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, size=(6, 1, 1, 1))
+    y = scale * (rng.normal(size=(6, a, b, 1)) + rng.normal(size=(6, a, b, cell_n)))
+    constant = np.full((1, a, b, cell_n), 0.3)
+    flat = rng.normal(size=(1, a, b, 1)).repeat(cell_n, axis=3)
+    tiny = flat.copy()
+    tiny[0, 0, 0, 0] += 4.5e-162
+    huge = y[:1].copy()
+    huge[0, 0] += 1e200
+    return np.concatenate([y, constant, flat, tiny, huge])
+
+
+class TestLayoutReference:
+    """The layout stated as terms against the two-way layout written out by hand."""
+
+    @pytest.mark.parametrize("cell_n", [2, 3, 50])
+    @pytest.mark.parametrize("b", [2, 3, 4, 6])
+    @pytest.mark.parametrize("a", [2, 3, 4, 6])
+    def test_sums_of_squares_are_the_reference_bits(self, a, b, cell_n):
+        y = layout_datasets(a, b, cell_n)
+        block, want = _fit_block(y), reference_fit(y)
+        got = {**{e: block.ss(e) for e in EFFECTS}, "error": block.ss_error,
+               "total": block.ss_total}
+        for name, column in want.items():
+            assert got[name].tobytes() == column.tobytes(), name
+
+    @pytest.mark.parametrize("cell_n", [2, 3, 50])
+    @pytest.mark.parametrize("b", [2, 3, 4, 6])
+    @pytest.mark.parametrize("a", [2, 3, 4, 6])
+    def test_df_and_column_norms_are_the_references(self, a, b, cell_n):
+        block, want = _fit_block(np.zeros((1, a, b, cell_n))), reference_design(a, b, cell_n)
+        for effect in EFFECTS:
+            assert (block.df(effect), block.c(effect)) == (want["df"][effect], want["c"][effect])
+            assert type(block.c(effect)) is int
+        assert (block.df_error, block.n_total) == (want["df_error"], want["n_total"])
+
+    def test_model_pairs_are_the_reference(self):
+        assert MODEL_PAIRS == {
+            "A": (("A",), ()),
+            "B": (("B",), ()),
+            "AB": (("A", "B", "AB"), ("A", "B")),
+        }
 
 
 class TestLstsqOracle:

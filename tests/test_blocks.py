@@ -353,7 +353,7 @@ def test_a_block_without_special_rows_builds_no_table_or_statistic(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("a per-trial object was built")
 
-    for module, name in ((bicbf.anova, "_table"), (bicbf.anova, "AnovaTable"),
+    for module, name in ((bicbf.anova._Block, "table"), (bicbf.anova, "AnovaTable"),
                          (bicbf.summary, "SummaryStat"), (bicbf.summary, "BayesFactorValue")):
         monkeypatch.setattr(module, name, built)
     for cell_n in (50, 20, 2):

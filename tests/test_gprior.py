@@ -32,14 +32,13 @@ from bicbf import (
     default_bf10,
     fit_two_way,
 )
-from bicbf.anova import _Block, _table
+from bicbf.anova import _Block, _fit_block
 from bicbf.gprior import (
     _LATTICES,
     _LOG_TAU_MIN,
     _PRIOR_SCALES,
     _RULE,
     MODEL_PAIRS,
-    _column_norms,
     _lattice,
     _log_conditional_bf10,
     _log_g_grid,
@@ -49,7 +48,7 @@ from bicbf.gprior import (
     _table_bf10,
 )
 from bicbf.simulate import generate_dataset, run_simulation
-from conftest import random_dataset, random_tables, study_tables
+from conftest import random_dataset, random_tables, study_tables, table_of
 
 
 def contrasts(levels: int) -> np.ndarray:
@@ -201,10 +200,10 @@ def nested_quad_log_marginal(table, effects, scale: float = DEFAULT_PRIOR_SCALE)
     beta = scale * scale / 2
     k = (table.n_total - 1) / 2
     rho = (table.ss_error + sum(table.ss(e) for e in EFFECTS if e not in effects)) / table.ss_total
-    norms = _column_norms(table)
+    block = _Block.of(table)
 
     def log_i(tau, effect):
-        c, half_df = norms[effect], table.df(effect) / 2
+        c, half_df = block.c(effect), table.df(effect) / 2
 
         def log_f(u):
             cg = c * math.exp(u)
@@ -286,7 +285,8 @@ class TestContrasts:
         want = np.diag([12.0, 8.0, 8.0, 4.0, 4.0])
         assert np.allclose(x.T @ x, want, atol=1e-10)
         assert np.allclose(x.sum(axis=0), 0.0, atol=1e-10)
-        norms = _column_norms(fit_two_way(data))
+        block = _fit_block(data.y[None])
+        norms = {e: block.c(e) for e in EFFECTS}
         assert [norms[e] for e in EFFECTS] == [12, 8, 4]
 
 
@@ -418,6 +418,17 @@ class TestValidation:
             conditional_bf10(table, ("A", "B"), 0.5)
         with pytest.raises(DomainError, match="positive"):
             conditional_bf10(table, ("A", "B"), (0.5, -0.5))
+
+    def test_a_string_names_one_effect(self):
+        # "AB" was read as the effects A and B: a scalar g was refused, and
+        # two components gave the A+B model's value
+        data = random_dataset(1, a=2, b=3, cell_n=5)
+        table = fit_two_way(data)
+        got = conditional_bf10(table, "AB", 1.0)
+        assert got == conditional_bf10(table, ("AB",), 1.0)
+        assert math.log(got) == pytest.approx(dense_log_bf10(data, ("AB",), 1.0), abs=1e-10)
+        with pytest.raises(DomainError, match="need 1 g components"):
+            conditional_bf10(table, "AB", [1, 1])
 
     def test_constant_data_rejected(self):
         data = FactorialDataset(2, 2, 2, np.full((2, 2, 2), 0.1))
@@ -678,7 +689,7 @@ class TestLattice:
         # SSE/SST = 1e-100 on the desk design: the interaction's lattices,
         # built afresh, reach some 235 past the study's end in log tau
         _lattice.cache_clear()
-        table = _table(2, 3, 50, 1.0, 2.0, 3.0, 6e-100, 6.0 + 6e-100)
+        table = table_of(2, 3, 50, 1.0, 2.0, 3.0, 6e-100, 6.0 + 6e-100)
         assert math.isfinite(_table_bf10(table, "AB", spec).log_bf)
         lattice = _lattice(50.0, 2.0, 0.5 * spec.scale**2, _RULE.g_step, _RULE)
         assert lattice.coef.shape[1] > reached + 200 / _RULE.tau_step

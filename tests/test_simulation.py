@@ -6,6 +6,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,32 @@ class TestConfig:
             SimulationConfig(**{**base, **setting})
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"scale": True}, "scale must be a real number, got True"),
+            ({"scale": "0.5"}, "scale must be a real number, got '0.5'"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"mc_samples": 2000.5}, "mc_samples must be an integer, got 2000.5"),
+        ],
+        ids=["bool-scale", "text-scale", "bool-seed", "fractional-mc_samples"],
+    )
+    def test_oracle_values_it_cannot_write_back_are_refused(self, setting, message):
+        # each was written to a config file that read_config rejects
+        with pytest.raises(DomainError) as caught:
+            GPriorSpec(**setting)
+        assert str(caught.value) == message
+
+    def test_fractions_are_kept_as_floats_and_read_back_equal(self, tmp_path):
+        # g = 1/5 was written as "g = 1/5", which read_config rejects
+        config = SimulationConfig(cell_n=3, g=Fraction(1, 5), trials=2, seed=1,
+                                  oracle=GPriorSpec(scale=Fraction(1, 2)))
+        assert (type(config.g), type(config.oracle.scale)) == (float, float)
+        write_config(config, tmp_path / "config.txt")
+        assert read_config(tmp_path / "config.txt") == config
+        assert run_simulation(config) == run_simulation(
+            SimulationConfig(cell_n=3, g=0.2, trials=2, seed=1, oracle=GPriorSpec(scale=0.5)))
+
     def test_numpy_numbers_are_accepted(self, tmp_path):
         config = SimulationConfig(cell_n=np.int64(3), g=np.float64(0.2), trials=np.uint8(2),
                                   seed=np.int32(1), a_levels=np.int16(2))
@@ -117,6 +144,18 @@ class TestGeneration:
         assert np.allclose(
             diff_large / math.sqrt(0.2), diff_small / math.sqrt(0.05), atol=1e-10
         )
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (3, 4), (4, 5)])
+    def test_effects_are_drawn_term_by_term(self, a, b):
+        # alpha, tau, then gamma row by row, as one draw of a + b + a*b values
+        config = SimulationConfig(cell_n=3, g=0.2, trials=4, seed=8, a_levels=a, b_levels=b)
+        for trial in range(config.trials):
+            draws = substream(8, "effects", trial).standard_normal(a + b + a * b)
+            effects = math.sqrt(0.2) * draws
+            eps = substream(8, "noise", trial).standard_normal((a, b, 3))
+            alpha, tau, gamma = effects[:a], effects[a : a + b], effects[a + b :]
+            cells = alpha[:, None, None] + tau[None, :, None] + gamma.reshape(a, b, 1)
+            assert generate_dataset(config, trial).y.tobytes() == (cells + eps).tobytes()
 
     def test_trials_are_distinct(self):
         config = SimulationConfig(cell_n=3, g=0.1, trials=2, seed=5)
