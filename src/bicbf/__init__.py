@@ -13,67 +13,30 @@ text and a command-line front end (``bicbf``).
 
 import importlib
 
-from .errors import (
-    BicbfError,
-    DegenerateDataError,
-    DomainError,
-    ParseError,
-    SimulationError,
-    UnbalancedDataError,
-)
-from .parsing import ParsedReport, parse_stat, render_stat
-from .summary import (
-    BayesFactorValue,
-    EvidenceClass,
-    SummaryStat,
-    bf01_from_delta_bic,
-    bf01_from_f,
-    bf01_from_partial_eta_sq,
-    bf01_from_stat,
-    bf01_from_t,
-    classify,
-    delta_bic_10,
-    invert,
-)
+from . import errors, parsing, summary
+from .errors import *  # noqa: F403
+from .parsing import *  # noqa: F403
+from .summary import *  # noqa: F403
 
-# The modules below need numpy.  Their names resolve on first access
-# (PEP 562), so the summary-statistic path (``bicbf bf``, ``bicbf parse``)
-# starts without importing numpy.
-_LAZY_NAMES = {
-    "EFFECTS": "anova",
-    "AnovaTable": "anova",
-    "FactorialDataset": "anova",
-    "bic_bf_for_effect": "anova",
-    "fit_two_way": "anova",
-    "DEFAULT_PRIOR_SCALE": "gprior",
-    "MODEL_PAIRS": "gprior",
-    "GPriorBayesFactor": "gprior",
-    "GPriorSpec": "gprior",
-    "conditional_bf10": "gprior",
-    "default_bf10": "gprior",
-    "substream": "rng",
-    "DensitySeries": "simulate",
-    "EffectSummary": "simulate",
-    "FiveNumber": "simulate",
-    "RecordTable": "simulate",
-    "SimulationConfig": "simulate",
-    "SimulationRecord": "simulate",
-    "decide": "simulate",
-    "emit_density_data": "simulate",
-    "generate_dataset": "simulate",
-    "read_config": "simulate",
-    "read_records": "simulate",
-    "run_simulation": "simulate",
-    "silverman_bandwidth": "simulate",
-    "summarize": "simulate",
-    "write_config": "simulate",
-    "write_density_data": "simulate",
-    "write_records": "simulate",
+# The modules below need numpy.  Their names, each group its module's
+# ``__all__``, resolve on first access (PEP 562), so the summary-statistic
+# path (``bicbf bf``, ``bicbf parse``) starts without importing numpy.
+_LAZY = {
+    "anova": ("EFFECTS", "FactorialDataset", "AnovaTable", "fit_two_way", "bic_bf_for_effect"),
+    "gprior": ("DEFAULT_PRIOR_SCALE", "MODEL_PAIRS", "GPriorSpec", "GPriorBayesFactor",
+               "conditional_bf10", "default_bf10"),
+    "rng": ("substream",),
+    "simulate": ("SimulationConfig", "SimulationRecord", "RecordTable", "FiveNumber",
+                 "EffectSummary", "DensitySeries", "decide", "generate_dataset",
+                 "run_simulation", "summarize", "silverman_bandwidth", "emit_density_data",
+                 "write_records", "read_records", "write_density_data", "write_config",
+                 "read_config"),
 }
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name in _LAZY_NAMES.values():  # the submodule itself, e.g. bicbf.simulate
+    if name in _LAZY:  # the submodule itself, e.g. bicbf.simulate
         return importlib.import_module(f"{__name__}.{name}")
     module = _LAZY_NAMES.get(name)
     if module is None:
@@ -89,26 +52,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = sorted([
-    "BicbfError",
-    "DegenerateDataError",
-    "DomainError",
-    "ParseError",
-    "SimulationError",
-    "UnbalancedDataError",
-    "ParsedReport",
-    "parse_stat",
-    "render_stat",
-    "BayesFactorValue",
-    "EvidenceClass",
-    "SummaryStat",
-    "bf01_from_delta_bic",
-    "bf01_from_f",
-    "bf01_from_partial_eta_sq",
-    "bf01_from_stat",
-    "bf01_from_t",
-    "classify",
-    "delta_bic_10",
-    "invert",
-    *_LAZY_NAMES,
-])
+__all__ = sorted([*errors.__all__, *parsing.__all__, *summary.__all__, *_LAZY_NAMES])

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BicbfError",
+    "DomainError",
+    "ParseError",
+    "UnbalancedDataError",
+    "DegenerateDataError",
+    "SimulationError",
+]
+
 
 class BicbfError(Exception):
     """Base class for every error raised by this package."""

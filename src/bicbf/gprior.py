@@ -133,6 +133,7 @@ behaviour this rests on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
@@ -170,6 +171,15 @@ def _number(name: str, value, kind=Real):
         what = "an integer" if kind is Integral else "a real number"
         raise DomainError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _real(name: str, value) -> float:
+    """``value``, a real number other than a bool, as a float; else a DomainError."""
+    try:
+        return float(_number(name, value))
+    except OverflowError:  # an int or a fraction beyond the double range
+        raise DomainError(
+            f"{name} must be at most {sys.float_info.max:.6g} in magnitude") from None
 
 
 def conditional_bf10(table: AnovaTable, effects: Sequence[str] | str, g) -> float:
@@ -238,7 +248,7 @@ class GPriorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", float(_number("scale", self.scale)))
+        object.__setattr__(self, "scale", _real("scale", self.scale))
         for name in ("mc_samples", "seed"):
             _number(name, getattr(self, name), Integral)
         if not (math.isfinite(self.scale) and self.scale > 0):

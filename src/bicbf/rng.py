@@ -23,28 +23,32 @@ one row per (label, index), and gives each row the four uint64 words that
 The hash costs a fixed number of small array operations per pass, whatever
 the rows, so a trial block's "effects" and "noise" streams are keyed in
 one pass.  PCG64 still seeds itself from those words, through numpy's
-``ISeedSequence`` interface (``_generator``), so every stream is bit for
+``ISeedSequence`` interface (``_SeedWords``), so every stream is bit for
 bit the one ``PCG64(SeedSequence([seed, key, index]))`` gives.  The words
 take 32 bytes a stream and a generator some 750 traced, so the study keeps
-a block's words and builds each trial's generators only for its draws.
-``stream_words`` and ``substreams`` are the one-label cases and
-``substream`` the one-index case.
+a block's words and builds each trial's generators only for its draws
+(``_generator``).  ``substream`` is the one-index case.
 
-The engines, ``hashlib`` and ``numpy.random``, load on the first
-``label_key`` or ``_generator`` call (``_load_engines``), so code that
-reads or writes results without drawing (a config, a results file, a
-report) never imports them.
+This module imports ``hashlib`` and ``numpy.random``, its engines, with
+itself.  The package loads it only to draw: ``bicbf.simulate`` imports it
+inside its data draw, so code that reads or writes results without drawing
+(a config, a results file, a report) never loads the engines.
 """
 
 from __future__ import annotations
 
+import hashlib
 import operator
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
+
+__all__ = ["substream"]
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx)
 _POOL = 4  # pool words, numpy's DEFAULT_POOL_SIZE
@@ -58,30 +62,9 @@ _STATE_WORDS = 8  # uint32 words of the four uint64 words PCG64 asks for
 _OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
 
 
-# hashlib.sha256, numpy.random.Generator and numpy.random.PCG64, and
-# _SeedWords as a numpy seed sequence: bound by _load_engines on the first
-# label key or generator of the process
-_sha256 = _Generator = _PCG64 = _PCG64Seed = None
-
-
-def _load_engines() -> None:
-    global _sha256, _Generator, _PCG64, _PCG64Seed
-    import hashlib
-
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _PCG64Seed(_SeedWords, ISeedSequence):
-        """``_SeedWords`` as the seed sequence type that PCG64 takes."""
-
-    _sha256, _Generator, _PCG64 = hashlib.sha256, Generator, PCG64
-
-
 def label_key(label: str) -> int:
     """Stable 64-bit key for a substream label."""
-    if _sha256 is None:
-        _load_engines()
-    digest = _sha256(label.encode("utf-8")).digest()
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -171,16 +154,6 @@ def _indices(indices) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
-def stream_words(seed: int, label: str, indices) -> np.ndarray:
-    """The PCG64 seed words of the ``(seed, label, index)`` streams.
-
-    Row i of the (len(indices), 4) uint64 result is
-    ``SeedSequence([seed, label_key(label), indices[i]]).generate_state(4,
-    np.uint64)``.  The one-label case of ``_label_words``.
-    """
-    return _label_words(seed, [label], indices)[0]
-
-
 def _label_words(seed: int, labels: Sequence[str], indices) -> np.ndarray:
     """(len(labels), len(indices), 4) uint64: row [l, i] holds the PCG64 seed
     words of stream ``(seed, labels[l], indices[i])``.
@@ -211,12 +184,8 @@ def _label_words(seed: int, labels: Sequence[str], indices) -> np.ndarray:
     return out
 
 
-class _SeedWords:
-    """Seed words already generated, for numpy's own PCG64 seeding.
-
-    PCG64 takes its subclass ``_PCG64Seed``, which is also a numpy
-    ``ISeedSequence``; ``_load_engines`` makes it with numpy.random.
-    """
+class _SeedWords(ISeedSequence):
+    """Seed words already generated, as the seed sequence PCG64 takes."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -228,27 +197,11 @@ class _SeedWords:
         raise ValueError("holds the four uint64 words of one PCG64 seed only")
 
 
-def _generator(words: np.ndarray) -> np.random.Generator:
+def _generator(words: np.ndarray) -> Generator:
     """The generator of one stream from its row of ``_label_words``."""
-    if _PCG64 is None:
-        _load_engines()
-    return _Generator(_PCG64(_PCG64Seed(words)))
+    return Generator(PCG64(_SeedWords(words)))
 
 
-def label_substreams(
-    seed: int, labels: Sequence[str], indices
-) -> list[list[np.random.Generator]]:
-    """Generators of the ``(seed, label, index)`` substreams: one list per
-    label, one generator per index, every stream keyed in one hash pass."""
-    return [[_generator(words) for words in rows]
-            for rows in _label_words(seed, labels, indices)]
-
-
-def substreams(seed: int, label: str, indices) -> list[np.random.Generator]:
-    """Generators of the ``(seed, label, index)`` substreams, one per index."""
-    return label_substreams(seed, [label], indices)[0]
-
-
-def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
+def substream(seed: int, label: str, index: int = 0) -> Generator:
     """Generator for the ``(seed, label, index)`` substream."""
-    return substreams(seed, label, [index])[0]
+    return _generator(_label_words(seed, [label], [index])[0, 0])

@@ -58,8 +58,7 @@ import numpy as np
 
 from .anova import EFFECTS, FactorialDataset, _bic_log_bf10, _fit_block, _term_shape
 from .errors import BicbfError, DomainError, SimulationError
-from .gprior import GPriorSpec, _evaluate, _number, _setup
-from .rng import _generator, _label_words
+from .gprior import GPriorSpec, _evaluate, _number, _real, _setup
 
 __all__ = [
     "SimulationConfig",
@@ -104,7 +103,8 @@ class SimulationConfig:
     enters the results.  The counts and the seed must be integers (numpy
     integers too, a bool not) and g a real number other than a bool, kept
     as a float, so that every config runs and writes back a file
-    ``read_config`` reads as an equal config.
+    ``read_config`` reads as an equal config.  A design whose one-trial
+    array is more bytes than numpy can describe (2**63) is refused here.
     """
 
     cell_n: int
@@ -118,7 +118,7 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("cell_n", "trials", "seed", "a_levels", "b_levels"):
             _number(name, getattr(self, name), Integral)
-        object.__setattr__(self, "g", float(_number("g", self.g)))
+        object.__setattr__(self, "g", _real("g", self.g))
         if self.cell_n < 2:
             raise DomainError(f"cell_n must be at least 2, got {self.cell_n}")
         if not (math.isfinite(self.g) and self.g >= 0):
@@ -130,6 +130,12 @@ class SimulationConfig:
         if self.a_levels < 2 or self.b_levels < 2:
             raise DomainError(
                 f"need at least 2 levels per factor, got {self.a_levels}x{self.b_levels}"
+            )
+        if self.a_levels * self.b_levels * self.cell_n * 8 >= 2**63:  # float64 values
+            raise DomainError(
+                f"one trial of {self.a_levels}x{self.b_levels} cells of {self.cell_n} "
+                "observations is too large for a numpy array: a*b*cell_n*8 bytes must be "
+                "below 2**63"
             )
 
 
@@ -313,6 +319,9 @@ def _block_data(config: SimulationConfig, trials: Sequence[int]) -> np.ndarray:
     own rows and composed elementwise, so a row is bitwise the same in any
     block.
     """
+    # here, at the first draw: reading or writing results loads no engine
+    from .rng import _generator, _label_words
+
     levels = (config.a_levels, config.b_levels)
     shapes = [_term_shape(levels, term) for term in EFFECTS]
     sizes = [math.prod(shape) for shape in shapes]

@@ -292,6 +292,26 @@ class TestSimulate:
         assert done.stderr == ("error: trial 0: zero error variance: F is undefined, "
                                "no Bayes factor\n")
 
+    @pytest.mark.parametrize(
+        "cell_n, message",
+        [
+            ("10000000000000000000", "error: one trial of 2x3 cells of 10000000000000000000 "
+             "observations is too large for a numpy array: a*b*cell_n*8 bytes must be below "
+             "2**63\n"),
+            ("100000000000000000", "error: out of memory: "),
+        ],
+        ids=["beyond-an-array", "beyond-memory"],
+    )
+    def test_a_trial_too_large_is_one_error_line(self, tmp_path, cell_n, message):
+        # 1e19 cells ran into a traceback from np.empty; nothing is allocated
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "bicbf.cli", "simulate", "--cell-n", cell_n,
+                               "--g", "0.2", "--trials", "2", "--seed", "1",
+                               "--out", str(tmp_path / "r.csv")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
+
     def test_unwritable_output_path(self, capsys):
         code, _, err = run_cli(
             capsys, *self.BASE, "--out", "/nonexistent-dir/r.csv"

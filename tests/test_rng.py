@@ -1,8 +1,11 @@
 """The substream rule, keyed one index at a time and in arrays.
 
 ``bicbf.rng`` runs numpy's SeedSequence hash itself, in uint32 array
-arithmetic, so that a block of trials keys its streams in one pass.  Every
-stream must stay bit for bit ``PCG64(SeedSequence([seed, key, index]))``.
+arithmetic, so that a block of trials keys its streams in one pass.  The
+tests key streams as the study does, through ``_label_words`` (many labels
+and indices at once) and ``_generator`` (one stream's generator from its
+words), and one at a time through ``substream``.  Every stream must stay
+bit for bit ``PCG64(SeedSequence([seed, key, index]))``.
 """
 
 import ast
@@ -17,14 +20,7 @@ import pytest
 
 import bicbf.rng
 from bicbf import DomainError, SimulationConfig, generate_dataset
-from bicbf.rng import (
-    _SeedWords,
-    label_key,
-    label_substreams,
-    stream_words,
-    substream,
-    substreams,
-)
+from bicbf.rng import _generator, _label_words, _SeedWords, label_key, substream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70 + 3]
 LABELS = ["effects", "noise", "gprior/AB"]
@@ -37,7 +33,7 @@ def _numpy_seed_sequence(seed, label, index):
 
 @pytest.mark.parametrize("seed, label", itertools.product(SEEDS, LABELS))
 def test_streams_are_numpys_seed_sequence_streams(seed, label):
-    words = stream_words(seed, label, INDICES)
+    words = _label_words(seed, [label], INDICES)[0]
     assert words.shape == (len(INDICES), 4) and words.dtype == np.uint64
     for row, index in enumerate(INDICES):
         want = _numpy_seed_sequence(seed, label, index)
@@ -50,7 +46,7 @@ def test_streams_are_numpys_seed_sequence_streams(seed, label):
 def test_an_index_array_may_cross_two_to_the_32(seed):
     # one uint32 word of index entropy below 2**32, two from there on
     indices = np.arange(2**32 - 3, 2**32 + 3, dtype=np.uint64)
-    generators = substreams(seed, "noise", indices)
+    generators = [_generator(words) for words in _label_words(seed, ["noise"], indices)[0]]
     for index, generator in zip(indices.tolist(), generators):
         want = np.random.PCG64(_numpy_seed_sequence(seed, "noise", index))
         assert generator.bit_generator.random_raw(4).tolist() == want.random_raw(4).tolist()
@@ -62,7 +58,8 @@ def test_labels_keyed_in_one_pass_are_numpys_streams(seed, monkeypatch):
     # from the others', as do the indices of two words.
     keys = {"effects": label_key("effects"), "noise": label_key("noise"), "short": 12345}
     monkeypatch.setattr(bicbf.rng, "label_key", keys.__getitem__)
-    streams = label_substreams(seed, list(keys), INDICES)
+    streams = [[_generator(words) for words in rows]
+               for rows in _label_words(seed, list(keys), INDICES)]
     assert [len(generators) for generators in streams] == [len(INDICES)] * len(keys)
     for label, generators in zip(keys, streams):
         for index, generator in zip(INDICES, generators):
@@ -104,9 +101,10 @@ def test_golden_dataset():
         (lambda: substream(1, "noise", -1), "index must be a nonnegative integer, got -1"),
         (lambda: substream(1, "noise", 1.5), "index must be a nonnegative integer, got 1.5"),
         (lambda: substream(1, "noise", 2**64), "index must be below 2\\*\\*64"),
-        (lambda: stream_words(1, "noise", [3, -2]), "index must be a nonnegative integer, got -2"),
-        (lambda: stream_words(1, "noise", np.array([0.5])), "got 0.5"),
-        (lambda: stream_words(-3, "noise", [0]), "seed must be"),
+        (lambda: _label_words(1, ["noise"], [3, -2]),
+         "index must be a nonnegative integer, got -2"),
+        (lambda: _label_words(1, ["noise"], np.array([0.5])), "got 0.5"),
+        (lambda: _label_words(-3, ["noise"], [0]), "seed must be"),
         (lambda: generate_dataset(SimulationConfig(cell_n=2, g=0.1, trials=3, seed=0), -1),
          "index must be a nonnegative integer, got -1"),
     ],
@@ -120,7 +118,7 @@ def test_bad_seeds_and_indices_are_domain_errors(call, match):
 
 
 def test_the_seed_words_serve_pcg64_only():
-    words = _SeedWords(stream_words(1, "noise", [0])[0])
+    words = _SeedWords(_label_words(1, ["noise"], [0])[0, 0])
     assert words.generate_state(4, np.uint64) is words.words
     with pytest.raises(ValueError, match="PCG64 seed only"):
         words.generate_state(8)
@@ -129,7 +127,7 @@ def test_the_seed_words_serve_pcg64_only():
 @pytest.mark.parametrize("request_", [(4, np.uint32), (4, "uint32"), (2, np.uint64)],
                          ids=["uint32-type", "uint32-name", "two-words"])
 def test_the_seed_words_refuse_any_other_request(request_):
-    words = _SeedWords(stream_words(1, "noise", [0])[0])
+    words = _SeedWords(_label_words(1, ["noise"], [0])[0, 0])
     assert words.generate_state(4, "uint64") is words.words
     with pytest.raises(ValueError, match="PCG64 seed only"):
         words.generate_state(*request_)

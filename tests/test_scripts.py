@@ -25,3 +25,19 @@ def test_simulation_study_quick_run(tmp_path, capsys, monkeypatch):
         table = capsys.readouterr().out
         assert table.startswith("effect  route    trials ")
         assert table in out
+
+
+def test_code_lines_total_is_the_sum_of_the_modules(capsys):
+    counter = runpy.run_path(str(SCRIPTS / "code_lines.py"))
+    assert counter["main"]([str(SCRIPTS.parent / "src" / "bicbf")]) == 0
+    *modules, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert "rng.py" in [name for _, name in modules]
+    assert total[1] == "total" and int(total[0]) == sum(int(count) for count, _ in modules)
+    assert all(int(count) > 0 for count, _ in modules)
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    counter = runpy.run_path(str(SCRIPTS / "code_lines.py"))
+    source = ('"""Module docstring."""\n\n# a comment\nx = """a string\nover two lines"""\n\n\n'
+              'def f(a,\n      b):\n    """Docstring\n    of two lines."""\n    return a  # why\n')
+    assert counter["code_lines"](source) == 5

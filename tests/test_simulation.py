@@ -104,6 +104,43 @@ class TestConfig:
             GPriorSpec(**setting)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: SimulationConfig(cell_n=2, g=10**400, trials=1, seed=1), "g"),
+            (lambda: SimulationConfig(cell_n=2, g=Fraction(10**400, 3), trials=1, seed=1), "g"),
+            (lambda: GPriorSpec(scale=10**400), "scale"),
+            (lambda: GPriorSpec(scale=-(10**400)), "scale"),
+        ],
+        ids=["int-g", "fraction-g", "int-scale", "negative-int-scale"],
+    )
+    def test_real_values_beyond_the_double_range_are_refused(self, make, field):
+        # converting each to a float raised a bare OverflowError
+        with pytest.raises(DomainError) as caught:
+            make()
+        assert str(caught.value) == f"{field} must be at most 1.79769e+308 in magnitude"
+
+    @pytest.mark.parametrize(
+        "a, b, cell_n",
+        [(2, 3, 10**19), (2, 2, 2**58), (2**59, 2, 2), (2, 3, 10**400)],
+        ids=["1e19-cells", "two-to-the-63-bytes", "two-to-the-59-levels", "1e400-cells"],
+    )
+    def test_a_trial_array_numpy_cannot_describe_is_refused(self, a, b, cell_n):
+        # np.empty raised a ValueError at the first draw: "Maximum allowed
+        # dimension exceeded", or "array is too big"
+        with pytest.raises(DomainError) as caught:
+            SimulationConfig(cell_n=cell_n, g=0.2, trials=2, seed=1, a_levels=a, b_levels=b)
+        assert str(caught.value) == (
+            f"one trial of {a}x{b} cells of {cell_n} observations is too large for a numpy "
+            "array: a*b*cell_n*8 bytes must be below 2**63")
+
+    def test_the_largest_trial_array_numpy_can_describe_runs_out_of_memory(self):
+        # 2**63 - 32 bytes: numpy refuses to allocate them without touching memory
+        config = SimulationConfig(cell_n=2**58 - 1, g=0.2, trials=2, seed=1,
+                                  a_levels=2, b_levels=2)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            generate_dataset(config, 0)
+
     def test_fractions_are_kept_as_floats_and_read_back_equal(self, tmp_path):
         # g = 1/5 was written as "g = 1/5", which read_config rejects
         config = SimulationConfig(cell_n=3, g=Fraction(1, 5), trials=2, seed=1,
