@@ -24,9 +24,10 @@ failing trial with the message it gives alone.  ``generate_dataset`` is
 the one-trial block.
 
 The records stay columns from the block to the report: ``run_simulation``
-and ``read_records`` return one ``RecordTable``, which the writer, the
+and ``read_records`` return one ``RecordTable``, which checks the record
+rules in array passes when it is built, and which the writer, the
 summaries and the densities read column by column.  A ``SimulationRecord``
-is built only when a table is indexed or iterated.
+row, of Python values, is built only when a table is iterated.
 
 Determinism: every draw comes from a substream keyed by (seed, label,
 trial), with separate labels for effect draws and noise draws, and each
@@ -45,14 +46,13 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import reduce
 from itertools import islice, repeat
 from numbers import Integral
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -80,14 +80,21 @@ __all__ = [
     "read_config",
 ]
 
-RESULTS_HEADER = (
-    "trial",
-    "effect",
-    "log_bf10_bic",
-    "log_bf10_default",
-    "decision_bic",
-    "decision_default",
-)
+class SimulationRecord(NamedTuple):
+    """One row of a ``RecordTable``, in Python values, as iteration yields it.
+
+    The table has checked the row's values; the row checks nothing itself.
+    """
+
+    trial: int
+    effect: str
+    log_bf10_bic: float
+    log_bf10_default: float
+    decision_bic: str
+    decision_default: str
+
+
+RESULTS_HEADER = SimulationRecord._fields
 
 DENSITY_HEADER = ("effect", "bf_type", "x", "density")
 
@@ -139,34 +146,6 @@ class SimulationConfig:
             )
 
 
-@dataclass(frozen=True)
-class SimulationRecord:
-    """Both log Bayes factors and decisions for one (trial, effect)."""
-
-    trial: int
-    effect: str
-    log_bf10_bic: float
-    log_bf10_default: float
-    decision_bic: str
-    decision_default: str
-
-    def __post_init__(self):
-        if self.trial < 0:
-            raise DomainError(f"trial must be nonnegative, got {self.trial}")
-        if self.effect not in EFFECTS:
-            raise DomainError(f"effect must be one of {EFFECTS}, got {self.effect!r}")
-        for label, log_bf, decision in (
-            ("bic", self.log_bf10_bic, self.decision_bic),
-            ("default", self.log_bf10_default, self.decision_default),
-        ):
-            if not math.isfinite(log_bf):
-                raise DomainError(f"log_bf10_{label} must be finite, got {log_bf}")
-            if decision != decide(log_bf):
-                raise DomainError(
-                    f"decision_{label}={decision!r} contradicts log_bf10_{label}={log_bf}"
-                )
-
-
 def decide(log_bf10: float) -> str:
     """The decision rule: pick H1 exactly when log BF10 > 0."""
     return "H1" if log_bf10 > 0 else "H0"
@@ -177,7 +156,7 @@ def _decisions(log_bf10: np.ndarray) -> np.ndarray:
     return np.where(log_bf10 > 0, "H1", "H0")
 
 
-def _trial_column(trials) -> np.ndarray:
+def _trial_column(trials: list) -> np.ndarray:
     """Trial numbers as int64, or as Python ints where one does not fit."""
     try:
         return np.array(trials, dtype=np.int64)
@@ -188,34 +167,57 @@ def _trial_column(trials) -> np.ndarray:
 _EFFECT_CODES = {effect: code for code, effect in enumerate(EFFECTS)}
 _EFFECT_NAMES = np.array(EFFECTS, dtype=object)
 _DECISION_CODES = {"H0": 0, "H1": 1}  # a decision's code is its log BF10 > 0
+# The numpy kinds of the columns: integer trials (or an object column of
+# Python ints) and effect codes, and real log BFs
+_COLUMN_KINDS = ("iuO", "iu", "iuf", "iuf")
 
 
-class RecordTable(Sequence):
-    """Records as columns: a read-only list of ``SimulationRecord``.
+class RecordTable:
+    """Records as columns: both log Bayes factors of each (trial, effect).
 
     ``trial`` holds the trial numbers (int64, or Python ints where one does
     not fit), ``effect`` each record's index into ``EFFECTS`` (int8), and
     ``log_bf10_bic`` and ``log_bf10_default`` the float64 log Bayes
     factors; each decision is its log BF10 > 0, as ``decide`` takes it.
-    The columns are taken as checked: ``run_simulation`` and
-    ``read_records`` check them in arrays, and ``RecordTable.of`` builds a
-    table from records, which check themselves.
 
-    A table has a length, takes int, negative and stepped-slice indices
-    (a slice is a table), iterates, and compares equal to another table or
-    to any sequence of the same records, from either side; ``+`` joins it
-    with a table or a list of records.  An index or iteration builds each
-    record on demand, a validated ``SimulationRecord`` with Python int,
-    str and float fields.
+    The constructor takes four one-dimensional columns of one length and
+    checks them in array passes: integer trials and effect codes and real
+    log BFs, then the record rules of ``_first_fault``.  A ``DomainError``
+    names the first row that breaks one.  An empty column may be of any
+    kind.
+
+    A table has a length, takes slices (a slice is a table), joins others
+    by ``concat``, compares equal to a table of equal columns, and iterates
+    as ``SimulationRecord`` rows.  Its columns are read-only.
     """
 
     __slots__ = ("trial", "effect", "log_bf10_bic", "log_bf10_default")
 
     def __init__(self, trial: np.ndarray, effect: np.ndarray, log_bf10_bic: np.ndarray,
                  log_bf10_default: np.ndarray):
-        columns = (trial, effect, log_bf10_bic, log_bf10_default)
-        if len({len(column) for column in columns}) != 1:
-            raise ValueError(f"columns of different lengths {[len(c) for c in columns]}")
+        columns = list(map(np.asarray, (trial, effect, log_bf10_bic, log_bf10_default)))
+        for name, column in zip(self.__slots__, columns):
+            if column.ndim != 1:
+                raise DomainError(f"{name} must be a column, got an array of shape {column.shape}")
+        lengths = [len(column) for column in columns]
+        rows = min(lengths)
+        if max(lengths) > rows:
+            short = self.__slots__[lengths.index(rows)]
+            raise DomainError(f"row {rows}: no {short}; the columns have {lengths} rows")
+        for name, column, kinds in zip(self.__slots__, columns, _COLUMN_KINDS):
+            row = _first_of_other_kind(column, kinds)
+            if row is not None:
+                value = column[row : row + 1].tolist()[0]
+                kind = "a real number" if "f" in kinds else "an integer"
+                raise DomainError(f"row {row}: {name} must be {kind}, got {value!r}")
+        trial, effect, bic, default = columns
+        if trial.dtype != np.int64:
+            trial = _trial_column(trial.tolist())
+        bic, default = bic.astype(np.float64, copy=False), default.astype(np.float64, copy=False)
+        fault = _first_fault(trial, effect, bic, default) if rows else None
+        if fault is not None:
+            raise DomainError("row %d: %s" % fault)
+        columns = trial, effect.astype(np.int8, copy=False), bic, default
         for name, column in zip(self.__slots__, columns):
             column = column.view()
             column.flags.writeable = False
@@ -226,17 +228,6 @@ class RecordTable(Sequence):
 
     def __reduce__(self):
         return RecordTable, self._columns()
-
-    @classmethod
-    def of(cls, records: Iterable[SimulationRecord]) -> "RecordTable":
-        """The records as a table; a table is itself."""
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        return cls(_trial_column([r.trial for r in records]),
-                   np.array([_EFFECT_CODES[r.effect] for r in records], dtype=np.int8),
-                   np.array([r.log_bf10_bic for r in records], dtype=float),
-                   np.array([r.log_bf10_default for r in records], dtype=float))
 
     @classmethod
     def concat(cls, tables: Sequence["RecordTable"]) -> "RecordTable":
@@ -250,19 +241,11 @@ class RecordTable(Sequence):
     def __len__(self) -> int:
         return len(self.trial)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RecordTable(*(column[index] for column in self._columns()))
-        try:
-            row = range(len(self))[index]
-        except TypeError:
-            raise TypeError(f"record table indices must be integers or slices, "
-                            f"not {type(index).__name__}") from None
-        except IndexError:
-            raise IndexError("record table index out of range") from None
-        bic, default = float(self.log_bf10_bic[row]), float(self.log_bf10_default[row])
-        return SimulationRecord(int(self.trial[row]), EFFECTS[self.effect[row]], bic, default,
-                                decide(bic), decide(default))
+    def __getitem__(self, rows: slice) -> "RecordTable":
+        if not isinstance(rows, slice):
+            raise TypeError(f"a record table takes slices, not {type(rows).__name__}; "
+                            "index its columns for one record's values")
+        return RecordTable(*(column[rows] for column in self._columns()))
 
     def __iter__(self):
         bic, default = self.log_bf10_bic, self.log_bf10_default
@@ -271,23 +254,10 @@ class RecordTable(Sequence):
                    _decisions(default).tolist())
 
     def __eq__(self, other):
-        if isinstance(other, RecordTable):
-            return len(self) == len(other) and all(
-                np.array_equal(mine, theirs)
-                for mine, theirs in zip(self._columns(), other._columns()))
-        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, (RecordTable, list)):
+        if not isinstance(other, RecordTable):
             return NotImplemented
-        return RecordTable.concat([self, RecordTable.of(other)])
-
-    def __radd__(self, other):
-        if not isinstance(other, list):
-            return NotImplemented
-        return RecordTable.concat([RecordTable.of(other), self])
+        return all(np.array_equal(mine, theirs)
+                   for mine, theirs in zip(self._columns(), other._columns()))
 
     def __repr__(self) -> str:
         return f"<RecordTable of {len(self)} records>"
@@ -298,6 +268,49 @@ class RecordTable(Sequence):
             rows = self.effect == code
             if rows.any():
                 yield effect, self.log_bf10_bic[rows], self.log_bf10_default[rows]
+
+
+def _first_of_other_kind(column: np.ndarray, kinds: str) -> int | None:
+    """The first row whose value is not of the numpy ``kinds``, or None."""
+    if column.dtype.kind not in kinds:
+        return 0 if len(column) else None
+    if column.dtype.kind == "O":  # Python ints, where a trial number does not fit int64
+        return next((row for row, value in enumerate(column.tolist()) if type(value) is not int),
+                    None)
+    return None
+
+
+def _first_fault(trial: np.ndarray, effect: np.ndarray, bic: np.ndarray, default: np.ndarray,
+                 fields: list[Sequence[str]] | None = None) -> tuple[int, str] | None:
+    """The first row that breaks a record rule and the rule's message, or None.
+
+    The rules, in the order a row is checked: a nonnegative trial, an
+    effect code that indexes ``EFFECTS``, then for each route a finite log
+    BF10 and, where the reader gives the rows' text ``fields``, a decision
+    that is the one ``decide`` takes.  The columns are numpy arrays of one
+    length; a message shows the reader's text where it has one.
+    """
+    rules = [(trial < 0, lambda row: f"trial must be nonnegative, got {trial[row]}"),
+             ((effect < 0) | (effect >= len(EFFECTS)),
+              lambda row: f"effect must index {EFFECTS}, got {effect[row]}" if fields is None
+              else f"effect must be one of {EFFECTS}, got {fields[1][row]!r}"),
+             *_route_rules("bic", bic, fields and fields[4]),
+             *_route_rules("default", default, fields and fields[5])]
+    firsts = [_first(bad) for bad, _ in rules]
+    row = min(firsts)
+    if row == len(trial):
+        return None
+    return row, rules[firsts.index(row)][1](row)
+
+
+def _route_rules(label: str, log_bf: np.ndarray, decisions: Sequence[str] | None):
+    """The rules of one route, (rows that break it, message of a row), in order."""
+    yield ~np.isfinite(log_bf), lambda row: f"log_bf10_{label} must be finite, got {log_bf[row]}"
+    if decisions is not None:
+        decisions = decisions[: len(log_bf)]
+        yield (_codes(_DECISION_CODES, decisions) != (log_bf > 0),
+               lambda row: f"decision_{label}={decisions[row]!r} contradicts "
+                           f"log_bf10_{label}={log_bf[row]}")
 
 
 def generate_dataset(config: SimulationConfig, trial: int) -> FactorialDataset:
@@ -370,8 +383,8 @@ def _block_records(config: SimulationConfig, trials: range) -> RecordTable:
     The fit gives one column per sum of squares, and each effect's BIC and
     oracle read those columns for the whole block; only a row whose F
     ratio is degenerate or not finite takes the one-table BIC, for its
-    error or its log-split branch.  The log Bayes factors are checked
-    finite in arrays, in record order, as ``SimulationRecord`` checks them.
+    error or its log-split branch.  The records are checked by the table's
+    rules (``_first_fault``), whose message the trial's error carries.
     A block of several trials that fails runs its two halves in order,
     recursively, so the error names the lowest failing trial with the
     message that trial gives alone: within a trial, effect by effect, the
@@ -387,19 +400,19 @@ def _block_records(config: SimulationConfig, trials: range) -> RecordTable:
         for column, effect in enumerate(EFFECTS):
             bic[:, column] = _bic_log_bf10(block, effect)
             default[:, column] = _evaluate(_setup(block, effect, config.oracle.scale))
-        routes = np.stack((bic, default), axis=-1)  # trial, effect, then route
-        bad = np.flatnonzero(~np.isfinite(routes))
-        if bad.size:
-            label = ("bic", "default")[bad[0] % 2]
-            raise DomainError(f"log_bf10_{label} must be finite, got {routes.flat[bad[0]]}")
-        return RecordTable(np.repeat(np.arange(trials.start, trials.stop), len(EFFECTS)),
-                           np.tile(np.arange(len(EFFECTS), dtype=np.int8), len(trials)),
-                           bic.ravel(), default.ravel())
+        columns = (np.repeat(np.arange(trials.start, trials.stop), len(EFFECTS)),
+                   np.tile(np.arange(len(EFFECTS), dtype=np.int8), len(trials)),
+                   bic.ravel(), default.ravel())
+        fault = _first_fault(*columns)
+        if fault is not None:
+            raise DomainError(fault[1])  # the trial, not the row, names it
+        return RecordTable(*columns)
     except BicbfError as exc:
         if len(trials) == 1:
             raise SimulationError(f"trial {trials[0]}: {exc}") from exc
     half = len(trials) // 2
-    return _block_records(config, trials[:half]) + _block_records(config, trials[half:])
+    return RecordTable.concat([_block_records(config, trials[:half]),
+                               _block_records(config, trials[half:])])
 
 
 @dataclass(frozen=True)
@@ -434,9 +447,8 @@ class EffectSummary:
     consistency: float
 
 
-def summarize(records: Iterable[SimulationRecord]) -> dict[str, EffectSummary]:
+def summarize(records: RecordTable) -> dict[str, EffectSummary]:
     """Per-effect summaries, keyed by effect, for the effects present."""
-    records = RecordTable.of(records)
     if not len(records):
         raise DomainError("no records to summarize")
     out: dict[str, EffectSummary] = {}
@@ -529,7 +541,7 @@ def _kernel_sums(x: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
 
 
 def emit_density_data(
-    records: Iterable[SimulationRecord], bandwidth: float | None = None
+    records: RecordTable, bandwidth: float | None = None
 ) -> list[DensitySeries]:
     """Kernel densities of log BF10, one series per (effect, BF type).
 
@@ -548,7 +560,6 @@ def emit_density_data(
     than evaluated, and a row the bracket does not settle is summed again
     (``_kernel_sums``), so the bits stay the one-shot formula's.
     """
-    records = RecordTable.of(records)
     if not len(records):
         raise DomainError("no records for density estimation")
     if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
@@ -579,13 +590,12 @@ _RESULTS_ROW = "%d,%s,%.17g,%.17g,%s,%s\r\n"
 _WRITE_ROWS = 2**14  # results rows formatted at once
 
 
-def write_records(records: Iterable[SimulationRecord], path: str | Path) -> None:
+def write_records(records: RecordTable, path: str | Path) -> None:
     """Write the results file: one row per (trial, effect), 17 significant digits.
 
     Rows are formatted from the columns, ``_WRITE_ROWS`` at a time, each
     value as a Python int, str or float.
     """
-    records = RecordTable.of(records)
     with Path(path).open("w", newline="") as handle:
         handle.write(",".join(RESULTS_HEADER) + "\r\n")
         for start in range(0, len(records), _WRITE_ROWS):
@@ -606,9 +616,10 @@ _READ_ROWS = 2**14  # rows parsed at once, which bound the reader's memory
 def read_records(path: str | Path) -> RecordTable:
     """Read a results file back; the first malformed or repeated row is named on error.
 
-    The rows are parsed and checked in arrays, ``_READ_ROWS`` at a time.
-    Only the first bad row, if any, goes through ``SimulationRecord`` on its
-    own, so its error is the one that row alone gives.  A row whose (trial,
+    The rows are parsed and checked in arrays, ``_READ_ROWS`` at a time,
+    by the record rules of ``_first_fault``, decisions included.  The first
+    bad row's error is its first fault in the order its fields are read and
+    checked (``_leading_rows``).  A row whose (trial,
     effect) an earlier row has is named with that row's line.  A problem of
     the file itself (text that is not UTF-8, a field over the csv module's
     size limit) is reported when no row read before it is bad.
@@ -629,27 +640,22 @@ def read_records(path: str | Path) -> RecordTable:
             numbers = lineno + np.flatnonzero(np.fromiter(map(bool, chunk), bool, len(chunk)))
             lineno += len(chunk)
             chunk = list(filter(None, chunk))
-            table, good = _leading_rows(chunk)
+            table, fault = _leading_rows(chunk)
             tables.append(table)
-            linenos.append(numbers[:good])
-            if good < len(chunk):
-                bad = chunk[good], numbers[good]
+            linenos.append(numbers[: len(table)])
+            if fault is not None:
+                bad = fault, numbers[len(table)]
                 break
-    table = RecordTable.concat(tables) if tables else RecordTable.of([])
+    table = RecordTable.concat(tables) if tables else RecordTable((), (), (), ())
     linenos = np.concatenate(linenos) if linenos else np.empty(0, dtype=np.intp)
     repeat = _first_repeat(table)
     if repeat is not None:
         row, earlier = repeat
-        record = table[row]
-        raise DomainError(f"{path}:{linenos[row]}: trial {record.trial}, effect "
-                          f"{record.effect} repeats line {linenos[earlier]}")
+        raise DomainError(f"{path}:{linenos[row]}: trial {table.trial[row]}, effect "
+                          f"{EFFECTS[table.effect[row]]} repeats line {linenos[earlier]}")
     if bad is not None:
-        row, lineno = bad
-        try:
-            _row_record(row)
-        except (BicbfError, ValueError) as exc:
-            raise DomainError(f"{path}:{lineno}: {exc}") from exc
-        raise AssertionError(f"{path}:{lineno}: a row the array checks reject passes alone")
+        fault, lineno = bad
+        raise DomainError(f"{path}:{lineno}: {fault}")
     if failures:
         raise _file_error(path, failures[0], reader)
     return table
@@ -681,32 +687,18 @@ def _file_error(path: Path, exc: Exception, reader) -> DomainError:
     return error
 
 
-def _row_record(row: list[str]) -> SimulationRecord:
-    """One row as a record, or the error of its first fault."""
-    if len(row) != 6:
-        raise DomainError(f"expected 6 fields, got {len(row)}")
-    return SimulationRecord(
-        trial=int(row[0]),
-        effect=row[1],
-        log_bf10_bic=float(row[2]),
-        log_bf10_default=float(row[3]),
-        decision_bic=row[4],
-        decision_default=row[5],
-    )
-
-
-def _converted(kind: Callable[[str], object], fields: Sequence[str]) -> list:
-    """``kind`` of each field, up to the first it cannot convert."""
+def _converted(kind: Callable[[str], object], fields: Sequence[str]) -> tuple[list, str | None]:
+    """``kind`` of each field up to the first it cannot convert, and that one's error."""
     try:
-        return list(map(kind, fields))
+        return list(map(kind, fields)), None
     except ValueError:
         values = []
         for text in fields:
             try:
                 values.append(kind(text))
-            except ValueError:
-                break
-        return values
+            except ValueError as exc:
+                return values, str(exc)
+        raise
 
 
 def _codes(mapping: dict[str, int], fields: Sequence[str]) -> np.ndarray:
@@ -720,27 +712,30 @@ def _first(bad: np.ndarray) -> int:
     return int(hits[0]) if hits.size else bad.size
 
 
-def _leading_rows(rows: list[list[str]]) -> tuple[RecordTable, int]:
-    """The rows before the first bad one, as a table, and their count.
+def _leading_rows(rows: list[list[str]]) -> tuple[RecordTable, str | None]:
+    """The rows before the first bad one, as a table, and that row's fault.
 
-    Each check runs over a column and cuts the rows at its first failure,
-    so the count is the index of the first row that has the wrong number
-    of fields, a trial or log BF that does not parse, or a value that
-    ``SimulationRecord`` rejects.
+    Each check runs over a column of the rows before the first fault so
+    far, in the order a row's fields are read and checked: the number of
+    fields, the trial, the log BFs as numbers, then the record rules; so
+    the fault is the first of the first bad row.
     """
     good = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != len(RESULTS_HEADER))
+    fault = f"expected 6 fields, got {len(rows[good])}" if good < len(rows) else None
     fields = list(zip(*rows[:good])) or [()] * len(RESULTS_HEADER)
-    trial = _converted(int, fields[0])
-    bic = _converted(float, fields[2][: len(trial)])
-    default = _converted(float, fields[3][: len(bic)])
-    good = len(default)
-    trial, bic, default = _trial_column(trial[:good]), np.array(bic[:good]), np.array(default)
+    numbers = []
+    for kind, index in ((int, 0), (float, 2), (float, 3)):
+        values, error = _converted(kind, fields[index][:good])
+        if error is not None:
+            good, fault = len(values), error
+        numbers.append(values)
+    trial, bic, default = (_trial_column(numbers[0][:good]), np.array(numbers[1][:good]),
+                           np.array(numbers[2][:good]))
     effect = _codes(_EFFECT_CODES, fields[1][:good])
-    decision_bic = _codes(_DECISION_CODES, fields[4][:good])
-    decision_default = _codes(_DECISION_CODES, fields[5][:good])
-    good = _first((trial < 0) | (effect < 0) | ~np.isfinite(bic) | ~np.isfinite(default)
-                  | (decision_bic != (bic > 0)) | (decision_default != (default > 0)))
-    return RecordTable(trial, effect, bic, default)[:good], good
+    rule = _first_fault(trial, effect, bic, default, fields)
+    if rule is not None:
+        good, fault = rule
+    return RecordTable(trial[:good], effect[:good], bic[:good], default[:good]), fault
 
 
 def _first_repeat(table: RecordTable) -> tuple[int, int] | None:

@@ -152,9 +152,10 @@ out = Path(sys.argv[1])
 config = sim.SimulationConfig(cell_n=5, g=0.2, trials=4, seed=1)
 sim.write_config(config, out / "config.txt")
 assert sim.read_config(out / "config.txt") == config
-records = [sim.SimulationRecord(t, e, b, d, sim.decide(b), sim.decide(d))
-           for t in range(4) for e, b, d in (("A", t - 1.5, 0.25 * t), ("B", 1.0 + t, -t),
-                                             ("AB", t * t - 2.0, 3.0 - t))]
+t = numpy.arange(4.0)  # per trial, the log BFs of A, B and AB
+records = sim.RecordTable(numpy.repeat(numpy.arange(4), 3), numpy.tile(numpy.arange(3), 4),
+                          numpy.column_stack((t - 1.5, 1.0 + t, t * t - 2.0)).ravel(),
+                          numpy.column_stack((0.25 * t, -t, 3.0 - t)).ravel())
 sim.write_records(records, out / "results.csv")
 table = sim.read_records(out / "results.csv")
 sim.summarize(table)

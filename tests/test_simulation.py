@@ -41,8 +41,19 @@ from bicbf.cli import main as cli_main
 from bicbf.rng import substream
 
 
-def record(trial, effect, bic, default):
-    return SimulationRecord(trial, effect, bic, default, decide(bic), decide(default))
+def table_of(rows):
+    """A table of (trial, effect, log_bf10_bic, log_bf10_default) rows, built
+    as its columns."""
+    trial, effect, bic, default = zip(*rows) if rows else ((),) * 4
+    return RecordTable(np.array(trial, dtype=object), [EFFECTS.index(e) for e in effect],
+                       bic, default)
+
+
+def values_table(values):
+    """The table of (trials, 3, 2) values: per trial and effect, both log BFs."""
+    trials = len(values)
+    return RecordTable(np.repeat(np.arange(trials), 3), np.tile(np.arange(3), trials),
+                       values[..., 0].ravel(), values[..., 1].ravel())
 
 
 @pytest.fixture(scope="module")
@@ -285,14 +296,12 @@ class TestRecordsAndDecisions:
         assert decide(5e-300) == "H1"
 
     def test_record_validation(self):
-        with pytest.raises(DomainError, match="contradicts"):
-            SimulationRecord(0, "A", 1.0, 1.0, "H0", "H1")
         with pytest.raises(DomainError, match="effect"):
-            record(0, "X", 1.0, 1.0)
+            RecordTable([0], [3], [1.0], [1.0])
         with pytest.raises(DomainError, match="trial"):
-            record(-1, "A", 1.0, 1.0)
+            table_of([(-1, "A", 1.0, 1.0)])
         with pytest.raises(DomainError, match="finite"):
-            record(0, "A", math.inf, 1.0)
+            table_of([(0, "A", math.inf, 1.0)])
 
 
 class TestSummaries:
@@ -304,13 +313,13 @@ class TestSummaries:
             FiveNumber.of([])
 
     def test_summarize_counts_and_consistency(self):
-        records = [
-            record(0, "A", 1.0, 2.0),    # H1 / H1
-            record(1, "A", -1.0, -2.0),  # H0 / H0
-            record(2, "A", 1.0, -1.0),   # H1 / H0
-            record(3, "A", -0.5, -0.1),  # H0 / H0
-        ]
-        out = summarize(records)
+        table = table_of([
+            (0, "A", 1.0, 2.0),    # H1 / H1
+            (1, "A", -1.0, -2.0),  # H0 / H0
+            (2, "A", 1.0, -1.0),   # H1 / H0
+            (3, "A", -0.5, -0.1),  # H0 / H0
+        ])
+        out = summarize(table)
         assert set(out) == {"A"}
         assert out["A"].n_trials == 4
         assert out["A"].consistency == 0.75
@@ -328,13 +337,13 @@ class TestSummaries:
 
     def test_summarize_empty(self):
         with pytest.raises(DomainError, match="no records"):
-            summarize([])
+            summarize(table_of([]))
 
 
 class TestDensity:
     def test_two_point_closed_form(self):
-        records = [record(0, "A", 0.0, 0.0), record(1, "A", 1.0, 1.0)]
-        series = emit_density_data(records, bandwidth=0.5)
+        table = table_of([(0, "A", 0.0, 0.0), (1, "A", 1.0, 1.0)])
+        series = emit_density_data(table, bandwidth=0.5)
         assert [(s.effect, s.bf_type) for s in series] == [("A", "bic"), ("A", "default")]
         s = series[0]
         assert s.bandwidth == 0.5
@@ -355,8 +364,8 @@ class TestDensity:
 
     def test_symmetric_values_give_symmetric_density(self):
         values = [-2.0, -1.0, 1.0, 2.0]
-        records = [record(t, "A", v, v) for t, v in enumerate(values)]
-        s = emit_density_data(records, bandwidth=0.8)[0]
+        table = table_of([(t, "A", v, v) for t, v in enumerate(values)])
+        s = emit_density_data(table, bandwidth=0.8)[0]
         assert np.allclose(s.density, s.density[::-1], atol=1e-10)
 
     def test_silverman_rule(self):
@@ -375,9 +384,9 @@ class TestDensity:
             silverman_bandwidth([1.0, 1.0, 1.0])
 
     def test_constant_group_is_named(self):
-        records = [record(0, "A", 1.0, 0.5), record(1, "A", 1.0, 0.7)]
+        table = table_of([(0, "A", 1.0, 0.5), (1, "A", 1.0, 0.7)])
         with pytest.raises(DomainError, match="effect A, bic"):
-            emit_density_data(records)
+            emit_density_data(table)
 
     def test_bandwidth_validation(self, null_run):
         _, records = null_run
@@ -390,20 +399,20 @@ class TestDensity:
     def test_bandwidth_beyond_the_double_range_is_named(self, bandwidth):
         # 1e308 takes the grid's ends to inf; at 1e-320 the grid's ends round
         # to the data points, where the density 1 / (2 h sqrt(2 pi)) is inf
-        records = [record(0, "A", 1.0, 1.0), record(1, "A", 2.0, 2.0)]
+        table = table_of([(0, "A", 1.0, 1.0), (1, "A", 2.0, 2.0)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             message = f"bandwidth {bandwidth!r} takes the effect A, bic density grid or values"
             with pytest.raises(DomainError, match=re.escape(message)):
-                emit_density_data(records, bandwidth=bandwidth)
+                emit_density_data(table, bandwidth=bandwidth)
 
     def test_tiny_bandwidth_gives_finite_spikes_without_warnings(self):
         # the grid's ends round to the data points; between them z * z
         # overflows, and exp(-inf) = 0 is right
-        records = [record(0, "A", 1.0, 1.0), record(1, "A", 2.0, 2.0)]
+        table = table_of([(0, "A", 1.0, 1.0), (1, "A", 2.0, 2.0)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = emit_density_data(records, bandwidth=1e-300)[0]
+            s = emit_density_data(table, bandwidth=1e-300)[0]
         peak = 1.0 / (2 * 1e-300 * math.sqrt(2 * math.pi))
         assert s.density[0] == s.density[-1] == pytest.approx(peak, rel=1e-12)
         assert np.all(s.density[1:-1] == 0.0)
@@ -436,9 +445,8 @@ class TestChunkedDensity:
         rng = np.random.default_rng(size)
         bic = np.round(rng.standard_normal(size) * 10, 3)  # ties, far tails
         default = rng.standard_cauchy(size)
-        records = [record(t, "A", b, d) for t, (b, d) in enumerate(zip(bic.tolist(),
-                                                                       default.tolist()))]
-        series = emit_density_data(records, bandwidth=bandwidth)
+        table = RecordTable(np.arange(size), np.zeros(size, dtype=np.int8), bic, default)
+        series = emit_density_data(table, bandwidth=bandwidth)
         for s, values in zip(series, (bic, default)):
             h = bandwidth if bandwidth is not None else silverman_bandwidth(values)
             assert s.bandwidth == h
@@ -449,14 +457,11 @@ class TestChunkedDensity:
     def test_memory_does_not_grow_with_grid_times_values(self):
         # one (512, 20000) temporary alone is 78 MiB
         rng = np.random.default_rng(7)
-        values = rng.standard_normal((20000, 3, 2)).tolist()
-        records = [record(t, effect, bic, default)
-                   for t, row in enumerate(values)
-                   for effect, (bic, default) in zip(("A", "B", "AB"), row)]
+        table = values_table(rng.standard_normal((20000, 3, 2)))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            emit_density_data(records)
+            emit_density_data(table)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -502,7 +507,8 @@ class TestBracketedDensity:
         # clamped, so a row's two bracket sums differ and it is summed again
         rng = np.random.default_rng(3)
         values = np.concatenate([rng.standard_normal(500), 1000.0 + rng.standard_normal(500)])
-        records = [record(t, "A", v, v) for t, v in enumerate(values.tolist())]
+        table = RecordTable(np.arange(values.size), np.zeros(values.size, dtype=np.int8),
+                            values, values)
         summed_again = []
         one_shot = bicbf.simulate._one_shot_sums
 
@@ -511,7 +517,7 @@ class TestBracketedDensity:
             return one_shot(x, values, h)
 
         monkeypatch.setattr(bicbf.simulate, "_one_shot_sums", one_shot_sums)
-        s = emit_density_data(records, bandwidth=1.0)[0]
+        s = emit_density_data(table, bandwidth=1.0)[0]
         t = bicbf.simulate._exponents(s.x, values, 1.0)
         gap = np.all(t < EXP_FLOOR, axis=1)
         assert gap.sum() > 100
@@ -557,14 +563,14 @@ EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308,
 
 class TestWritersMatchTheCsvModule:
     def test_results_file_bytes(self, null_run, tmp_path):
-        _, records = null_run
-        extremes = [record(trial, effect, bic, default)
-                    for trial, (effect, bic, default) in zip(
-                        [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 7, 8, 9, 10, 11],
-                        zip(["A", "B", "AB"] * 4, EXTREMES, EXTREMES[::-1]))]
+        _, run = null_run
+        extremes = table_of([(trial, effect, bic, default)
+                             for trial, (effect, bic, default) in zip(
+                                 [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 7, 8, 9, 10, 11],
+                                 zip(["A", "B", "AB"] * 4, EXTREMES, EXTREMES[::-1]))])
         # trials 0-11 of the run would repeat (trial, effect) keys of the
         # extremes, and a results file holds each key once
-        for rows in ([], extremes, records[3 * 12 :] + extremes):
+        for rows in (table_of([]), extremes, RecordTable.concat([run[3 * 12 :], extremes])):
             want, got = tmp_path / "want.csv", tmp_path / "got.csv"
             csv_write_records(rows, want)
             write_records(rows, got)
@@ -601,7 +607,7 @@ class TestResultsFiles:
 
     def test_bad_row_names_line(self, tmp_path):
         path = tmp_path / "results.csv"
-        write_records([record(0, "A", 1.0, 1.0), record(1, "A", -1.0, 1.0)], path)
+        write_records(table_of([(0, "A", 1.0, 1.0), (1, "A", -1.0, 1.0)]), path)
         lines = path.read_text().splitlines()
         lines[2] = lines[2].replace("-1", "oops", 1)
         path.write_text("\n".join(lines) + "\n")
@@ -617,15 +623,15 @@ class TestResultsFiles:
 
     def test_tampered_decision_is_caught(self, tmp_path):
         path = tmp_path / "results.csv"
-        write_records([record(0, "A", -1.0, 1.0)], path)
+        write_records(table_of([(0, "A", -1.0, 1.0)]), path)
         text = path.read_text().replace("H0", "H1")
         path.write_text(text)
         with pytest.raises(DomainError, match="results.csv:2.*contradicts"):
             read_records(path)
 
     def test_density_file_layout(self, tmp_path):
-        records = [record(0, "A", 0.0, 0.0), record(1, "A", 1.0, 1.0)]
-        series = emit_density_data(records, bandwidth=0.5)
+        table = table_of([(0, "A", 0.0, 0.0), (1, "A", 1.0, 1.0)])
+        series = emit_density_data(table, bandwidth=0.5)
         path = tmp_path / "density.csv"
         write_density_data(series, path)
         lines = path.read_text().splitlines()
@@ -738,96 +744,90 @@ class TestConfigFiles:
 
 
 class TestRecordTable:
-    """A records table behaves as the list of its records."""
+    """A records table is its four columns, checked when it is built."""
 
     @pytest.fixture(scope="class")
     def table(self):
         return run_simulation(SimulationConfig(cell_n=3, g=0.2, trials=7, seed=4))
 
-    def test_iteration_builds_records_of_python_values(self, table):
+    def test_the_columns(self, table):
         assert isinstance(table, RecordTable) and len(table) == 21
-        as_list = list(table)
-        assert len(as_list) == 21
-        for r in as_list:
-            assert type(r) is SimulationRecord
-            assert type(r.trial) is int and type(r.effect) is str
-            assert type(r.log_bf10_bic) is float and type(r.log_bf10_default) is float
-            assert r.decision_bic == decide(r.log_bf10_bic)
-            assert r.decision_default == decide(r.log_bf10_default)
-        assert [(r.trial, r.effect) for r in as_list] == [
-            (t, e) for t in range(7) for e in ("A", "B", "AB")]
+        assert table.trial.tolist() == [t for t in range(7) for _ in EFFECTS]
+        assert table.effect.tolist() == [0, 1, 2] * 7
+        dtypes = [column.dtype for column in (table.trial, table.effect, table.log_bf10_bic,
+                                              table.log_bf10_default)]
+        assert dtypes == [np.int64, np.int8, np.float64, np.float64]
 
-    def test_integer_indices(self, table):
-        as_list = list(table)
-        for i in range(-len(table), len(table)):
-            assert table[i] == as_list[i]
-            assert type(table[i].log_bf10_bic) is float and type(table[i].trial) is int
-        assert table[np.int64(4)] == as_list[4]
-        for i in (len(table), -len(table) - 1):
-            with pytest.raises(IndexError):
-                table[i]
-        for i in ("0", 1.0):
-            with pytest.raises(TypeError):
-                table[i]
+    def test_iteration_builds_records_of_python_values(self, table):
+        # the five values perfbench's check_summaries reads from each row
+        rows = list(table)
+        assert len(rows) == 21
+        for row, bic, default in zip(rows, table.log_bf10_bic, table.log_bf10_default):
+            assert type(row) is SimulationRecord
+            assert row._fields == bicbf.simulate.RESULTS_HEADER
+            assert type(row.trial) is int and type(row.effect) is str
+            assert type(row.log_bf10_bic) is float and type(row.log_bf10_default) is float
+            assert (row.log_bf10_bic, row.log_bf10_default) == (bic, default)
+            assert type(row.decision_bic) is str and type(row.decision_default) is str
+            assert row.decision_bic == decide(row.log_bf10_bic)
+            assert row.decision_default == decide(row.log_bf10_default)
+        assert [(r.trial, r.effect) for r in rows] == [
+            (t, e) for t in range(7) for e in ("A", "B", "AB")]
 
     @pytest.mark.parametrize("index", [
         slice(None), slice(3, 9), slice(None, None, 2), slice(1, 17, 5), slice(-4, None),
         slice(None, None, -1), slice(20, 2, -3), slice(5, 5), slice(100, 200)])
     def test_slices_are_tables(self, table, index):
-        as_list = list(table)
         part = table[index]
         assert isinstance(part, RecordTable)
-        assert len(part) == len(as_list[index])
-        assert list(part) == as_list[index]
-        assert part == as_list[index] and as_list[index] == part
+        assert len(part) == len(table.trial[index])
+        for name in RecordTable.__slots__:
+            assert np.array_equal(getattr(part, name), getattr(table, name)[index])
+
+    @pytest.mark.parametrize("index", [0, -1, np.int64(4), "0", 1.0, [0, 1]],
+                             ids=["zero", "minus-one", "int64", "text", "float", "list"])
+    def test_integer_indices_are_refused(self, table, index):
+        with pytest.raises(TypeError, match="index its columns"):
+            table[index]
 
     def test_equality_from_either_side(self, table, tmp_path):
-        as_list = list(table)
-        assert table == as_list and as_list == table
-        assert table == tuple(as_list) and tuple(as_list) == table
-        assert table == RecordTable.of(as_list) == RecordTable.of(iter(as_list))
-        assert not (table != as_list) and not (as_list != table)
+        assert table == RecordTable(*(getattr(table, name).copy()
+                                      for name in RecordTable.__slots__))
         path = tmp_path / "results.csv"
         write_records(table, path)
-        assert read_records(path) == table
-        changed = as_list[:-1] + [replace(as_list[-1], log_bf10_default=-5.0,
-                                          decision_default="H0")]
-        assert table != changed and changed != table
-        assert table != RecordTable.of(changed) and RecordTable.of(changed) != table
-        assert table != as_list[:-1] and as_list[:-1] != table
+        assert read_records(path) == table and not (read_records(path) != table)
+        changed = table.log_bf10_default.copy()
+        changed[-1] = -5.0
+        other = RecordTable(table.trial, table.effect, table.log_bf10_bic, changed)
+        assert table != other and other != table
         assert table != table[:-1] and table[1:] != table[:-1]
-        assert table != as_list[::-1]
+        assert table != table[::-1]
+        # a table is no sequence: it equals no list, not even of its own rows
+        assert table != list(table) and list(table) != table
         assert table != 5 and not (table == "AB") and table != [1, 2]
 
     def test_concatenation(self, table):
-        as_list = list(table)
-        for joined, want in ((table + table, as_list + as_list),
-                             (table + as_list[:4], as_list + as_list[:4]),
-                             (as_list[:4] + table, as_list[:4] + as_list),
-                             (table[::2] + table[1::2], as_list[::2] + as_list[1::2]),
-                             (table + [], as_list), ([] + table, as_list)):
-            assert isinstance(joined, RecordTable)
-            assert joined == want and list(joined) == want
-        with pytest.raises(TypeError):
-            table + tuple(as_list)
-        with pytest.raises(TypeError):
-            tuple(as_list) + table
+        assert RecordTable.concat([table[:4], table[4:]]) == table
+        assert RecordTable.concat([table]) == table
+        joined = RecordTable.concat([table[::2], table[1::2]])
+        for name in RecordTable.__slots__:
+            column = getattr(table, name)
+            assert np.array_equal(getattr(joined, name),
+                                  np.concatenate([column[::2], column[1::2]]))
+        assert len(RecordTable.concat([table, table])) == 42
 
     def test_empty_table(self, table, tmp_path):
-        empty = RecordTable.of([])
-        for other in (empty, table[5:5], RecordTable.of(iter(()))):
+        empty = RecordTable((), (), (), ())
+        for other in (empty, table[5:5], RecordTable.concat([empty, empty])):
             assert len(other) == 0 and list(other) == []
-            assert other == [] and [] == other and other == () and not (other != [])
-            assert other == empty
-        assert empty != table and table != empty and empty != list(table)
-        assert empty + [] == [] and empty + table == table and table + empty == table
-        assert empty[:] == [] and empty[::-1] == []
-        with pytest.raises(IndexError):
-            empty[0]
+            assert other == empty and not (other != empty)
+        assert empty != table and table != empty
+        assert RecordTable.concat([empty, table]) == table == RecordTable.concat([table, empty])
+        assert empty[:] == empty and empty[::-1] == empty
         path = tmp_path / "results.csv"
         write_records(empty, path)
         assert path.read_text().splitlines() == [",".join(bicbf.simulate.RESULTS_HEADER)]
-        assert read_records(path) == empty == []
+        assert read_records(path) == empty
 
     def test_a_table_is_read_only(self, table):
         with pytest.raises(AttributeError):
@@ -858,11 +858,11 @@ def _bits(records):
 
 
 def test_the_study_and_its_report_build_no_record(monkeypatch, tmp_path):
-    # a table builds records only when indexed or iterated
-    def built(self):
-        raise AssertionError("a SimulationRecord was built")
+    # only iteration builds a table's rows
+    def iterate(self):
+        raise AssertionError("a table's rows were iterated")
 
-    monkeypatch.setattr(SimulationRecord, "__post_init__", built)
+    monkeypatch.setattr(RecordTable, "__iter__", iterate)
     for cell_n, trials in ((50, 300), (20, 1000)):  # the desk and wide studies
         config = SimulationConfig(cell_n=cell_n, g=0.2, trials=trials, seed=1)
         path = tmp_path / "results.csv"
@@ -870,8 +870,41 @@ def test_the_study_and_its_report_build_no_record(monkeypatch, tmp_path):
         table = read_records(path)
         assert summarize(table)["AB"].n_trials == trials
         write_density_data(emit_density_data(table), tmp_path / "density.csv")
-    with pytest.raises(AssertionError, match="was built"):
-        table[0]
+    with pytest.raises(AssertionError, match="were iterated"):
+        list(table)
+
+
+@pytest.mark.parametrize("columns, message", [
+    ((np.array([0, 0]), np.array([-1, 0], dtype=np.int8), np.array([1.0, np.nan]),
+      np.array([2.0, 3.0])), "row 0: effect must index ('A', 'B', 'AB'), got -1"),
+    ((np.array([0, 0]), np.array([0, 1], dtype=np.int8), np.array([1.0, np.nan]),
+      np.array([2.0, 3.0])), "row 1: log_bf10_bic must be finite, got nan"),
+    ((np.array([0, 1]), np.array([0, 1], dtype=np.int8), np.array([1.0, 2.0]),
+      np.array([2.0, -np.inf])), "row 1: log_bf10_default must be finite, got -inf"),
+    ((np.array([0, -1]), np.array([0, 0]), np.array([1.0, 2.0]), np.array([2.0, 3.0])),
+     "row 1: trial must be nonnegative, got -1"),
+    ((np.array([0, 0]), np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([2.0, 3.0])),
+     "row 0: effect must be an integer, got 0.0"),
+    ((np.array([0.0, 1.0]), np.array([0, 0]), np.array([1.0, 2.0]), np.array([2.0, 3.0])),
+     "row 0: trial must be an integer, got 0.0"),
+    ((np.array([0, 2**70, 1.5], dtype=object), np.array([0, 0, 0]), np.array([1.0, 2.0, 3.0]),
+      np.array([2.0, 3.0, 4.0])), "row 2: trial must be an integer, got 1.5"),
+    ((np.array([0, 0]), np.array([0, 1]), np.array(["1.0", "2.0"]), np.array([2.0, 3.0])),
+     "row 0: log_bf10_bic must be a real number, got '1.0'"),
+    ((np.array([0, 0]), np.array([0, 1]), np.array([1.0]), np.array([2.0, 3.0])),
+     "row 1: no log_bf10_bic; the columns have [2, 2, 1, 2] rows"),
+    ((np.array([[0, 0]]), np.array([0, 1]), np.array([1.0]), np.array([2.0, 3.0])),
+     "trial must be a column, got an array of shape (1, 2)"),
+], ids=["effect-code", "nan", "minus-inf", "negative-trial", "float-effect", "float-trial",
+        "float-in-object-trial", "text-log-bf", "lengths", "two-dimensional"])
+def test_the_constructor_names_the_first_bad_row(columns, message, tmp_path):
+    # each column set was accepted: write_records wrote an effect code of -1
+    # as "AB" and a NaN that read_records refuses, summarize dropped the -1
+    # row and gave NaN summaries, a float effect column raised a TypeError
+    # in the writer, and columns of different lengths a bare ValueError
+    with pytest.raises(DomainError) as caught:
+        RecordTable(*columns)
+    assert str(caught.value) == message
 
 
 BIG_TRIALS = 10_000
@@ -882,10 +915,9 @@ BLANK_BEFORE = 100  # a blank line before data row 100 shifts the later rows' li
 @pytest.fixture(scope="module")
 def big_lines(tmp_path_factory):
     """The data lines of a results file of 10 000 trials, without terminators."""
-    values = np.random.default_rng(5).standard_normal((BIG_TRIALS, 3, 2)).tolist()
+    values = np.random.default_rng(5).standard_normal((BIG_TRIALS, 3, 2))
     path = tmp_path_factory.mktemp("big") / "results.csv"
-    write_records([record(t, e, b, d) for t, row in enumerate(values)
-                   for e, (b, d) in zip(EFFECTS, row)], path)
+    write_records(values_table(values), path)
     return path.read_bytes().decode().split("\r\n")[1:-1]
 
 
@@ -979,8 +1011,8 @@ class TestReadRecordsErrors:
 
     def test_a_repeated_row_names_the_line_it_repeats(self, tmp_path):
         path = tmp_path / "results.csv"
-        write_records([record(t, e, 0.5 * t - 1, 1.0 - t) for t in range(3) for e in EFFECTS],
-                      path)
+        table = table_of([(t, e, 0.5 * t - 1, 1.0 - t) for t in range(3) for e in EFFECTS])
+        write_records(table, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join([*lines, "", lines[5]]) + "\n")  # trial 1, effect B again
         with pytest.raises(DomainError) as info:
