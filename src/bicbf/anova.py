@@ -18,13 +18,19 @@ orthonormal contrasts and SS_e = c_e * sum(effect^2).  The nested model
 pairs of the default-prior oracle come from the same statement
 (``_inside``).
 
-The simulation study fits a block of datasets at once: ``_fit_block``
-returns their sums of squares as columns (``_Block``), one row per
-dataset and one column per term, with no per-dataset table.  The study's
-BIC (``_bic_log_bf10``) and the default-prior oracle's set-up read those
-columns.  Every array operation is elementwise or runs along one dataset's
-own axes, so a row is bitwise the table that ``fit_two_way`` gives for its
-dataset alone; ``fit_two_way`` is the one-row block.
+A fit is its design (the levels and cell_n) and its sums of squares: one
+per term, the error's and the total's.  N, the error df, each term's df,
+c_e and F, the residual of a model, and whether the error variance is zero
+or a sum left the double range all follow from those, by one statement
+(``_Fit``) that serves a fit in two shapes.  ``AnovaTable``, the fit of
+one dataset, holds Python floats.  The simulation study fits a block of
+datasets at once: ``_fit_block`` returns a ``_Block``, whose sums are
+columns with one value per dataset, and builds no per-dataset table.
+The study's BIC (``_bic_log_bf10``) and the default-prior oracle's set-up
+read those columns.  Every array operation is elementwise or runs along
+one dataset's own axes, so a dataset's values in a block are bitwise the
+table that ``fit_two_way`` gives for it alone; ``fit_two_way`` is the
+one-dataset block.
 """
 
 from __future__ import annotations
@@ -95,75 +101,31 @@ class FactorialDataset:
         return self.a_levels * self.b_levels * self.cell_n
 
 
-@dataclass(frozen=True)
-class AnovaTable:
-    """Sums of squares, degrees of freedom, and F ratios of one fit.
-
-    ``degenerate`` marks a zero-error-variance fit: the F ratios are NaN and
-    must not be consumed.  The balanced decomposition guarantees
-    ss_total = ss_a + ss_b + ss_ab + ss_error up to rounding.
-    """
-
-    n_total: int
-    ss_a: float
-    ss_b: float
-    ss_ab: float
-    ss_error: float
-    ss_total: float
-    df_a: int
-    df_b: int
-    df_ab: int
-    df_error: int
-    f_a: float
-    f_b: float
-    f_ab: float
-    degenerate: bool
-
-    def ss(self, effect: str) -> float:
-        return getattr(self, f"ss_{_checked(effect).lower()}")
-
-    def df(self, effect: str) -> int:
-        return getattr(self, f"df_{_checked(effect).lower()}")
-
-    def f(self, effect: str) -> float:
-        return getattr(self, f"f_{_checked(effect).lower()}")
-
-
 def _checked(effect: str) -> str:
     if effect not in EFFECTS:
         raise DomainError(f"effect must be one of {EFFECTS}, got {effect!r}")
     return effect
 
 
-def fit_two_way(data: FactorialDataset) -> AnovaTable:
-    """Fit the two-way ANOVA with interaction to balanced data."""
-    return _fit_block(data.y[None]).table(0)
-
-
 @dataclass(frozen=True, eq=False)
-class _Block:
-    """The fits of a block of datasets of one design, as columns.
+class _Fit:
+    """A fit's design and sums of squares, and all that follows from them.
 
-    ``levels`` holds the level count of each factor.  Row i of
-    ``ss_effects`` holds dataset i's sum of squares of each term, in
-    ``EFFECTS`` order, and row i of ``ss_error`` and ``ss_total`` its other
-    two.  Each term's df, c and F column follow from the levels and cell_n,
-    and ``table(i)`` is row i's table.
+    ``levels`` holds the level count of each factor and ``cell_n`` the
+    observations per cell.  ``ss_effects[i]`` is the sum of squares of
+    term ``EFFECTS[i]``; ``ss_error`` and ``ss_total`` are the other two.
+    A table holds Python floats, a block one column per sum.  The same code
+    serves both, elementwise: N, the error df, each term's df and c, the
+    residual of a model, and whether the error variance is zero or a sum
+    overflowed.  ``f(e)`` reads ``f_effects``, the F ratios, which a block
+    computes and a table stores.
     """
 
     levels: tuple[int, ...]
     cell_n: int
-    ss_effects: np.ndarray  # (datasets, terms)
-    ss_error: np.ndarray
-    ss_total: np.ndarray
-
-    @classmethod
-    def of(cls, table: AnovaTable) -> "_Block":
-        """The one-row block of a table: a factor has its own term's df + 1 levels."""
-        levels = tuple(table.df(factor) + 1 for factor in _FACTORS)
-        ss = np.array([[table.ss(e) for e in EFFECTS]])
-        return cls(levels, table.n_total // math.prod(levels), ss,
-                   np.array([table.ss_error]), np.array([table.ss_total]))
+    ss_effects: tuple[float, ...] | np.ndarray
+    ss_error: float | np.ndarray
+    ss_total: float | np.ndarray
 
     @property
     def n_total(self) -> int:
@@ -174,11 +136,18 @@ class _Block:
         return math.prod(self.levels) * (self.cell_n - 1)
 
     @property
-    def degenerate(self) -> np.ndarray:
+    def degenerate(self):
+        """Zero error variance, where F is NaN: flat cells, residuals whose
+        squares underflow (like 1e-170), or an error mean square that does."""
         return self.ss_error / self.df_error == 0.0
 
-    def ss(self, effect: str) -> np.ndarray:
-        return self.ss_effects[:, EFFECTS.index(_checked(effect))]
+    @property
+    def overflowed(self):
+        """Whether a sum of squares left the double range (inf, or NaN from inf - inf)."""
+        return ~np.isfinite([*self.ss_effects, self.ss_error, self.ss_total]).all(axis=0)
+
+    def ss(self, effect: str):
+        return self.ss_effects[EFFECTS.index(_checked(effect))]
 
     def df(self, effect: str) -> int:
         return math.prod(n - 1 for f, n in zip(_FACTORS, self.levels) if f in _checked(effect))
@@ -187,32 +156,63 @@ class _Block:
         """c_e: N over the product of the term's levels."""
         return self.n_total // math.prod(_term_shape(self.levels, _checked(effect)))
 
-    def f(self, effect: str) -> np.ndarray:
-        """The F column of an effect (read-only); NaN where degenerate."""
-        return self._f_effects[:, EFFECTS.index(_checked(effect))]
+    def f(self, effect: str):
+        """The F ratio of an effect; NaN where degenerate."""
+        return self.f_effects[EFFECTS.index(_checked(effect))]
+
+    def residual(self, effects: tuple[str, ...]):
+        """The residual sum of squares of the model with ``effects``."""
+        return self.ss_error + sum(self.ss(e) for e in EFFECTS if e not in effects)
+
+
+@dataclass(frozen=True)
+class AnovaTable(_Fit):
+    """The fit of one dataset: its design, sums of squares and F ratios.
+
+    ``AnovaTable(levels, cell_n, ss_effects, ss_error, ss_total,
+    f_effects)``, each per-term value in ``EFFECTS`` order, as Python
+    floats.  ``degenerate`` marks a zero-error-variance fit: the F ratios
+    are NaN and must not be consumed.  The balanced decomposition
+    guarantees that the effect and error sums add to ss_total up to
+    rounding.
+    """
+
+    f_effects: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.levels) != len(_FACTORS) or min(self.levels) < 2 or self.cell_n < 2:
+            raise DomainError(f"need {len(_FACTORS)} factors of at least 2 levels and "
+                              f"cell_n of at least 2, got {self.levels} and {self.cell_n}")
+
+
+def fit_two_way(data: FactorialDataset) -> AnovaTable:
+    """Fit the two-way ANOVA with interaction to balanced data."""
+    return _fit_block(data.y[None]).table(0)
+
+
+class _Block(_Fit):
+    """The fits of a block of datasets of one design, as columns.
+
+    Each sum of squares is a column with one row per dataset, and
+    ``ss_effects`` stacks the terms' columns, so each derived quantity that
+    depends on the data is a column too.  ``table(row)`` is one dataset's
+    table.
+    """
 
     @cached_property
-    def _f_effects(self) -> np.ndarray:
-        # zero error variance: flat cells, residuals whose squares underflow
-        # (like 1e-170), or an error sum of squares whose mean square underflows
+    def f_effects(self) -> np.ndarray:
+        """The F columns, stacked as ``ss_effects`` (read-only)."""
         df = np.array([self.df(e) for e in EFFECTS])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f = (self.ss_effects / df) / (self.ss_error / self.df_error)[:, None]
-        f[self.degenerate] = math.nan
+            f = (self.ss_effects / df[:, None]) / (self.ss_error / self.df_error)
+        f[:, self.degenerate] = math.nan
         f.flags.writeable = False
         return f
 
-    def residual(self, effects: tuple[str, ...]) -> np.ndarray:
-        """The residual sum of squares of the model with ``effects``, per row."""
-        return self.ss_error + sum(self.ss(e) for e in EFFECTS if e not in effects)
-
     def table(self, row: int) -> AnovaTable:
-        columns = zip(EFFECTS, self.ss_effects[row].tolist(), self._f_effects[row].tolist())
-        per_effect = {f"{kind}_{e.lower()}": value for e, ss, f in columns
-                      for kind, value in (("ss", ss), ("df", self.df(e)), ("f", f))}
-        return AnovaTable(n_total=self.n_total, ss_error=float(self.ss_error[row]),
-                          ss_total=float(self.ss_total[row]), df_error=self.df_error,
-                          degenerate=bool(self.degenerate[row]), **per_effect)
+        return AnovaTable(self.levels, self.cell_n, tuple(self.ss_effects[:, row].tolist()),
+                          float(self.ss_error[row]), float(self.ss_total[row]),
+                          tuple(self.f_effects[:, row].tolist()))
 
 
 def _fit_block(y: np.ndarray) -> _Block:
@@ -225,7 +225,7 @@ def _fit_block(y: np.ndarray) -> _Block:
     gives alone.
     """
     m, *levels, cell_n = y.shape
-    block = _Block(tuple(levels), cell_n, np.empty((m, len(EFFECTS))), np.empty(m), np.empty(m))
+    block = _Block(tuple(levels), cell_n, np.empty((len(EFFECTS), m)), np.empty(m), np.empty(m))
     axes = tuple(range(1, y.ndim))  # one dataset's: its factors', then its cell's
     means = {"": y.mean(axis=axes, keepdims=True)}
     with np.errstate(over="ignore"):  # a sum of squares beyond the double range is inf
@@ -235,7 +235,7 @@ def _fit_block(y: np.ndarray) -> _Block:
             for lower in sorted(("",) + _inside(term)[:-1], key=len, reverse=True):
                 op = np.subtract if (len(term) - len(lower)) % 2 else np.add
                 effect = op(effect, means[lower])
-            block.ss_effects[:, column] = block.c(term) * np.sum(effect**2, axis=axes)
+            block.ss_effects[column] = block.c(term) * np.sum(effect**2, axis=axes)
         block.ss_total[:] = np.sum((y - means[""]) ** 2, axis=axes)
         block.ss_error[:] = np.sum((y - means["".join(_FACTORS)]) ** 2, axis=axes)
     # Zero error variance means every cell is constant; decide that exactly
@@ -245,7 +245,7 @@ def _fit_block(y: np.ndarray) -> _Block:
     flat_cells = np.all(y == y[..., :1], axis=axes)
     values = y.reshape(m, -1)
     constant = flat_cells & np.all(values == values[:, :1], axis=1)
-    block.ss_effects[constant] = 0.0
+    block.ss_effects[:, constant] = 0.0
     block.ss_total[constant] = 0.0
     block.ss_error[flat_cells] = 0.0
     return block

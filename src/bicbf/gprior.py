@@ -112,13 +112,13 @@ the outer step.  The result is a deterministic function of the data and
 the prior scale, so ``standard_error`` is exactly 0.
 
 Block evaluation.  ``_setup`` does the set-up of one effect for a block of
-fits in arrays (``bicbf.anova._Block``, one row per table): its checks,
+fits in arrays (``bicbf.anova._Block``, one column per sum): its checks,
 the outer windows and node counts, and the shares rho and frac_e, read
 straight from the block's sums-of-squares columns.  A table that fails a
 check fails the whole set-up, with the error it gives alone; the
 simulation study then splits the block to name the lowest failing trial.
 ``_evaluate`` integrates the set-up: the simulation study passes a block
-of trials, and ``default_bf10`` is the one-table case.  Tables go in
+of trials, and ``default_bf10`` the one-dataset block.  Tables go in
 order, in chunks of whole tables of about 2^14 outer nodes, which bounds
 memory however many tables a block holds or however wide a near-zero
 error variance makes a window.  A chunk's tables are consecutive segments
@@ -141,7 +141,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .anova import EFFECTS, AnovaTable, FactorialDataset, _Block, _inside, fit_two_way
+from .anova import EFFECTS, AnovaTable, FactorialDataset, _Block, _fit_block, _inside
 from .errors import DegenerateDataError, DomainError
 from .summary import BayesFactorValue
 
@@ -163,6 +163,7 @@ _PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 MODEL_PAIRS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     e: (_inside(e), tuple(t for t in _inside(e) if t != e)) for e in EFFECTS
 }
+_OVERFLOWED = "the sums of squares left the double range: Bayes factor undefined"
 
 
 def _number(name: str, value, kind=Real):
@@ -213,19 +214,20 @@ def _log_conditional_bf10(
     """
     if not effects:
         return np.zeros(g_matrix.shape[0])
+    if table.overflowed:
+        raise DomainError(_OVERFLOWED)
     if table.ss_total == 0.0:
         raise DegenerateDataError("constant response: Bayes factor undefined")
-    block = _Block.of(table)
     # q = y'(I + XGX')^-1 y as a sum of nonnegative terms; SST minus the
     # shrunk effect sums would cancel catastrophically once q << SST.
-    q = block.residual(effects)
+    q = table.residual(effects)
     log_det = 0.0
     for column, effect in enumerate(effects):
-        cg = block.c(effect) * g_matrix[:, column]
-        q = q + block.ss(effect) / (1.0 + cg)
-        log_det = log_det + block.df(effect) * np.log1p(cg)
+        cg = table.c(effect) * g_matrix[:, column]
+        q = q + table.ss(effect) / (1.0 + cg)
+        log_det = log_det + table.df(effect) * np.log1p(cg)
     # SST/q first, then one log: exact under power-of-two rescaling of y
-    return -0.5 * log_det + 0.5 * (block.n_total - 1) * np.log(block.ss_total / q)
+    return -0.5 * log_det + 0.5 * (table.n_total - 1) * np.log(table.ss_total / q)
 
 
 @dataclass(frozen=True)
@@ -298,10 +300,13 @@ def default_bf10(
     fits the data exactly (zero residual sum of squares), where its
     marginal likelihood diverges; and when that residual is below about
     1e-130 of the total, where the posterior of g leaves the double range.
+    Raises DomainError when a sum of squares of the data leaves the double
+    range, as does ``conditional_bf10``.
     """
     if effect not in MODEL_PAIRS:
         raise DomainError(f"effect must be one of {EFFECTS}, got {effect!r}")
-    return _table_bf10(fit_two_way(data), effect, spec)
+    setup = _setup(_fit_block(data.y[None]), effect, spec.scale)
+    return GPriorBayesFactor(float(_evaluate(setup)[0]), "10")
 
 
 @dataclass(frozen=True)
@@ -354,14 +359,6 @@ class _Setup(NamedTuple):
     count: np.ndarray
 
 
-def _table_bf10(
-    table: AnovaTable, effect: str, spec: GPriorSpec, rule: _Rule = _RULE
-) -> GPriorBayesFactor:
-    """``default_bf10`` of a fitted table, for a known effect."""
-    setup = _setup(_Block.of(table), effect, spec.scale, rule)
-    return GPriorBayesFactor(float(_evaluate(setup)[0]), "10")
-
-
 def _setup(block: _Block, effect: str, scale: float, rule: _Rule = _RULE) -> _Setup:
     """Set-up of ``effect`` for each table of a block of fits, in arrays.
 
@@ -382,9 +379,12 @@ def _setup(block: _Block, effect: str, scale: float, rule: _Rule = _RULE) -> _Se
         top = np.max(frac / c, axis=1)
         reach = math.log(k) + np.log(np.maximum(top, 1e-300)) - np.log(rho)
     # reach > 300 would take tau^2 and (1/(1 + c g))^2 out of the double range
-    bad = (ss_total == 0.0) | (rho == 0.0) | (reach > 300.0)
+    overflowed = block.overflowed
+    bad = overflowed | (ss_total == 0.0) | (rho == 0.0) | (reach > 300.0)
     if bad.any():
         first, model = int(np.argmax(bad)), "+".join(num_effects)
+        if overflowed[first]:
+            raise DomainError(_OVERFLOWED)
         if ss_total[first] == 0.0:
             raise DegenerateDataError("constant response: Bayes factor undefined")
         if rho[first] == 0.0:

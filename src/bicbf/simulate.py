@@ -231,8 +231,8 @@ class RecordTable:
 
     @classmethod
     def concat(cls, tables: Sequence["RecordTable"]) -> "RecordTable":
-        """The tables one after another."""
-        return cls(*(np.concatenate([getattr(t, name) for t in tables])
+        """The tables one after another; no tables make the empty table."""
+        return cls(*(np.concatenate([getattr(t, name) for t in tables] or [()])
                      for name in cls.__slots__))
 
     def _columns(self):
@@ -594,8 +594,15 @@ def write_records(records: RecordTable, path: str | Path) -> None:
     """Write the results file: one row per (trial, effect), 17 significant digits.
 
     Rows are formatted from the columns, ``_WRITE_ROWS`` at a time, each
-    value as a Python int, str or float.
+    value as a Python int, str or float.  A (trial, effect) that an earlier
+    row has, which ``read_records`` refuses, is refused before the file is
+    opened.
     """
+    repeat = _first_repeat(records)
+    if repeat is not None:
+        row, earlier = repeat
+        raise DomainError(f"row {row}: trial {records.trial[row]}, effect "
+                          f"{EFFECTS[records.effect[row]]} repeats row {earlier}")
     with Path(path).open("w", newline="") as handle:
         handle.write(",".join(RESULTS_HEADER) + "\r\n")
         for start in range(0, len(records), _WRITE_ROWS):
@@ -646,11 +653,11 @@ def read_records(path: str | Path) -> RecordTable:
             if fault is not None:
                 bad = fault, numbers[len(table)]
                 break
-    table = RecordTable.concat(tables) if tables else RecordTable((), (), (), ())
-    linenos = np.concatenate(linenos) if linenos else np.empty(0, dtype=np.intp)
+    table = RecordTable.concat(tables)
     repeat = _first_repeat(table)
     if repeat is not None:
         row, earlier = repeat
+        linenos = np.concatenate(linenos)
         raise DomainError(f"{path}:{linenos[row]}: trial {table.trial[row]}, effect "
                           f"{EFFECTS[table.effect[row]]} repeats line {linenos[earlier]}")
     if bad is not None:

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from bicbf import FactorialDataset, SimulationConfig, fit_two_way, generate_dataset
-from bicbf.anova import _Block
+from bicbf.anova import EFFECTS, _Block
 
 settings.register_profile(
     "bicbf",
@@ -34,9 +34,16 @@ def random_dataset(
 
 
 def table_of(a, b, cell_n, ss_a, ss_b, ss_ab, ss_error, ss_total):
-    """The table of one a x b design's sums of squares: its one-row block's."""
-    ss = np.array([[ss_a, ss_b, ss_ab]])
+    """The table of one a x b design's sums of squares: its one-dataset block's."""
+    ss = np.array([[ss_a], [ss_b], [ss_ab]])
     return _Block((a, b), cell_n, ss, np.array([ss_error]), np.array([ss_total])).table(0)
+
+
+def block_of(tables) -> _Block:
+    """The block of tables of one design: a row per term, a column per table."""
+    return _Block(tables[0].levels, tables[0].cell_n,
+                  np.array([[t.ss(e) for t in tables] for e in EFFECTS]),
+                  np.array([t.ss_error for t in tables]), np.array([t.ss_total for t in tables]))
 
 
 @pytest.fixture

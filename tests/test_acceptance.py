@@ -189,7 +189,7 @@ def test_criterion_7c_sum_of_squares_partition():
         cell_n = int(rng.integers(2, 6))
         y = rng.normal(size=(a, b, 1)) + rng.normal(size=(a, b, cell_n))
         table = fit_two_way(FactorialDataset(a, b, cell_n, y))
-        parts = table.ss_a + table.ss_b + table.ss_ab + table.ss_error
+        parts = table.ss("A") + table.ss("B") + table.ss("AB") + table.ss_error
         assert parts == pytest.approx(table.ss_total, rel=1e-8)
 
 

@@ -1,7 +1,7 @@
 """Two-way ANOVA: hand-checked cases, a least-squares oracle, invariances."""
 
 import math
-from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from bicbf import (
 )
 from bicbf.anova import EFFECTS, _bic_log_bf10, _Block, _fit_block
 from bicbf.gprior import MODEL_PAIRS
-from conftest import random_dataset, random_tables, study_tables, table_of
+from conftest import block_of, random_dataset, random_tables, study_tables, table_of
 
 # 2x2x2 dataset crafted so only the interaction carries signal.  Cell means
 # are (1, -1; -1, 1), marginal means all zero, every observation lies one
@@ -56,43 +56,61 @@ def lstsq_oracle(data: FactorialDataset):
     rss_additive = lstsq_rss(np.hstack([ones, a_dummies, b_dummies]), y)
     rss_cells = lstsq_rss(cells, y)
     return {
-        "ss_a": rss_mean - rss_a,
-        "ss_b": rss_mean - rss_b,
-        "ss_ab": rss_additive - rss_cells,
-        "ss_error": rss_cells,
-        "ss_total": rss_mean,
+        "A": rss_mean - rss_a,
+        "B": rss_mean - rss_b,
+        "AB": rss_additive - rss_cells,
+        "error": rss_cells,
+        "total": rss_mean,
     }
+
+
+def sums(table) -> dict:
+    """A table's sums of squares, keyed as ``lstsq_oracle`` keys them."""
+    return {**{e: table.ss(e) for e in EFFECTS}, "error": table.ss_error,
+            "total": table.ss_total}
 
 
 class TestHandOracle:
     def test_interaction_only_design(self):
         table = fit_two_way(FactorialDataset(2, 2, 2, HAND_Y))
-        assert table.ss_a == pytest.approx(0.0, abs=1e-12)
-        assert table.ss_b == pytest.approx(0.0, abs=1e-12)
-        assert table.ss_ab == pytest.approx(8.0, rel=1e-12)
+        assert table.ss("A") == pytest.approx(0.0, abs=1e-12)
+        assert table.ss("B") == pytest.approx(0.0, abs=1e-12)
+        assert table.ss("AB") == pytest.approx(8.0, rel=1e-12)
         assert table.ss_error == pytest.approx(8.0, rel=1e-12)
         assert table.ss_total == pytest.approx(16.0, rel=1e-12)
-        assert (table.df_a, table.df_b, table.df_ab, table.df_error) == (1, 1, 1, 4)
-        assert table.f_ab == pytest.approx(4.0, rel=1e-12)
+        assert (table.df("A"), table.df("B"), table.df("AB"), table.df_error) == (1, 1, 1, 4)
+        assert table.f("AB") == pytest.approx(4.0, rel=1e-12)
         assert not table.degenerate
 
     def test_accessors_and_effect_validation(self):
         table = fit_two_way(FactorialDataset(2, 2, 2, HAND_Y))
-        assert table.ss("AB") == table.ss_ab
-        assert table.df("A") == table.df_a
-        assert table.f("B") == table.f_b
+        assert table.ss("AB") == table.ss_effects[2]
+        assert table.df("A") == 1
+        assert table.f("B") == table.f_effects[1]
         with pytest.raises(DomainError, match="effect"):
             table.ss("C")
+
+    def test_the_constructor_takes_the_design_and_the_sums(self):
+        table = AnovaTable((2, 2), 2, (0.0, 0.0, 8.0), 8.0, 16.0, (0.0, 0.0, 4.0))
+        assert (table.n_total, table.df_error, table.degenerate) == (8, 4, False)
+        assert [(table.df(e), table.c(e)) for e in EFFECTS] == [(1, 4), (1, 4), (1, 2)]
+        assert (table.ss("AB"), table.f("AB")) == (8.0, 4.0)
+        assert (table.residual(("A", "B")), table.residual(EFFECTS)) == (16.0, 8.0)
+        fitted = fit_two_way(FactorialDataset(2, 2, 2, HAND_Y))
+        assert (fitted.levels, fitted.cell_n) == (table.levels, table.cell_n)
+        for levels, cell_n in (((2,), 2), ((2, 2, 2), 2), ((2, 1), 2), ((2, 2), 1)):
+            with pytest.raises(DomainError, match="at least 2"):
+                AnovaTable(levels, cell_n, (0.0, 0.0, 8.0), 8.0, 16.0, (0.0, 0.0, 4.0))
 
     @pytest.mark.parametrize("constant", [0.1, 3.0])
     def test_constant_data_is_degenerate(self, constant):
         data = FactorialDataset(2, 2, 2, np.full((2, 2, 2), constant))
         table = fit_two_way(data)
         assert table.degenerate
-        ss = (table.ss_a, table.ss_b, table.ss_ab, table.ss_error, table.ss_total)
+        ss = (table.ss("A"), table.ss("B"), table.ss("AB"), table.ss_error, table.ss_total)
         assert ss == (0.0, 0.0, 0.0, 0.0, 0.0)
-        assert math.isnan(table.f_a)
-        assert math.isnan(table.f_ab)
+        assert math.isnan(table.f("A"))
+        assert math.isnan(table.f("AB"))
         with pytest.raises(DegenerateDataError, match="zero error variance"):
             bic_bf_for_effect(table, "A")
 
@@ -109,7 +127,7 @@ class TestHandOracle:
         table = fit_two_way(data)
         assert table.degenerate
         assert table.ss_error == 0.0
-        assert math.isnan(table.f_a)
+        assert math.isnan(table.f("A"))
         with pytest.raises(DegenerateDataError, match="zero error variance"):
             bic_bf_for_effect(table, "AB")
         with pytest.raises(DegenerateDataError, match="zero residual.*diverges"):
@@ -123,17 +141,9 @@ class TestHandOracle:
         table = fit_two_way(data)
         assert table.ss_error > 0.0 and table.ss_error / table.df_error == 0.0
         assert table.degenerate
-        assert math.isnan(table.f_b)
+        assert math.isnan(table.f("B"))
         with pytest.raises(DegenerateDataError, match="zero error variance"):
             bic_bf_for_effect(table, "B")
-
-
-def _stacked(tables) -> _Block:
-    """The block of tables of one design, one row per table."""
-    design = _Block.of(tables[0])
-    return _Block(design.levels, design.cell_n,
-                  np.array([[t.ss(e) for e in EFFECTS] for t in tables]),
-                  np.array([t.ss_error for t in tables]), np.array([t.ss_total for t in tables]))
 
 
 def _bic_bits(block: _Block, tables, effect: str) -> tuple[list[str], list[str]]:
@@ -156,26 +166,32 @@ class TestBlockColumns:
         for y in (np.full((2, 3, 3), 3.0), flat, tiny, huge):
             datasets.append(FactorialDataset(2, 3, 3, y))
         block = _fit_block(np.stack([d.y for d in datasets]))
+        models = [effects for size in range(len(EFFECTS) + 1)
+                  for effects in combinations(EFFECTS, size)]
         for row, data in enumerate(datasets):
             table = fit_two_way(data)
-            got = {
-                "n_total": block.n_total, "df_a": block.df("A"), "df_b": block.df("B"),
-                "df_ab": block.df("AB"), "df_error": block.df_error,
-                "degenerate": block.degenerate[row],
-                **{f"ss_{e.lower()}": block.ss(e)[row] for e in ("A", "B", "AB")},
-                "ss_error": block.ss_error[row], "ss_total": block.ss_total[row],
-                **{f"f_{e.lower()}": block.f(e)[row] for e in ("A", "B", "AB")},
-            }
-            assert set(got) == {f.name for f in fields(AnovaTable)}
-            for name, value in got.items():
-                assert float(value).hex() == float(getattr(table, name)).hex(), (row, name)
+            assert (table.levels, table.cell_n) == (block.levels, block.cell_n)
+            assert all(type(value) is float for value in (
+                *table.ss_effects, table.ss_error, table.ss_total, *table.f_effects))
+            derived = [
+                ("n_total", lambda fit: fit.n_total), ("df_error", lambda fit: fit.df_error),
+                ("degenerate", lambda fit: fit.degenerate),
+                ("ss_error", lambda fit: fit.ss_error), ("ss_total", lambda fit: fit.ss_total),
+                *((f"{kind}({e})", lambda fit, kind=kind, e=e: getattr(fit, kind)(e))
+                  for kind in ("df", "c", "ss", "f") for e in EFFECTS),
+                *((f"residual{m}", lambda fit, m=m: fit.residual(m)) for m in models),
+            ]
+            for name, value_of in derived:
+                value, column = value_of(table), value_of(block)
+                got = column[row] if isinstance(column, np.ndarray) else column
+                assert float(value).hex() == float(got).hex(), (row, name)
 
     def test_bic_column_of_the_study_tables(self):
         designs: dict[tuple[int, int, int], list[AnovaTable]] = {}
         for table in study_tables():
-            designs.setdefault((table.n_total, table.df_a, table.df_b), []).append(table)
+            designs.setdefault((table.n_total, table.df("A"), table.df("B")), []).append(table)
         for tables in designs.values():
-            block = _stacked(tables)
+            block = block_of(tables)
             for effect in ("A", "B", "AB"):
                 column, scalar = _bic_bits(block, tables, effect)
                 assert column == scalar, effect
@@ -183,7 +199,7 @@ class TestBlockColumns:
     @given(random_tables())
     def test_bic_column_of_random_tables(self, table):
         for effect in ("A", "B", "AB"):
-            column, scalar = _bic_bits(_Block.of(table), [table], effect)
+            column, scalar = _bic_bits(block_of([table]), [table], effect)
             assert column == scalar, effect
 
     def test_an_overflowing_ratio_takes_the_log_split_branch(self):
@@ -191,10 +207,10 @@ class TestBlockColumns:
         df_error, ss_b = 2 * 3 * 49, 1e300
         ss_error = ss_b / 2 / 1e308 * df_error
         table = table_of(2, 3, 50, 1.0, ss_b, 1.0, ss_error, ss_b + 2.0 + ss_error)
-        assert math.isfinite(table.f_b) and math.isinf(table.f_b * table.df_b)
+        assert math.isfinite(table.f("B")) and math.isinf(table.f("B") * table.df("B"))
         tables = [fit_two_way(random_dataset(seed, a=2, b=3, cell_n=50)) for seed in (1, 2)]
         tables.insert(1, table)
-        block = _stacked(tables)
+        block = block_of(tables)
         for effect in ("A", "B", "AB"):
             column, scalar = _bic_bits(block, tables, effect)
             assert column == scalar, effect
@@ -288,20 +304,20 @@ class TestLstsqOracle:
         table = fit_two_way(data)
         want = lstsq_oracle(data)
         for name, value in want.items():
-            got = getattr(table, name)
+            got = sums(table)[name]
             assert got == pytest.approx(value, rel=1e-8, abs=1e-10), name
         mse = table.ss_error / table.df_error
-        assert table.f_a == pytest.approx(
-            (want["ss_a"] / table.df_a) / mse, rel=1e-8
+        assert table.f("A") == pytest.approx(
+            (want["A"] / table.df("A")) / mse, rel=1e-8
         )
-        assert table.f_ab == pytest.approx(
-            (want["ss_ab"] / table.df_ab) / mse, rel=1e-8
+        assert table.f("AB") == pytest.approx(
+            (want["AB"] / table.df("AB")) / mse, rel=1e-8
         )
 
     @pytest.mark.parametrize("seed", range(40))
     def test_partition(self, seed):
         table = fit_two_way(random_dataset(seed, effect_scale=2.0))
-        parts = table.ss_a + table.ss_b + table.ss_ab + table.ss_error
+        parts = table.ss("A") + table.ss("B") + table.ss("AB") + table.ss_error
         assert parts == pytest.approx(table.ss_total, rel=1e-8)
 
 
@@ -313,22 +329,18 @@ class TestInvariances:
         moved = fit_two_way(
             FactorialDataset(3, 2, 4, data.y + shift)
         )
-        for name in ("ss_a", "ss_b", "ss_ab", "ss_error", "ss_total"):
-            assert getattr(moved, name) == pytest.approx(
-                getattr(base, name), rel=1e-10, abs=1e-9
-            )
-        assert moved.f_a == pytest.approx(base.f_a, rel=1e-10)
-        assert moved.f_ab == pytest.approx(base.f_ab, rel=1e-10)
+        for name, value in sums(base).items():
+            assert sums(moved)[name] == pytest.approx(value, rel=1e-10, abs=1e-9)
+        assert moved.f("A") == pytest.approx(base.f("A"), rel=1e-10)
+        assert moved.f("AB") == pytest.approx(base.f("AB"), rel=1e-10)
 
     @pytest.mark.parametrize("scale", [2.0, 0.125, -3.0])
     def test_scale_equivariance(self, scale):
         data = random_dataset(11, a=2, b=3, cell_n=3)
         base = fit_two_way(data)
         scaled = fit_two_way(FactorialDataset(2, 3, 3, data.y * scale))
-        for name in ("ss_a", "ss_b", "ss_ab", "ss_error", "ss_total"):
-            assert getattr(scaled, name) == pytest.approx(
-                getattr(base, name) * scale * scale, rel=1e-10
-            )
+        for name, value in sums(base).items():
+            assert sums(scaled)[name] == pytest.approx(value * scale * scale, rel=1e-10)
         for effect in ("A", "B", "AB"):
             assert scaled.f(effect) == pytest.approx(base.f(effect), rel=1e-10)
             lb = bic_bf_for_effect(base, effect).log_bf
@@ -373,9 +385,9 @@ class TestBayesFactorRoutes:
             y[:, j, 25:] = mean - 1.0
         table = fit_two_way(FactorialDataset(2, 3, 50, y))
         assert table.n_total == 300
-        assert (table.df_b, table.df_error) == (2, 294)
+        assert (table.df("B"), table.df_error) == (2, 294)
         assert table.ss_error == pytest.approx(300.0, rel=1e-12)
-        assert table.f_b == pytest.approx(3.061, rel=1e-12)
+        assert table.f("B") == pytest.approx(3.061, rel=1e-12)
         got = bic_bf_for_effect(table, "B")
         # Reference BF01 computed independently from the radical form in
         # high-precision decimal arithmetic.

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -32,23 +33,23 @@ from bicbf import (
     default_bf10,
     fit_two_way,
 )
-from bicbf.anova import _Block, _fit_block
+from bicbf.anova import _fit_block
 from bicbf.gprior import (
     _LATTICES,
     _LOG_TAU_MIN,
     _PRIOR_SCALES,
     _RULE,
     MODEL_PAIRS,
+    _evaluate,
     _lattice,
     _log_conditional_bf10,
     _log_g_grid,
     _outer_rule,
     _outer_spacing,
     _setup,
-    _table_bf10,
 )
 from bicbf.simulate import generate_dataset, run_simulation
-from conftest import random_dataset, random_tables, study_tables, table_of
+from conftest import block_of, random_dataset, random_tables, study_tables, table_of
 
 
 def contrasts(levels: int) -> np.ndarray:
@@ -200,10 +201,9 @@ def nested_quad_log_marginal(table, effects, scale: float = DEFAULT_PRIOR_SCALE)
     beta = scale * scale / 2
     k = (table.n_total - 1) / 2
     rho = (table.ss_error + sum(table.ss(e) for e in EFFECTS if e not in effects)) / table.ss_total
-    block = _Block.of(table)
 
     def log_i(tau, effect):
-        c, half_df = block.c(effect), table.df(effect) / 2
+        c, half_df = table.c(effect), table.df(effect) / 2
 
         def log_f(u):
             cg = c * math.exp(u)
@@ -229,6 +229,11 @@ def nested_quad_log_marginal(table, effects, scale: float = DEFAULT_PRIOR_SCALE)
     return top + math.log(val)
 
 
+def table_bf10(table, effect: str, spec: GPriorSpec = GPriorSpec(), rule=_RULE) -> float:
+    """log BF10 of ``effect`` by the oracle's rule, from a fitted table."""
+    return float(_evaluate(_setup(block_of([table]), effect, spec.scale, rule))[0])
+
+
 def direct_nested_log_bf10(table, effect, spec: GPriorSpec = GPriorSpec(), rule=_RULE) -> float:
     """log BF10 of ``effect`` by the nested rule with each log I_e taken directly.
 
@@ -237,7 +242,7 @@ def direct_nested_log_bf10(table, effect, spec: GPriorSpec = GPriorSpec(), rule=
     past the farthest posterior mode of g.  The outer rule and the grid's
     spacing are the oracle's.
     """
-    setup = _setup(_Block.of(table), effect, spec.scale, rule)
+    setup = _setup(block_of([table]), effect, spec.scale, rule)
     k, (num, _) = setup.k, MODEL_PAIRS[effect]
     frac = np.array([table.ss(e) / table.ss_total for e in num])
     reach = math.log(k) + math.log(max(np.max(frac / setup.c), 1e-300)) - math.log(setup.rho[0])
@@ -440,6 +445,30 @@ class TestValidation:
         with pytest.raises(DegenerateDataError, match="constant response"):
             conditional_bf10(table, ("A",), 0.5)
 
+    def test_sums_of_squares_beyond_the_double_range_are_named(self):
+        # SS_A and SST overflow to inf while SSE is finite: the residual of
+        # model A is not zero, and B's window is not negative
+        y = generate_dataset(SimulationConfig(cell_n=3, g=0.2, trials=1, seed=1), 0).y.copy()
+        y[0] += 1e200
+        data = FactorialDataset(2, 3, 3, y)
+        table = fit_two_way(data)
+        assert math.isinf(table.ss("A")) and math.isinf(table.ss_total)
+        assert math.isfinite(table.ss_error) and table.overflowed
+        good = fit_two_way(random_dataset(1, a=2, b=3, cell_n=3))
+        message = "sums of squares left the double range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for effect in EFFECTS:
+                with pytest.raises(DomainError, match=message):
+                    default_bf10(data, effect)
+                with pytest.raises(DomainError, match=message):
+                    conditional_bf10(table, effect, 1.0)
+                with pytest.raises(DomainError, match=message):
+                    _setup(block_of([good, table]), effect, DEFAULT_PRIOR_SCALE)
+            with pytest.raises(DomainError, match=message):
+                conditional_bf10(table, EFFECTS, (1.0, 2.0, 3.0))
+            assert conditional_bf10(table, (), ()) == 1.0
+
     @pytest.mark.parametrize(
         "value, shape", [(0.1, (2, 3, 3)), (0.3, (3, 4, 5)), (1 / 3, (3, 4, 5))]
     )
@@ -535,8 +564,8 @@ class TestQuadratureRule:
         worst = 0.0
         for table in study_tables():
             for effect in ("A", "B", "AB"):
-                got = _table_bf10(table, effect, GPriorSpec()).log_bf
-                want = _table_bf10(table, effect, GPriorSpec(), fine).log_bf
+                got = table_bf10(table, effect, GPriorSpec())
+                want = table_bf10(table, effect, GPriorSpec(), fine)
                 worst = max(worst, abs(got - want))
         assert worst <= 1e-8
 
@@ -553,8 +582,8 @@ class TestQuadratureRule:
                 for scale in (0.05, DEFAULT_PRIOR_SCALE, 10.0):
                     spec = GPriorSpec(scale=scale)
                     for effect in ("A", "B", "AB"):
-                        got = _table_bf10(table, effect, spec).log_bf
-                        want = _table_bf10(table, effect, spec, fine).log_bf
+                        got = table_bf10(table, effect, spec)
+                        want = table_bf10(table, effect, spec, fine)
                         worst = max(worst, abs(got - want))
         assert worst <= 1e-8
 
@@ -563,7 +592,7 @@ class TestQuadratureRule:
         # The lattice's interpolation error, against log I_e taken at every
         # outer node on the table's own log-g grid; for the main effects'
         # pairs as for the interaction's.
-        worst = max(abs(_table_bf10(table, effect, GPriorSpec()).log_bf
+        worst = max(abs(table_bf10(table, effect, GPriorSpec())
                         - direct_nested_log_bf10(table, effect)) for table in study_tables())
         assert worst <= 1e-10
 
@@ -582,7 +611,7 @@ class TestQuadratureRule:
             for effect_scale in (1.0, 3.0):
                 table = fit_two_way(random_dataset(seed, a=a, b=b, cell_n=cell_n,
                                                    effect_scale=effect_scale))
-                got = _table_bf10(table, effect, spec).log_bf
+                got = table_bf10(table, effect, spec)
                 worst = max(worst, abs(got - direct_nested_log_bf10(table, effect, spec)))
         assert worst <= 1e-10
 
@@ -657,7 +686,7 @@ class TestSharedOuterGrid:
         # nodes are no farther apart than its own rule allows.
         for effect, (num, den) in MODEL_PAIRS.items():
             try:
-                setup = _setup(_Block.of(table), effect, DEFAULT_PRIOR_SCALE)
+                setup = _setup(block_of([table]), effect, DEFAULT_PRIOR_SCALE)
             except DegenerateDataError:
                 reject()
             assert setup.rho_den[0] >= setup.rho[0]
@@ -690,7 +719,7 @@ class TestLattice:
         # built afresh, reach some 235 past the study's end in log tau
         _lattice.cache_clear()
         table = table_of(2, 3, 50, 1.0, 2.0, 3.0, 6e-100, 6.0 + 6e-100)
-        assert math.isfinite(_table_bf10(table, "AB", spec).log_bf)
+        assert math.isfinite(table_bf10(table, "AB", spec))
         lattice = _lattice(50.0, 2.0, 0.5 * spec.scale**2, _RULE.g_step, _RULE)
         assert lattice.coef.shape[1] > reached + 200 / _RULE.tau_step
         assert desk_records_bits() == empty
@@ -722,7 +751,7 @@ class TestLattice:
     def test_the_cache_stays_within_its_bound(self, table):
         for effect in EFFECTS:
             try:
-                _table_bf10(table, effect, GPriorSpec())
+                table_bf10(table, effect, GPriorSpec())
             except DegenerateDataError:
                 pass
         assert _lattice.cache_info().currsize <= _LATTICES

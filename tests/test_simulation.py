@@ -818,7 +818,8 @@ class TestRecordTable:
 
     def test_empty_table(self, table, tmp_path):
         empty = RecordTable((), (), (), ())
-        for other in (empty, table[5:5], RecordTable.concat([empty, empty])):
+        for other in (empty, table[5:5], RecordTable.concat([empty, empty]),
+                      RecordTable.concat([])):
             assert len(other) == 0 and list(other) == []
             assert other == empty and not (other != empty)
         assert empty != table and table != empty
@@ -828,6 +829,21 @@ class TestRecordTable:
         write_records(empty, path)
         assert path.read_text().splitlines() == [",".join(bicbf.simulate.RESULTS_HEADER)]
         assert read_records(path) == empty
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, 0), (0, 0)], "row 1: trial 0, effect A repeats row 0"),
+        ([(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 1)],
+         "row 5: trial 0, effect B repeats row 1"),
+        ([(0, 0), (0, 1), (0, 0), (0, 1)], "row 2: trial 0, effect A repeats row 0"),
+    ], ids=["pair", "later", "a-table-twice"])
+    def test_the_writer_refuses_a_repeated_key(self, tmp_path, rows, message):
+        # read_records refuses such a file, so none is written
+        trial, effect = zip(*rows)
+        ones = np.ones(len(rows))
+        path = tmp_path / "results.csv"
+        with pytest.raises(DomainError) as info:
+            write_records(RecordTable(trial, effect, ones, 2 * ones), path)
+        assert str(info.value) == message and not path.exists()
 
     def test_a_table_is_read_only(self, table):
         with pytest.raises(AttributeError):
