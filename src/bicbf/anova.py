@@ -22,22 +22,23 @@ A fit is its design (the levels and cell_n) and its sums of squares: one
 per term, the error's and the total's.  N, the error df, each term's df,
 c_e and F, the residual of a model, and whether the error variance is zero
 or a sum left the double range all follow from those, by one statement
-(``_Fit``) that serves a fit in two shapes.  ``AnovaTable``, the fit of
-one dataset, holds Python floats.  The simulation study fits a block of
-datasets at once: ``_fit_block`` returns a ``_Block``, whose sums are
-columns with one value per dataset, and builds no per-dataset table.
-The study's BIC (``_bic_log_bf10``) and the default-prior oracle's set-up
-read those columns.  Every array operation is elementwise or runs along
-one dataset's own axes, so a dataset's values in a block are bitwise the
-table that ``fit_two_way`` gives for it alone; ``fit_two_way`` is the
-one-dataset block.
+(``_Fit``) that serves a fit in two shapes.  Nothing else is stored, F
+included, so a fit's F ratios cannot disagree with its sums: the BIC,
+which reads F, and the oracle, which reads the sums, see the same data.
+``AnovaTable``, the fit of one dataset, holds Python floats.  The
+simulation study fits a block of datasets at once: ``_fit_block`` returns
+a ``_Block``, whose sums are columns with one value per dataset, and
+builds no per-dataset table.  The study's BIC (``_bic_log_bf10``) and the
+default-prior oracle's set-up read those columns.  Every array operation
+is elementwise or runs along one dataset's own axes, so a dataset's
+values in a block are bitwise the table that ``fit_two_way`` gives for it
+alone; ``fit_two_way`` is the one-dataset block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
 
 _FACTORS = ("A", "B")
 EFFECTS = ("A", "B", "AB")  # each term after the terms inside it
+_OVERFLOWED = "the sums of squares left the double range: Bayes factor undefined"
 
 
 def _inside(term: str) -> tuple[str, ...]:
@@ -115,10 +117,9 @@ class _Fit:
     observations per cell.  ``ss_effects[i]`` is the sum of squares of
     term ``EFFECTS[i]``; ``ss_error`` and ``ss_total`` are the other two.
     A table holds Python floats, a block one column per sum.  The same code
-    serves both, elementwise: N, the error df, each term's df and c, the
+    serves both, elementwise: N, the error df, each term's df, c and F, the
     residual of a model, and whether the error variance is zero or a sum
-    overflowed.  ``f(e)`` reads ``f_effects``, the F ratios, which a block
-    computes and a table stores.
+    overflowed.
     """
 
     levels: tuple[int, ...]
@@ -157,8 +158,12 @@ class _Fit:
         return self.n_total // math.prod(_term_shape(self.levels, _checked(effect)))
 
     def f(self, effect: str):
-        """The F ratio of an effect; NaN where degenerate."""
-        return self.f_effects[EFFECTS.index(_checked(effect))]
+        """The F ratio of an effect: NaN where degenerate, inf where the quotient
+        overflows; a Python float for a table, a column for a block."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            f = np.divide(self.ss(effect) / self.df(effect), self.ss_error / self.df_error)
+        f = np.where(self.degenerate, math.nan, f)
+        return f if f.ndim else float(f)
 
     def residual(self, effects: tuple[str, ...]):
         """The residual sum of squares of the model with ``effects``."""
@@ -167,17 +172,15 @@ class _Fit:
 
 @dataclass(frozen=True)
 class AnovaTable(_Fit):
-    """The fit of one dataset: its design, sums of squares and F ratios.
+    """The fit of one dataset: its design and its sums of squares.
 
-    ``AnovaTable(levels, cell_n, ss_effects, ss_error, ss_total,
-    f_effects)``, each per-term value in ``EFFECTS`` order, as Python
-    floats.  ``degenerate`` marks a zero-error-variance fit: the F ratios
-    are NaN and must not be consumed.  The balanced decomposition
-    guarantees that the effect and error sums add to ss_total up to
-    rounding.
+    ``AnovaTable(levels, cell_n, ss_effects, ss_error, ss_total)``, the
+    effects' sums in ``EFFECTS`` order, as Python floats.  F and every other
+    value are derived from these (``_Fit``).  ``degenerate`` marks a
+    zero-error-variance fit: its F ratios are NaN and must not be consumed.
+    The balanced decomposition guarantees that the effect and error sums
+    add to ss_total up to rounding.
     """
-
-    f_effects: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.levels) != len(_FACTORS) or min(self.levels) < 2 or self.cell_n < 2:
@@ -199,20 +202,9 @@ class _Block(_Fit):
     table.
     """
 
-    @cached_property
-    def f_effects(self) -> np.ndarray:
-        """The F columns, stacked as ``ss_effects`` (read-only)."""
-        df = np.array([self.df(e) for e in EFFECTS])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f = (self.ss_effects / df[:, None]) / (self.ss_error / self.df_error)
-        f[:, self.degenerate] = math.nan
-        f.flags.writeable = False
-        return f
-
     def table(self, row: int) -> AnovaTable:
         return AnovaTable(self.levels, self.cell_n, tuple(self.ss_effects[:, row].tolist()),
-                          float(self.ss_error[row]), float(self.ss_total[row]),
-                          tuple(self.f_effects[:, row].tolist()))
+                          float(self.ss_error[row]), float(self.ss_total[row]))
 
 
 def _fit_block(y: np.ndarray) -> _Block:
@@ -254,8 +246,12 @@ def _fit_block(y: np.ndarray) -> _Block:
 def bic_bf_for_effect(table: AnovaTable, effect: str) -> BayesFactorValue:
     """BIC Bayes factor BF01 for one effect of a fitted table.
 
-    ``n`` in the BIC is the total observation count.
+    ``n`` in the BIC is the total observation count.  Raises DomainError
+    when a sum of squares left the double range, as the oracle does, and
+    DegenerateDataError for zero error variance.
     """
+    if table.overflowed:
+        raise DomainError(_OVERFLOWED)
     if table.degenerate:
         raise DegenerateDataError(
             "zero error variance: F is undefined, no Bayes factor"
@@ -268,15 +264,16 @@ def _bic_log_bf10(block: _Block, effect: str) -> list[float]:
 
     The ratio F*df1/df2 is taken in arrays and its log1p by ``math.log1p``,
     value by value: numpy's log1p differs from it in the last bit on some
-    inputs.  A row whose ratio is not finite (degenerate, a non-finite F,
-    or an overflowing product) takes ``bic_bf_for_effect`` on its table,
-    which raises its error or takes the log-split branch.
+    inputs.  A row whose sums overflowed or whose ratio is not finite
+    (degenerate, a non-finite F, or an overflowing product) takes
+    ``bic_bf_for_effect`` on its table, which raises its error or takes the
+    log-split branch.
     """
     df1, n = block.df(effect), block.n_total
     with np.errstate(over="ignore"):
         ratio = block.f(effect) * df1 / block.df_error
     log1p_ratio = np.array(list(map(math.log1p, ratio.tolist())))
     log_bf10 = (-_bic_log_bf01(df1, n, log1p_ratio)).tolist()
-    for row in np.flatnonzero(~np.isfinite(ratio)).tolist():
+    for row in np.flatnonzero(block.overflowed | ~np.isfinite(ratio)).tolist():
         log_bf10[row] = -bic_bf_for_effect(block.table(row), effect).log_bf
     return log_bf10

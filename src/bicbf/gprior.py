@@ -141,7 +141,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .anova import EFFECTS, AnovaTable, FactorialDataset, _Block, _fit_block, _inside
+from .anova import EFFECTS, _OVERFLOWED, AnovaTable, FactorialDataset, _Block, _fit_block, _inside
 from .errors import DegenerateDataError, DomainError
 from .summary import BayesFactorValue
 
@@ -163,7 +163,6 @@ _PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 MODEL_PAIRS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     e: (_inside(e), tuple(t for t in _inside(e) if t != e)) for e in EFFECTS
 }
-_OVERFLOWED = "the sums of squares left the double range: Bayes factor undefined"
 
 
 def _number(name: str, value, kind=Real):
@@ -367,13 +366,14 @@ def _setup(block: _Block, effect: str, scale: float, rule: _Rule = _RULE) -> _Se
     table gives alone.
     """
     num_effects, den_effects = MODEL_PAIRS[effect]
-    ss_error, ss_total = block.ss_error, block.ss_total
+    ss_total = block.ss_total
     k = 0.5 * (block.n_total - 1)
     c = np.array([float(block.c(e)) for e in num_effects])
     df = np.array([float(block.df(e)) for e in num_effects])
     ss = np.stack([block.ss(e) for e in num_effects], axis=1)
+    residual = block.residual(num_effects)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = block.residual(num_effects) / ss_total
+        rho = residual / ss_total
         frac = ss / ss_total[:, None]
         # log g at which the posterior of the farthest-reaching block peaks, at most
         top = np.max(frac / c, axis=1)
@@ -387,13 +387,13 @@ def _setup(block: _Block, effect: str, scale: float, rule: _Rule = _RULE) -> _Se
             raise DomainError(_OVERFLOWED)
         if ss_total[first] == 0.0:
             raise DegenerateDataError("constant response: Bayes factor undefined")
-        if rho[first] == 0.0:
+        if residual[first] == 0.0:
             raise DegenerateDataError(
                 f"zero residual sum of squares under model {model}: "
                 "its marginal likelihood diverges"
             )
         raise DegenerateDataError(
-            f"residual sum of squares {float(ss_error[first])!r} too small against "
+            f"residual sum of squares {float(residual[first])!r} too small against "
             f"the effects of model {model}: the posterior of g leaves the double range"
         )
     # A block with df contrasts narrows the integrand of I_e in log g like

@@ -381,10 +381,11 @@ def _block_records(config: SimulationConfig, trials: range) -> RecordTable:
 
     The block's datasets are generated in one pass and checked finite.
     The fit gives one column per sum of squares, and each effect's BIC and
-    oracle read those columns for the whole block; only a row whose F
-    ratio is degenerate or not finite takes the one-table BIC, for its
-    error or its log-split branch.  The records are checked by the table's
-    rules (``_first_fault``), whose message the trial's error carries.
+    oracle read those columns for the whole block; only a row whose sums
+    overflowed or whose F ratio is degenerate or not finite takes the
+    one-table BIC, for its error or its log-split branch.  The records are
+    checked by the table's rules (``_first_fault``), whose message the
+    trial's error carries.
     A block of several trials that fails runs its two halves in order,
     recursively, so the error names the lowest failing trial with the
     message that trial gives alone: within a trial, effect by effect, the

@@ -289,8 +289,8 @@ class TestSimulate:
                                "--out", str(tmp_path / "r.csv")],
                               env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 1
-        assert done.stderr == ("error: trial 0: zero error variance: F is undefined, "
-                               "no Bayes factor\n")
+        assert done.stderr == ("error: trial 0: the sums of squares left the double range: "
+                               "Bayes factor undefined\n")
 
     @pytest.mark.parametrize(
         "cell_n, message",

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, reject
 from scipy import integrate, optimize
 from scipy.linalg import helmert
-from scipy.special import logsumexp
+from scipy.special import betaln, log_expit, logsumexp
 from scipy.stats import invgamma
 
 import bicbf
@@ -29,11 +29,12 @@ from bicbf import (
     FactorialDataset,
     GPriorSpec,
     SimulationConfig,
+    bic_bf_for_effect,
     conditional_bf10,
     default_bf10,
     fit_two_way,
 )
-from bicbf.anova import _fit_block
+from bicbf.anova import _bic_log_bf10, _fit_block
 from bicbf.gprior import (
     _LATTICES,
     _LOG_TAU_MIN,
@@ -460,6 +461,10 @@ class TestValidation:
             warnings.simplefilter("error")
             for effect in EFFECTS:
                 with pytest.raises(DomainError, match=message):
+                    bic_bf_for_effect(table, effect)
+                with pytest.raises(DomainError, match=message):
+                    _bic_log_bf10(block_of([good, table]), effect)
+                with pytest.raises(DomainError, match=message):
                     default_bf10(data, effect)
                 with pytest.raises(DomainError, match=message):
                     conditional_bf10(table, effect, 1.0)
@@ -542,6 +547,41 @@ class TestDefaultBf10:
             got = default_bf10(small_dataset, effect, GPriorSpec(scale=scale)).log_bf
             assert got == pytest.approx(want, abs=1e-8)
             assert math.isfinite(default_bf10(small_dataset, "AB", GPriorSpec(scale=scale)).log_bf)
+
+
+class TestNullCalibration:
+    """E_H0[BF10] = 1, a law rather than another quadrature of the same integrand.
+
+    BF10 of a main effect e depends on the data only through R = SS_e/SST,
+    and under the intercept-only model R ~ Beta(df_e/2, (N - 1 - df_e)/2).
+    The Bayes factor is a ratio of densities of that invariant, so
+    int BF10(R) Beta(R) dR = 1 for every proper prior on g: the identity
+    checks the set-up, the lattice and the outer rule, but not the prior
+    scale or c_e.
+    """
+
+    @pytest.mark.parametrize("scale", [0.5, DEFAULT_PRIOR_SCALE, 1.0])
+    @pytest.mark.parametrize("a, b, cell_n", [(2, 3, 50), (2, 2, 3), (4, 5, 3), (3, 3, 10)])
+    @pytest.mark.parametrize("effect", ["A", "B"])
+    def test_the_null_mean_of_bf10_is_one(self, effect, a, b, cell_n, scale):
+        df = (a if effect == "A" else b) - 1
+        alpha, beta = df / 2, (a * b * cell_n - 1 - df) / 2
+
+        def integrand(t):
+            # t = logit R, so dR = R (1 - R) dt; the rest of SST is error
+            log_r, log_rest = float(log_expit(t)), float(log_expit(-t))
+            ss = {"A": 0.0, "B": 0.0, effect: math.exp(log_r)}
+            table = table_of(a, b, cell_n, ss["A"], ss["B"], 0.0, math.exp(log_rest), 1.0)
+            log_bf10 = table_bf10(table, effect, GPriorSpec(scale=scale))
+            return math.exp(log_bf10 + alpha * log_r + beta * log_rest - betaln(alpha, beta))
+
+        # a break near the null's mode, and a window whose tails hold below 1e-17;
+        # at t = 250 the residual share e^-250 is still inside the oracle's range
+        mode = math.log(alpha / beta)
+        mean, err = integrate.quad(integrand, -80.0, 250.0, points=[mode], limit=200,
+                                   epsabs=1e-13, epsrel=1e-13)
+        # a log BF off by at most 1.5e-9 (module docstring) moves the mean by as much
+        assert abs(mean - 1.0) <= 1.5e-9 + 2.0 * err, (mean - 1.0, err)
 
 
 def finer_rule(factor: int = 4):
