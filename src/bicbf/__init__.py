@@ -18,19 +18,21 @@ from .errors import *  # noqa: F403
 from .parsing import *  # noqa: F403
 from .summary import *  # noqa: F403
 
-# The modules below need numpy.  Their names, each group its module's
-# ``__all__``, resolve on first access (PEP 562), so the summary-statistic
-# path (``bicbf bf``, ``bicbf parse``) starts without importing numpy.
+# The modules below load on first access (PEP 562), each group its module's
+# ``__all__``, so the summary-statistic path (``bicbf bf``, ``bicbf parse``)
+# starts without them.  ``config`` uses the standard library alone, but its
+# dataclasses would add ``dataclasses`` and ``inspect`` to that start; the
+# others need numpy.
 _LAZY = {
     "anova": ("EFFECTS", "FactorialDataset", "AnovaTable", "fit_two_way", "bic_bf_for_effect"),
-    "gprior": ("DEFAULT_PRIOR_SCALE", "MODEL_PAIRS", "GPriorSpec", "GPriorBayesFactor",
-               "conditional_bf10", "default_bf10"),
+    "config": ("DEFAULT_PRIOR_SCALE", "GPriorSpec", "SimulationConfig", "write_config",
+               "read_config"),
+    "gprior": ("MODEL_PAIRS", "GPriorBayesFactor", "conditional_bf10", "default_bf10"),
     "rng": ("substream",),
-    "simulate": ("SimulationConfig", "SimulationRecord", "RecordTable", "FiveNumber",
-                 "EffectSummary", "DensitySeries", "decide", "generate_dataset",
-                 "run_simulation", "summarize", "silverman_bandwidth", "emit_density_data",
-                 "write_records", "read_records", "write_density_data", "write_config",
-                 "read_config"),
+    "simulate": ("SimulationRecord", "RecordTable", "FiveNumber", "EffectSummary",
+                 "DensitySeries", "decide", "generate_dataset", "run_simulation", "summarize",
+                 "silverman_bandwidth", "emit_density_data", "write_records", "read_records",
+                 "write_density_data"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -227,8 +227,8 @@ def cmd_parse(args) -> int:
 def cmd_simulate(args) -> int:
     from dataclasses import MISSING, fields, replace
 
-    from .gprior import GPriorSpec
-    from .simulate import SimulationConfig, read_config, run_simulation, write_records
+    # the config is built and checked without numpy; bicbf.simulate loads to run it
+    from .config import GPriorSpec, SimulationConfig, read_config
 
     def given(**flags):
         return {name: value for name, value in flags.items() if value is not None}
@@ -246,6 +246,8 @@ def cmd_simulate(args) -> int:
                 flag = "--" + f.name.replace("_", "-")
                 raise _UsageError(f"missing {flag} (give the flag or a --config file)")
         config = SimulationConfig(**settings, oracle=oracle)
+
+    from .simulate import run_simulation, write_records
 
     start = time.perf_counter()
     step = max(1, config.trials // 20)

@@ -128,34 +128,33 @@ each reduction runs over one table's own nodes, with no padding.  So each
 value is bitwise what the table gives alone, whatever else shares its
 block and whatever the lattices already hold; the tests check the numpy
 behaviour this rests on.
+
+The prior's spec, ``GPriorSpec``, and ``DEFAULT_PRIOR_SCALE`` live in
+``bicbf.config``, which loads no numpy, so a study's config is built and
+checked without this module.  It imports them back:
+``bicbf.gprior.GPriorSpec`` is the same class.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .anova import EFFECTS, _OVERFLOWED, AnovaTable, FactorialDataset, _Block, _fit_block, _inside
+from .config import DEFAULT_PRIOR_SCALE, GPriorSpec, _PRIOR_SCALES  # noqa: F401
 from .errors import DegenerateDataError, DomainError
 from .summary import BayesFactorValue
 
 __all__ = [
-    "DEFAULT_PRIOR_SCALE",
     "MODEL_PAIRS",
-    "GPriorSpec",
     "GPriorBayesFactor",
     "conditional_bf10",
     "default_bf10",
 ]
-
-DEFAULT_PRIOR_SCALE = math.sqrt(2.0) / 2.0  # the "wide" setting
-_PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 
 # Numerator/denominator model per tested effect: the terms inside it, with
 # and without it.  Each denominator's effects are among its numerator's,
@@ -163,23 +162,6 @@ _PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 MODEL_PAIRS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     e: (_inside(e), tuple(t for t in _inside(e) if t != e)) for e in EFFECTS
 }
-
-
-def _number(name: str, value, kind=Real):
-    """``value``, a ``kind`` number (numpy's too) other than a bool; else a DomainError."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is Integral else "a real number"
-        raise DomainError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-def _real(name: str, value) -> float:
-    """``value``, a real number other than a bool, as a float; else a DomainError."""
-    try:
-        return float(_number(name, value))
-    except OverflowError:  # an int or a fraction beyond the double range
-        raise DomainError(
-            f"{name} must be at most {sys.float_info.max:.6g} in magnitude") from None
 
 
 def conditional_bf10(table: AnovaTable, effects: Sequence[str] | str, g) -> float:
@@ -227,40 +209,6 @@ def _log_conditional_bf10(
         log_det = log_det + table.df(effect) * np.log1p(cg)
     # SST/q first, then one log: exact under power-of-two rescaling of y
     return -0.5 * log_det + 0.5 * (table.n_total - 1) * np.log(table.ss_total / q)
-
-
-@dataclass(frozen=True)
-class GPriorSpec:
-    """Prior scale of ``default_bf10``.
-
-    ``scale`` must be a real number other than a bool, kept as a float, and
-    lie in [1e-100, 1e100].  Far outside that range the rule's weights leave
-    the double range: at 1e-200, r^2/2 underflows to 0.
-
-    ``mc_samples`` and ``seed`` are ignored by the deterministic oracle;
-    they are removed with the benchmark change of ROADMAP item 1.  Until
-    then they keep their old bounds, and must be integers (numpy integers
-    too, a bool not), so that every spec writes back a config file
-    ``read_config`` reads.
-    """
-
-    scale: float = DEFAULT_PRIOR_SCALE
-    mc_samples: int = 10_000
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", _real("scale", self.scale))
-        for name in ("mc_samples", "seed"):
-            _number(name, getattr(self, name), Integral)
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise DomainError(f"scale must be finite and positive, got {self.scale}")
-        low, high = _PRIOR_SCALES
-        if not low <= self.scale <= high:
-            raise DomainError(f"scale must lie in [{low:g}, {high:g}], got {self.scale}")
-        if self.mc_samples < 1000:
-            raise DomainError(f"mc_samples must be at least 1000, got {self.mc_samples}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
 class GPriorBayesFactor(BayesFactorValue):
@@ -576,13 +524,19 @@ def _lattice(c: float, df: float, beta: float, step: float, rule: _Rule) -> _Lat
 def _lagrange_matrix() -> np.ndarray:
     """Row p: the coefficients of t^p in the Lagrange basis of ``_STENCIL``.
 
-    The basis polynomial of node m is prod_{i != m} (t - i) / (m - i); the
-    product of integer roots is exact in doubles, so each entry rounds once.
+    The basis polynomial of node m is prod_{i != m} (t - i) / (m - i).  The
+    product of integer roots is expanded exactly in Python ints and divided
+    once, so each entry rounds once.
     """
+    stencil = _STENCIL.tolist()
     columns = []
-    for m in _STENCIL:
-        others = _STENCIL[_STENCIL != m]
-        columns.append(np.polynomial.polynomial.polyfromroots(others) / np.prod(m - others))
+    for m in stencil:
+        coef, denominator = [1], 1  # by power, lowest first
+        for i in stencil:
+            if i != m:  # times (t - i)
+                coef = [low - i * high for low, high in zip([0, *coef], [*coef, 0])]
+                denominator *= m - i
+        columns.append([c / denominator for c in coef])
     return np.array(columns).T
 
 

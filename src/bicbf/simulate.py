@@ -29,6 +29,11 @@ rules in array passes when it is built, and which the writer, the
 summaries and the densities read column by column.  A ``SimulationRecord``
 row, of Python values, is built only when a table is iterated.
 
+The study's config, ``SimulationConfig``, and its file format,
+``write_config`` and ``read_config``, live in ``bicbf.config``, which loads
+no numpy; this module imports them back, so ``bicbf.simulate.SimulationConfig``
+is the same class.
+
 Determinism: every draw comes from a substream keyed by (seed, label,
 trial), with separate labels for effect draws and noise draws, and each
 stream is bit for bit ``PCG64(SeedSequence([seed, key, trial]))``; the
@@ -47,21 +52,20 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice, repeat
-from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .anova import EFFECTS, FactorialDataset, _bic_log_bf10, _fit_block, _term_shape
+from .config import SimulationConfig, read_config, write_config  # noqa: F401
 from .errors import BicbfError, DomainError, SimulationError
-from .gprior import GPriorSpec, _evaluate, _number, _real, _setup
+from .gprior import _evaluate, _setup
 
 __all__ = [
-    "SimulationConfig",
     "SimulationRecord",
     "RecordTable",
     "FiveNumber",
@@ -76,8 +80,6 @@ __all__ = [
     "write_records",
     "read_records",
     "write_density_data",
-    "write_config",
-    "read_config",
 ]
 
 class SimulationRecord(NamedTuple):
@@ -99,51 +101,6 @@ RESULTS_HEADER = SimulationRecord._fields
 DENSITY_HEADER = ("effect", "bf_type", "x", "density")
 
 DENSITY_GRID_POINTS = 512
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """One simulation condition.
-
-    ``g`` is the effect variance relative to unit noise; ``seed`` keys the
-    data-generating substreams.  Of the oracle spec only the prior scale
-    enters the results.  The counts and the seed must be integers (numpy
-    integers too, a bool not) and g a real number other than a bool, kept
-    as a float, so that every config runs and writes back a file
-    ``read_config`` reads as an equal config.  A design whose one-trial
-    array is more bytes than numpy can describe (2**63) is refused here.
-    """
-
-    cell_n: int
-    g: float
-    trials: int
-    seed: int
-    a_levels: int = 2
-    b_levels: int = 3
-    oracle: GPriorSpec = GPriorSpec()
-
-    def __post_init__(self):
-        for name in ("cell_n", "trials", "seed", "a_levels", "b_levels"):
-            _number(name, getattr(self, name), Integral)
-        object.__setattr__(self, "g", _real("g", self.g))
-        if self.cell_n < 2:
-            raise DomainError(f"cell_n must be at least 2, got {self.cell_n}")
-        if not (math.isfinite(self.g) and self.g >= 0):
-            raise DomainError(f"g must be finite and nonnegative, got {self.g}")
-        if self.trials < 1:
-            raise DomainError(f"trials must be at least 1, got {self.trials}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        if self.a_levels < 2 or self.b_levels < 2:
-            raise DomainError(
-                f"need at least 2 levels per factor, got {self.a_levels}x{self.b_levels}"
-            )
-        if self.a_levels * self.b_levels * self.cell_n * 8 >= 2**63:  # float64 values
-            raise DomainError(
-                f"one trial of {self.a_levels}x{self.b_levels} cells of {self.cell_n} "
-                "observations is too large for a numpy array: a*b*cell_n*8 bytes must be "
-                "below 2**63"
-            )
 
 
 def decide(log_bf10: float) -> str:
@@ -765,75 +722,3 @@ def write_density_data(series: Iterable[DensitySeries], path: str | Path) -> Non
         for s in series:
             values = np.column_stack((s.x, s.density)).ravel().tolist()  # x, density, ...
             handle.write((f"{s.effect},{s.bf_type},%.17g,%.17g\r\n" * len(s.x)) % tuple(values))
-
-
-# Field annotations are strings under ``from __future__ import annotations``.
-_FIELD_TYPES = {"int": int, "float": float}
-
-
-def _config_items(config=SimulationConfig, prefix: str = ""):
-    """(key, type, value) per config-file key, in dataclass field order.
-
-    Fields of the nested oracle spec get dotted keys.  Given the class
-    instead of a config, value is the field's default, MISSING where the
-    field is required.
-    """
-    for f in fields(config):
-        value = getattr(config, f.name, f.default)
-        if is_dataclass(value):
-            yield from _config_items(value, f"{prefix}{f.name}.")
-        else:
-            yield prefix + f.name, _FIELD_TYPES[f.type], value
-
-
-def write_config(config: SimulationConfig, path: str | Path) -> None:
-    """Write a config as flat ``key = value`` lines, oracle fields dotted."""
-    lines = [f"{key} = {value}" for key, _, value in _config_items(config)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_config(path: str | Path) -> SimulationConfig:
-    """Read a ``key = value`` config file; unknown or repeated keys are errors.
-
-    Keys missing from the file take the dataclass defaults; every error
-    names the file.
-    """
-    path = Path(path)
-    schema = {key: (kind, default) for key, kind, default in _config_items()}
-    pairs: dict[str, str] = {}
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in schema:
-            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in pairs:
-            raise DomainError(f"{path}:{lineno}: repeated key {key!r}")
-        pairs[key] = value
-    missing = [key for key, (_, default) in schema.items()
-               if default is MISSING and key not in pairs]
-    if missing:
-        raise DomainError(f"{path}: missing required keys {missing}")
-    values = {}
-    for key, value in pairs.items():
-        kind, _ = schema[key]
-        try:
-            values[key] = kind(value)
-        except ValueError as exc:
-            raise DomainError(f"{path}: key {key!r}: {exc}") from exc
-    oracle = {key.removeprefix("oracle."): v for key, v in values.items() if "." in key}
-    try:
-        return SimulationConfig(
-            **{key: v for key, v in values.items() if "." not in key},
-            oracle=GPriorSpec(**oracle),
-        )
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from exc

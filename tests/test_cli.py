@@ -641,6 +641,40 @@ def test_bf_and_parse_load_no_numpy_or_scipy():
     assert out.splitlines() == ["[]", "[0, 0] []"]
 
 
+_SIMULATE_REFUSALS_PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+from bicbf.cli import main
+
+out = Path(sys.argv[1])
+(out / "bad.txt").write_text("cell_n = 10\\ng = 0.0\\ntrials = 5\\nseed = 0\\nbogus = 1\\n")
+for argv in (["--g", "0.1", "--trials", "2", "--seed", "1"],
+             ["--cell-n", "3", "--g", "0.2", "--trials", "3", "--seed", "1",
+              "--prior-scale", "1e200"],
+             ["--config", str(out / "bad.txt")]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", *argv, "--out", str(out / "r.csv")])
+    numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+    print(repr((code, err.getvalue().replace(str(out), "OUT"), numpy)))
+"""
+
+
+def test_simulate_refuses_a_bad_config_before_it_loads_numpy(tmp_path):
+    # the flags and the config file are checked in bicbf.config, which loads no numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SIMULATE_REFUSALS_PROBE, str(tmp_path)], env=env,
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert [ast.literal_eval(line) for line in out.splitlines()] == [
+        (2, "usage error: missing --cell-n (give the flag or a --config file)\n", []),
+        (1, "error: scale must lie in [1e-100, 1e+100], got 1e+200\n", []),
+        (1, "error: OUT/bad.txt:5: unknown key 'bogus'\n", []),
+    ]
+    assert not (tmp_path / "r.csv").exists()
+
+
 _BUDGET_PROBE = """
 import contextlib, io, sys
 bare = set(sys.modules)

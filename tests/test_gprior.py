@@ -40,8 +40,10 @@ from bicbf.gprior import (
     _LOG_TAU_MIN,
     _PRIOR_SCALES,
     _RULE,
+    _STENCIL,
     MODEL_PAIRS,
     _evaluate,
+    _lagrange_matrix,
     _lattice,
     _log_conditional_bf10,
     _log_g_grid,
@@ -786,6 +788,28 @@ class TestLattice:
         assert (below == lattice.log_i0).all()
         # |d log I_e / d tau| <= 1: at tau = 1e-12 the lattice is within 1e-12 of I_e(0)
         assert abs(lattice.log_i(np.array([_LOG_TAU_MIN]))[0] - lattice.log_i0) <= 1e-12
+
+    def test_the_lagrange_matrix_is_numpys_expansion_of_the_basis(self):
+        # expanded in Python ints and divided once: numpy.polynomial's bits
+        columns = []
+        for m in _STENCIL:
+            others = _STENCIL[_STENCIL != m]
+            columns.append(np.polynomial.polynomial.polyfromroots(others) / np.prod(m - others))
+        assert np.array_equal(_lagrange_matrix(), np.array(columns).T)
+
+    def test_a_study_loads_no_numpy_polynomial(self):
+        probe = (
+            "import sys\n"
+            "import numpy\n"
+            "before = 'numpy.polynomial' in sys.modules  # numpy 1.x imports it itself\n"
+            "from bicbf import SimulationConfig, run_simulation\n"
+            "run_simulation(SimulationConfig(cell_n=3, g=0.2, trials=4, seed=1))\n"
+            "print(before, 'numpy.polynomial' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        before, after = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                       capture_output=True, text=True).stdout.split()
+        assert after == before
 
     @given(random_tables())
     def test_the_cache_stays_within_its_bound(self, table):

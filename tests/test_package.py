@@ -17,7 +17,7 @@ def home_module(name, value):
     module = getattr(value, "__module__", None)
     if module is not None:
         return importlib.import_module(module)
-    for home in ("anova", "gprior", "parsing", "simulate", "summary"):
+    for home in ("anova", "config", "gprior", "parsing", "simulate", "summary"):
         module = importlib.import_module(f"bicbf.{home}")
         if name in module.__all__:
             return module
@@ -53,7 +53,7 @@ def test_the_public_names_are_unchanged():
     assert bicbf.__all__ == PUBLIC_NAMES
 
 
-@pytest.mark.parametrize("module", ["anova", "gprior", "rng", "simulate"])
+@pytest.mark.parametrize("module", ["anova", "config", "gprior", "rng", "simulate"])
 def test_each_lazy_group_is_its_modules_all(module):
     assert list(bicbf._LAZY[module]) == importlib.import_module(f"bicbf.{module}").__all__
 
