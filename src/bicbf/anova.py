@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, UnbalancedDataError
-from .summary import BayesFactorValue, _bic_log_bf01, bf01_from_f
+from .summary import BayesFactorValue, _bic_log_bf01, _count, bf01_from_f
 
 __all__ = [
     "EFFECTS",
@@ -82,12 +82,8 @@ class FactorialDataset:
     y: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.a_levels < 2:
-            raise DomainError(f"a_levels must be at least 2, got {self.a_levels}")
-        if self.b_levels < 2:
-            raise DomainError(f"b_levels must be at least 2, got {self.b_levels}")
-        if self.cell_n < 2:
-            raise DomainError(f"cell_n must be at least 2, got {self.cell_n}")
+        for name in ("a_levels", "b_levels", "cell_n"):
+            object.__setattr__(self, name, _count(name, getattr(self, name), 2))
         y = np.asarray(self.y, dtype=float)
         expected = (self.a_levels, self.b_levels, self.cell_n)
         if y.shape != expected:
@@ -183,9 +179,13 @@ class AnovaTable(_Fit):
     """
 
     def __post_init__(self):
-        if len(self.levels) != len(_FACTORS) or min(self.levels) < 2 or self.cell_n < 2:
-            raise DomainError(f"need {len(_FACTORS)} factors of at least 2 levels and "
-                              f"cell_n of at least 2, got {self.levels} and {self.cell_n}")
+        levels = self.levels if hasattr(self.levels, "__len__") else ()
+        if len(levels) != len(_FACTORS):
+            raise DomainError(
+                f"levels must be {len(_FACTORS)} counts of at least 2, got {self.levels}")
+        object.__setattr__(self, "levels", tuple(
+            _count(f"levels[{i}]", n, 2) for i, n in enumerate(levels)))
+        object.__setattr__(self, "cell_n", _count("cell_n", self.cell_n, 2))
 
 
 def fit_two_way(data: FactorialDataset) -> AnovaTable:

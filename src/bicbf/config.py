@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 
 from .errors import DomainError
+from .summary import _count
 
 __all__ = [
     "DEFAULT_PRIOR_SCALE",
@@ -33,18 +34,12 @@ DEFAULT_PRIOR_SCALE = math.sqrt(2.0) / 2.0  # the "wide" setting
 _PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 
 
-def _number(name: str, value, kind=Real):
-    """``value``, a ``kind`` number (numpy's too) other than a bool; else a DomainError."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is Integral else "a real number"
-        raise DomainError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
 def _real(name: str, value) -> float:
-    """``value``, a real number other than a bool, as a float; else a DomainError."""
+    """``value``, a real number (numpy's too) other than a bool, as a float; else a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(_number(name, value))
+        return float(value)
     except OverflowError:  # an int or a fraction beyond the double range
         raise DomainError(
             f"{name} must be at most {sys.float_info.max:.6g} in magnitude") from None
@@ -61,8 +56,8 @@ class GPriorSpec:
     ``mc_samples`` and ``seed`` are ignored by the deterministic oracle;
     they are removed with the benchmark change of ROADMAP item 1.  Until
     then they keep their old bounds, and must be integers (numpy integers
-    too, a bool not), so that every spec writes back a config file
-    ``read_config`` reads.
+    too, a bool not), kept as ints, so that every spec writes back a config
+    file ``read_config`` reads.
     """
 
     scale: float = DEFAULT_PRIOR_SCALE
@@ -71,17 +66,13 @@ class GPriorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "scale", _real("scale", self.scale))
-        for name in ("mc_samples", "seed"):
-            _number(name, getattr(self, name), Integral)
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise DomainError(f"scale must be finite and positive, got {self.scale}")
         low, high = _PRIOR_SCALES
         if not low <= self.scale <= high:
             raise DomainError(f"scale must lie in [{low:g}, {high:g}], got {self.scale}")
-        if self.mc_samples < 1000:
-            raise DomainError(f"mc_samples must be at least 1000, got {self.mc_samples}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        for name, least in (("mc_samples", 1000), ("seed", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
 
 
 @dataclass(frozen=True)
@@ -91,8 +82,8 @@ class SimulationConfig:
     ``g`` is the effect variance relative to unit noise; ``seed`` keys the
     data-generating substreams.  Of the oracle spec only the prior scale
     enters the results.  The counts and the seed must be integers (numpy
-    integers too, a bool not) and g a real number other than a bool, kept
-    as a float, so that every config runs and writes back a file
+    integers too, a bool not), kept as ints, and g a real number other than
+    a bool, kept as a float, so that every config runs and writes back a file
     ``read_config`` reads as an equal config.  A design whose one-trial
     array is more bytes than numpy can describe (2**63) is refused here.
     """
@@ -106,21 +97,12 @@ class SimulationConfig:
     oracle: GPriorSpec = GPriorSpec()
 
     def __post_init__(self):
-        for name in ("cell_n", "trials", "seed", "a_levels", "b_levels"):
-            _number(name, getattr(self, name), Integral)
+        for name, least in (("cell_n", 2), ("trials", 1), ("seed", 0), ("a_levels", 2),
+                            ("b_levels", 2)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
         object.__setattr__(self, "g", _real("g", self.g))
-        if self.cell_n < 2:
-            raise DomainError(f"cell_n must be at least 2, got {self.cell_n}")
         if not (math.isfinite(self.g) and self.g >= 0):
             raise DomainError(f"g must be finite and nonnegative, got {self.g}")
-        if self.trials < 1:
-            raise DomainError(f"trials must be at least 1, got {self.trials}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        if self.a_levels < 2 or self.b_levels < 2:
-            raise DomainError(
-                f"need at least 2 levels per factor, got {self.a_levels}x{self.b_levels}"
-            )
         if self.a_levels * self.b_levels * self.cell_n * 8 >= 2**63:  # float64 values
             raise DomainError(
                 f"one trial of {self.a_levels}x{self.b_levels} cells of {self.cell_n} "

@@ -27,7 +27,7 @@ class ParseError(BicbfError, ValueError):
 
 
 class UnbalancedDataError(BicbfError, ValueError):
-    """Factorial data whose cells do not all hold the same number of rows."""
+    """Factorial observations whose shape is not the design's (a_levels, b_levels, cell_n)."""
 
 
 class DegenerateDataError(BicbfError, ValueError):

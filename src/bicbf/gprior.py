@@ -144,7 +144,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .anova import EFFECTS, _OVERFLOWED, AnovaTable, FactorialDataset, _Block, _fit_block, _inside
+from .anova import (EFFECTS, _OVERFLOWED, AnovaTable, FactorialDataset, _Block, _checked,
+                    _fit_block, _inside)
 from .config import DEFAULT_PRIOR_SCALE, GPriorSpec, _PRIOR_SCALES  # noqa: F401
 from .errors import DegenerateDataError, DomainError
 from .summary import BayesFactorValue
@@ -167,15 +168,16 @@ MODEL_PAIRS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 def conditional_bf10(table: AnovaTable, effects: Sequence[str] | str, g) -> float:
     """Bayes factor of the model with ``effects`` against the intercept-only model.
 
-    ``effects`` is a sequence of effects, or a string naming one.  ``g``
-    holds one positive variance scale per listed effect, in the order
-    listed; a bare scalar is accepted for a single effect.  The empty model
-    returns exactly 1.
+    ``effects`` is a sequence of effects, or one effect (a string names
+    one).  ``g`` holds one positive variance scale per listed effect, in
+    the order listed; a bare scalar is accepted for a single effect.  The
+    empty model returns exactly 1.
     """
-    effects = (effects,) if isinstance(effects, str) else tuple(effects)
-    unknown = set(effects) - set(EFFECTS)
+    iterable = hasattr(effects, "__iter__") and not isinstance(effects, str)
+    effects = tuple(effects) if iterable else (effects,)
+    unknown = [e for e in effects if e not in EFFECTS]
     if unknown:
-        raise DomainError(f"unknown effects {sorted(unknown)}; choose from {EFFECTS}")
+        raise DomainError(f"unknown effects {unknown}; choose from {EFFECTS}")
     if len(set(effects)) != len(effects):
         raise DomainError(f"effects must be distinct, got {effects}")
     g_row = np.atleast_1d(np.asarray(g, dtype=float))
@@ -250,9 +252,7 @@ def default_bf10(
     Raises DomainError when a sum of squares of the data leaves the double
     range, as does ``conditional_bf10``.
     """
-    if effect not in MODEL_PAIRS:
-        raise DomainError(f"effect must be one of {EFFECTS}, got {effect!r}")
-    setup = _setup(_fit_block(data.y[None]), effect, spec.scale)
+    setup = _setup(_fit_block(data.y[None]), _checked(effect), spec.scale)
     return GPriorBayesFactor(float(_evaluate(setup)[0]), "10")
 
 

@@ -19,6 +19,7 @@ All arithmetic stays in natural-log space.  The radical form
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 from .errors import DomainError
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _DIRECTIONS = ("01", "10")
+_MOST = sys.float_info.max  # the largest count the summary routes take
 
 # Raftery-style category bounds on |log BF|, inclusive on the right.
 _CATEGORY_BOUNDS = (
@@ -104,10 +106,38 @@ class _Value:
         return type(self), self._values()
 
 
-def _check_count(name: str, count) -> None:
-    """A count above the double range cannot enter the float arithmetic."""
-    if count is not None and count > sys.float_info.max:  # exact for an int
-        raise DomainError(f"{name} must be at most {sys.float_info.max:.6g}")
+def _count(name: str, value, least: int, most: float = math.inf) -> int:
+    """``value`` as an int: an integer (numpy's too) other than a bool, of at
+    least ``least`` and at most ``most``; else a DomainError naming ``name``.
+
+    The one rule for a count the package takes from outside.  The summary
+    routes pass ``most = _MOST``: a larger count cannot enter the float
+    arithmetic.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise DomainError(f"{name} must be {bound}, got {count}")
+    if count > most:  # exact for an int
+        raise DomainError(f"{name} must be at most {most:.6g}")
+    return count
+
+
+def _finite(name: str, value) -> bool:
+    """Whether ``value``, a real number other than a bool, is finite; else a DomainError."""
+    if not isinstance(value, bool):
+        try:
+            return math.isfinite(value)
+        except TypeError:  # a str, None or a complex
+            pass
+        except OverflowError:  # an int beyond the double range
+            return False
+    raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 class SummaryStat(_Value):
@@ -118,7 +148,9 @@ class SummaryStat(_Value):
     is carried for provenance only and never enters any computation.  For a
     t statistic ``df1`` is absent (or 1): it enters as F = t**2 with df1 = 1.
     Construction is the one validation of a reported statistic, whichever
-    route (``bf01_from_f``, ``bf01_from_t``, parsed text, CLI flags) built it.
+    route (``bf01_from_f``, ``bf01_from_t``, parsed text, CLI flags) built it:
+    the statistic and ``p_reported`` must be real numbers and the counts
+    integers (``_count``), none a bool, and the counts are kept as ints.
     """
 
     __slots__ = ("kind", "statistic", "df1", "df2", "n", "p_reported")
@@ -126,25 +158,22 @@ class SummaryStat(_Value):
     def __init__(self, kind: str, statistic: float, df1: int | None, df2: int,
                  n: int | None = None, p_reported: float | None = None):
         if kind == "F":
-            if not math.isfinite(statistic) or statistic < 0:
+            if not _finite("f", statistic) or statistic < 0:
                 raise DomainError(f"f must be finite and nonnegative, got {statistic}")
-            if df1 is None or df1 < 1:
-                raise DomainError(f"df1 must be a positive integer, got {df1}")
         elif kind == "t":
-            if not math.isfinite(statistic):
+            if not _finite("t", statistic):
                 raise DomainError(f"t must be finite, got {statistic}")
-            if df1 not in (None, 1):
-                raise DomainError("a t statistic carries no df1 (it is fixed to 1 on conversion)")
         else:
             raise DomainError(f"kind must be 'F' or 't', got {kind!r}")
-        if df2 < 1:
-            raise DomainError(f"df2 must be a positive integer, got {df2}")
-        if n is not None and n < 2:
-            raise DomainError(f"n must be at least 2, got {n}")
-        _check_count("df1", df1)
-        _check_count("df2", df2)
-        _check_count("n", n)
-        if p_reported is not None and not 0.0 <= p_reported <= 1.0:
+        if kind == "F" or df1 is not None:
+            df1 = _count("df1", df1, 1, _MOST)
+        if kind == "t" and df1 not in (None, 1):
+            raise DomainError("a t statistic carries no df1 (it is fixed to 1 on conversion)")
+        df2 = _count("df2", df2, 1, _MOST)
+        if n is not None:
+            n = _count("n", n, 2, _MOST)
+        if p_reported is not None and not (
+                _finite("p_reported", p_reported) and 0.0 <= p_reported <= 1.0):
             raise DomainError(f"p_reported must lie in [0, 1], got {p_reported}")
         self._set(kind=kind, statistic=statistic, df1=df1, df2=df2, n=n,
                   p_reported=p_reported)
@@ -248,18 +277,13 @@ def delta_bic_10(sse1: float, sse0: float, n: int, dk: int) -> float:
     DomainError where the difference itself leaves the double range.
     """
     for name, sse in (("sse1", sse1), ("sse0", sse0)):
-        if not math.isfinite(sse):
+        if not _finite(name, sse):
             raise DomainError(f"{name} must be finite, got {sse}")
     if not sse1 > 0:
         raise DomainError(f"sse1 must be positive, got {sse1}")
     if sse0 < sse1:
         raise DomainError(f"sse0 must be at least sse1, got sse0={sse0} < sse1={sse1}")
-    if n < 2:
-        raise DomainError(f"n must be at least 2, got {n}")
-    if dk < 1:
-        raise DomainError(f"dk must be at least 1, got {dk}")
-    _check_count("n", n)
-    _check_count("dk", dk)
+    n, dk = _count("n", n, 2, _MOST), _count("dk", dk, 1, _MOST)
     ratio = sse1 / sse0
     if ratio >= sys.float_info.min:
         log_ratio = math.log(ratio)
@@ -280,14 +304,9 @@ def bf01_from_delta_bic(delta_bic_10: float) -> BayesFactorValue:
 
 def bf01_from_partial_eta_sq(eta_p2: float, n: int, df1: int) -> BayesFactorValue:
     """BF01 from partial eta squared, using SSE1/SSE0 = 1 - eta_p2."""
-    if not 0.0 <= eta_p2 < 1.0:
+    if not (_finite("eta_p2", eta_p2) and 0.0 <= eta_p2 < 1.0):
         raise DomainError(f"eta_p2 must lie in [0, 1), got {eta_p2}")
-    if n < 2:
-        raise DomainError(f"n must be at least 2, got {n}")
-    if df1 < 1:
-        raise DomainError(f"df1 must be at least 1, got {df1}")
-    _check_count("n", n)
-    _check_count("df1", df1)
+    n, df1 = _count("n", n, 2, _MOST), _count("df1", df1, 1, _MOST)
     log_bf = 0.5 * (n * math.log1p(-eta_p2) + df1 * math.log(n))
     return BayesFactorValue(log_bf, "01")
 

@@ -694,7 +694,7 @@ for fmt, argvs in calls.items():
     print(repr((fmt, codes, loaded())))
 """
 
-_HEAVY = ("numpy", "scipy", "dataclasses", "inspect", "json", "csv", "typing")
+_HEAVY = ("numpy", "scipy", "dataclasses", "inspect", "json", "csv", "typing", "numbers")
 
 
 def test_bf_and_parse_import_only_what_their_format_needs():
