@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, UnbalancedDataError
-from .summary import BayesFactorValue, _bic_log_bf01, _count, bf01_from_f
+from .summary import BayesFactorValue, _bic_log_bf01, _count, _real, bf01_from_f
 
 __all__ = [
     "EFFECTS",
@@ -171,11 +171,13 @@ class AnovaTable(_Fit):
     """The fit of one dataset: its design and its sums of squares.
 
     ``AnovaTable(levels, cell_n, ss_effects, ss_error, ss_total)``, the
-    effects' sums in ``EFFECTS`` order, as Python floats.  F and every other
-    value are derived from these (``_Fit``).  ``degenerate`` marks a
-    zero-error-variance fit: its F ratios are NaN and must not be consumed.
-    The balanced decomposition guarantees that the effect and error sums
-    add to ss_total up to rounding.
+    effects' sums in ``EFFECTS`` order, one per term.  Each sum must be a
+    real number (``_real``), and is kept as a Python float; an inf or NaN
+    sum is kept too, and refused where it is used (``overflowed``).  F and
+    every other value are derived from these (``_Fit``).  ``degenerate``
+    marks a zero-error-variance fit: its F ratios are NaN and must not be
+    consumed.  The balanced decomposition guarantees that the effect and
+    error sums add to ss_total up to rounding.
     """
 
     def __post_init__(self):
@@ -186,6 +188,15 @@ class AnovaTable(_Fit):
         object.__setattr__(self, "levels", tuple(
             _count(f"levels[{i}]", n, 2) for i, n in enumerate(levels)))
         object.__setattr__(self, "cell_n", _count("cell_n", self.cell_n, 2))
+        sums = self.ss_effects if hasattr(self.ss_effects, "__len__") else ()
+        if len(sums) != len(EFFECTS):
+            raise DomainError(
+                f"ss_effects must be {len(EFFECTS)} sums, one per term of {EFFECTS}, "
+                f"got {self.ss_effects!r}")
+        object.__setattr__(self, "ss_effects", tuple(
+            _real(f"ss_effects[{i}]", ss) for i, ss in enumerate(sums)))
+        for name in ("ss_error", "ss_total"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
 
 def fit_two_way(data: FactorialDataset) -> AnovaTable:
@@ -203,8 +214,8 @@ class _Block(_Fit):
     """
 
     def table(self, row: int) -> AnovaTable:
-        return AnovaTable(self.levels, self.cell_n, tuple(self.ss_effects[:, row].tolist()),
-                          float(self.ss_error[row]), float(self.ss_total[row]))
+        return AnovaTable(self.levels, self.cell_n, self.ss_effects[:, row],
+                          self.ss_error[row], self.ss_total[row])
 
 
 def _fit_block(y: np.ndarray) -> _Block:

@@ -14,13 +14,11 @@ same objects, and pickles written under those paths still load.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from numbers import Real
 from pathlib import Path
 
 from .errors import DomainError
-from .summary import _count
+from .summary import _count, _real
 
 __all__ = [
     "DEFAULT_PRIOR_SCALE",
@@ -34,24 +32,14 @@ DEFAULT_PRIOR_SCALE = math.sqrt(2.0) / 2.0  # the "wide" setting
 _PRIOR_SCALES = (1e-100, 1e100)  # the range of prior scales GPriorSpec accepts
 
 
-def _real(name: str, value) -> float:
-    """``value``, a real number (numpy's too) other than a bool, as a float; else a DomainError."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int or a fraction beyond the double range
-        raise DomainError(
-            f"{name} must be at most {sys.float_info.max:.6g} in magnitude") from None
-
-
 @dataclass(frozen=True)
 class GPriorSpec:
     """Prior scale of ``default_bf10``.
 
-    ``scale`` must be a real number other than a bool, kept as a float, and
-    lie in [1e-100, 1e100].  Far outside that range the rule's weights leave
-    the double range: at 1e-200, r^2/2 underflows to 0.
+    ``scale`` must be a real number (``_real``: numpy scalars, Decimals and
+    Fractions too, a bool not), kept as a float, and lie in [1e-100, 1e100].
+    Far outside that range the rule's weights leave the double range: at
+    1e-200, r^2/2 underflows to 0.
 
     ``mc_samples`` and ``seed`` are ignored by the deterministic oracle;
     they are removed with the benchmark change of ROADMAP item 1.  Until
@@ -82,10 +70,11 @@ class SimulationConfig:
     ``g`` is the effect variance relative to unit noise; ``seed`` keys the
     data-generating substreams.  Of the oracle spec only the prior scale
     enters the results.  The counts and the seed must be integers (numpy
-    integers too, a bool not), kept as ints, and g a real number other than
-    a bool, kept as a float, so that every config runs and writes back a file
-    ``read_config`` reads as an equal config.  A design whose one-trial
-    array is more bytes than numpy can describe (2**63) is refused here.
+    integers too, a bool not), kept as ints, and g a real number (numpy
+    scalars, Decimals and Fractions too, a bool not), kept as a float, so
+    that every config runs and writes back a file ``read_config`` reads as
+    an equal config.  A design whose one-trial array is more bytes than
+    numpy can describe (2**63) is refused here.
     """
 
     cell_n: int

@@ -38,7 +38,6 @@ inside its data draw, so code that reads or writes results without drawing
 from __future__ import annotations
 
 import hashlib
-import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -46,7 +45,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import DomainError
+from .summary import _count
 
 __all__ = ["substream"]
 
@@ -128,30 +127,17 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _seed(seed) -> int:
-    if isinstance(seed, bool):  # no seed, as it is no index to _indices
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}") from None
-    if seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
-
-
 def _indices(indices) -> np.ndarray:
-    """``indices`` as a 1-d uint64 array; anything else is a DomainError."""
+    """``indices`` as a 1-d uint64 array of counts below 2**64 (``_count``);
+    anything else is a DomainError.
+
+    An array of unsigned or nonnegative signed integers passes whole.
+    """
     array = np.asarray(indices).reshape(-1)
     if array.dtype.kind == "u" or (array.dtype.kind == "i" and not (array < 0).any()):
         return array.astype(np.uint64)
-    values = array.tolist()
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise DomainError(f"index must be a nonnegative integer, got {value!r}")
-        if value > 2**64 - 1:
-            raise DomainError(f"index must be below 2**64, got {value}")
-    return np.array(values, dtype=np.uint64)
+    return np.array([_count("index", v, 0, 2**64 - 1) for v in array.tolist()],
+                    dtype=np.uint64)
 
 
 def _label_words(seed: int, labels: Sequence[str], indices) -> np.ndarray:
@@ -165,7 +151,7 @@ def _label_words(seed: int, labels: Sequence[str], indices) -> np.ndarray:
     is a DomainError.
     """
     indices = _indices(indices)
-    seed_words = _words(_seed(seed))
+    seed_words = _words(_count("seed", seed, 0))
     prefixes = [seed_words + _words(label_key(label)) for label in labels]
     high = indices >> np.uint64(32)
     # each row's entropy words: the seed's, the label key's, the index's,

@@ -64,6 +64,7 @@ from .anova import EFFECTS, FactorialDataset, _bic_log_bf10, _fit_block, _term_s
 from .config import SimulationConfig, read_config, write_config  # noqa: F401
 from .errors import BicbfError, DomainError, SimulationError
 from .gprior import _evaluate, _setup
+from .summary import _real
 
 __all__ = [
     "SimulationRecord",
@@ -504,8 +505,9 @@ def emit_density_data(
     """Kernel densities of log BF10, one series per (effect, BF type).
 
     512 evenly spaced grid points spanning [min - 3h, max + 3h] per series,
-    h being ``bandwidth`` or Silverman's rule.  A group with no spread, or a
-    bandwidth that takes its grid or density out of the double range, has no
+    h being ``bandwidth`` (a positive real number, ``_real``, kept as a
+    float) or Silverman's rule.  A group with no spread, or a bandwidth
+    that takes its grid or density out of the double range, has no
     density; the error names it.
 
     The kernel sums run in chunks of whole grid rows of about
@@ -520,8 +522,10 @@ def emit_density_data(
     """
     if not len(records):
         raise DomainError("no records for density estimation")
-    if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise DomainError(f"bandwidth must be positive, got {bandwidth}")
+    if bandwidth is not None:
+        bandwidth = _real("bandwidth", bandwidth)
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise DomainError(f"bandwidth must be positive, got {bandwidth}")
     series = []
     for effect, bic, default in records._effect_columns():
         for bf_type, array in (("bic", bic), ("default", default)):

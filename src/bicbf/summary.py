@@ -128,16 +128,31 @@ def _count(name: str, value, least: int, most: float = math.inf) -> int:
     return count
 
 
-def _finite(name: str, value) -> bool:
-    """Whether ``value``, a real number other than a bool, is finite; else a DomainError."""
-    if not isinstance(value, bool):
+def _real(name: str, value) -> float:
+    """``value`` as a float: a real number, what ``math.isfinite`` takes (an
+    int, a float, a numpy integer or floating scalar, a Decimal, a
+    Fraction), other than a bool (numpy's too); else a DomainError naming
+    ``name``.
+
+    The one rule for a real number the package takes from outside.  NaN
+    and the infinities pass: each site checks finiteness and range itself.
+    A finite value beyond the double range is refused.
+    """
+    real = None
+    # a numpy value must be of an integer or floating dtype: not a bool, not a complex
+    if not isinstance(value, bool) and getattr(getattr(value, "dtype", None), "kind", "f") in "iuf":
         try:
-            return math.isfinite(value)
-        except TypeError:  # a str, None or a complex
+            math.isfinite(value)  # refuses a str, None or a complex
+            real = float(value)
+        except (TypeError, ValueError):  # ValueError: a signalling Decimal NaN
             pass
-        except OverflowError:  # an int beyond the double range
-            return False
-    raise DomainError(f"{name} must be a real number, got {value!r}")
+        except OverflowError:  # an int or a Fraction beyond the double range
+            real = math.inf
+    if real is None:
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if math.isinf(real) and value != real:  # a Decimal or long double rounds to inf
+        raise DomainError(f"{name} must be at most {sys.float_info.max:.6g} in magnitude")
+    return real
 
 
 class SummaryStat(_Value):
@@ -149,22 +164,23 @@ class SummaryStat(_Value):
     t statistic ``df1`` is absent (or 1): it enters as F = t**2 with df1 = 1.
     Construction is the one validation of a reported statistic, whichever
     route (``bf01_from_f``, ``bf01_from_t``, parsed text, CLI flags) built it:
-    the statistic and ``p_reported`` must be real numbers and the counts
-    integers (``_count``), none a bool, and the counts are kept as ints.
+    the statistic and ``p_reported`` must be real numbers (``_real``: numpy
+    scalars, Decimals and Fractions too), kept as floats, and the counts
+    integers (``_count``), kept as ints; none may be a bool.  So a stat
+    renders as text that parses back to it, whatever types built it.
     """
 
     __slots__ = ("kind", "statistic", "df1", "df2", "n", "p_reported")
 
     def __init__(self, kind: str, statistic: float, df1: int | None, df2: int,
                  n: int | None = None, p_reported: float | None = None):
-        if kind == "F":
-            if not _finite("f", statistic) or statistic < 0:
-                raise DomainError(f"f must be finite and nonnegative, got {statistic}")
-        elif kind == "t":
-            if not _finite("t", statistic):
-                raise DomainError(f"t must be finite, got {statistic}")
-        else:
+        if kind not in ("F", "t"):
             raise DomainError(f"kind must be 'F' or 't', got {kind!r}")
+        statistic = _real(kind.lower(), statistic)
+        if kind == "F" and not (math.isfinite(statistic) and statistic >= 0):
+            raise DomainError(f"f must be finite and nonnegative, got {statistic}")
+        if not math.isfinite(statistic):
+            raise DomainError(f"t must be finite, got {statistic}")
         if kind == "F" or df1 is not None:
             df1 = _count("df1", df1, 1, _MOST)
         if kind == "t" and df1 not in (None, 1):
@@ -172,9 +188,10 @@ class SummaryStat(_Value):
         df2 = _count("df2", df2, 1, _MOST)
         if n is not None:
             n = _count("n", n, 2, _MOST)
-        if p_reported is not None and not (
-                _finite("p_reported", p_reported) and 0.0 <= p_reported <= 1.0):
-            raise DomainError(f"p_reported must lie in [0, 1], got {p_reported}")
+        if p_reported is not None:
+            p_reported = _real("p_reported", p_reported)
+            if not 0.0 <= p_reported <= 1.0:
+                raise DomainError(f"p_reported must lie in [0, 1], got {p_reported}")
         self._set(kind=kind, statistic=statistic, df1=df1, df2=df2, n=n,
                   p_reported=p_reported)
 
@@ -191,6 +208,7 @@ class BayesFactorValue(_Value):
     def __init__(self, log_bf: float, direction: str):
         if direction not in _DIRECTIONS:
             raise DomainError(f"direction must be '01' or '10', got {direction!r}")
+        log_bf = _real("log_bf", log_bf)
         if not math.isfinite(log_bf):
             raise DomainError("log_bf must be finite")
         self._set(log_bf=log_bf, direction=direction)
@@ -276,8 +294,9 @@ def delta_bic_10(sse1: float, sse0: float, n: int, dk: int) -> float:
     a normal double, ln(sse1/sse0) is taken as ln sse1 - ln sse0.  Raises
     DomainError where the difference itself leaves the double range.
     """
+    sse1, sse0 = _real("sse1", sse1), _real("sse0", sse0)
     for name, sse in (("sse1", sse1), ("sse0", sse0)):
-        if not _finite(name, sse):
+        if not math.isfinite(sse):
             raise DomainError(f"{name} must be finite, got {sse}")
     if not sse1 > 0:
         raise DomainError(f"sse1 must be positive, got {sse1}")
@@ -297,6 +316,7 @@ def delta_bic_10(sse1: float, sse0: float, n: int, dk: int) -> float:
 
 def bf01_from_delta_bic(delta_bic_10: float) -> BayesFactorValue:
     """BF01 = exp(delta_bic_10 / 2), held in log space."""
+    delta_bic_10 = _real("delta_bic_10", delta_bic_10)
     if not math.isfinite(delta_bic_10):
         raise DomainError(f"delta_bic_10 must be finite, got {delta_bic_10}")
     return BayesFactorValue(0.5 * delta_bic_10, "01")
@@ -304,7 +324,8 @@ def bf01_from_delta_bic(delta_bic_10: float) -> BayesFactorValue:
 
 def bf01_from_partial_eta_sq(eta_p2: float, n: int, df1: int) -> BayesFactorValue:
     """BF01 from partial eta squared, using SSE1/SSE0 = 1 - eta_p2."""
-    if not (_finite("eta_p2", eta_p2) and 0.0 <= eta_p2 < 1.0):
+    eta_p2 = _real("eta_p2", eta_p2)
+    if not 0.0 <= eta_p2 < 1.0:
         raise DomainError(f"eta_p2 must lie in [0, 1), got {eta_p2}")
     n, df1 = _count("n", n, 2, _MOST), _count("df1", df1, 1, _MOST)
     log_bf = 0.5 * (n * math.log1p(-eta_p2) + df1 * math.log(n))
