@@ -14,7 +14,9 @@ reads back to the same double, so csv and json show the same digits; None
 is an empty cell.  A non-finite value is ``inf`` in plain and csv output and
 ``null`` in json.  Results and density files are not this output: they keep
 17 significant digits.  Exit codes: 0 success, 1 domain or runtime error,
-2 usage error.
+2 usage error.  A number flag only reads an int or a float, so text that
+is not one is a usage error; the package rule of the flag's field refuses
+a value out of range, a domain error.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bf.add_argument("stat", nargs="?", help='statistic text, e.g. "F(1,17)=2.584"')
     p_bf.add_argument("--f", type=float, help="F statistic (needs --df1, --df2, --n)")
     p_bf.add_argument("--t", type=float, help="t statistic (needs --df2, --n)")
-    p_bf.add_argument("--df1", type=_positive_int, help="numerator degrees of freedom")
-    p_bf.add_argument("--df2", type=_positive_int, help="denominator degrees of freedom")
-    p_bf.add_argument("--n", type=_positive_int, help="number of observations")
+    p_bf.add_argument("--df1", type=int, help="numerator degrees of freedom")
+    p_bf.add_argument("--df2", type=int, help="denominator degrees of freedom")
+    p_bf.add_argument("--n", type=int, help="number of observations")
     p_bf.add_argument("--direction", choices=("01", "10"), default="01",
                       help="report BF01 (default) or BF10")
     _add_format_flag(p_bf)
@@ -93,19 +95,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_parse = sub.add_parser("parse", help="parse reported-statistic text")
     p_parse.add_argument("stat", help='statistic text, e.g. "t(71)=2.0, n=73"')
-    p_parse.add_argument("--n", type=_positive_int, help="sample size override")
+    p_parse.add_argument("--n", type=int, help="sample size override")
     _add_format_flag(p_parse)
     p_parse.set_defaults(func=cmd_parse)
 
     p_sim = sub.add_parser("simulate", help="run the simulation study")
     p_sim.add_argument("--config", help="config file; flags override its values")
-    p_sim.add_argument("--cell-n", type=_positive_int, help="observations per cell")
-    p_sim.add_argument("--g", type=_nonnegative_float, help="effect variance")
-    p_sim.add_argument("--trials", type=_positive_int, help="number of trials")
-    p_sim.add_argument("--seed", type=_nonnegative_int, help="data-generating seed")
-    p_sim.add_argument("--a-levels", type=_positive_int, help="levels of factor A (default 2)")
-    p_sim.add_argument("--b-levels", type=_positive_int, help="levels of factor B (default 3)")
-    p_sim.add_argument("--prior-scale", type=_positive_float,
+    p_sim.add_argument("--cell-n", type=int, help="observations per cell")
+    p_sim.add_argument("--g", type=float, help="effect variance")
+    p_sim.add_argument("--trials", type=int, help="number of trials")
+    p_sim.add_argument("--seed", type=int, help="data-generating seed")
+    p_sim.add_argument("--a-levels", type=int, help="levels of factor A (default 2)")
+    p_sim.add_argument("--b-levels", type=int, help="levels of factor B (default 3)")
+    p_sim.add_argument("--prior-scale", type=float,
                        help="g-prior scale r (default sqrt(2)/2)")
     p_sim.add_argument("--out", required=True, help="results file to write")
     p_sim.set_defaults(func=cmd_simulate)
@@ -117,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--density", action="store_true",
                        help="write kernel density series (needs --out)")
     p_rep.add_argument("--out", help="output path for --density")
-    p_rep.add_argument("--bandwidth", type=_positive_float,
+    p_rep.add_argument("--bandwidth", type=float,
                        help="kernel bandwidth (default: Silverman's rule)")
     _add_format_flag(p_rep)
     p_rep.set_defaults(func=cmd_report)
@@ -128,29 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default=None,
                         help=f"output format (default: ${FORMAT_ENV_VAR} or plain)")
-
-
-def _number(kind: type, positive: bool):
-    """An argparse type: an int or float above zero, or at least zero."""
-    article, noun = ("an", "integer") if kind is int else ("a", "number")
-    bound = "positive" if positive else "nonnegative"
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {article} {noun}, got {text!r}")
-        if not (value > 0 if positive else value >= 0):
-            raise argparse.ArgumentTypeError(f"expected a {bound} {noun}, got {text}")
-        return value
-
-    return parse
-
-
-_positive_int = _number(int, positive=True)
-_nonnegative_int = _number(int, positive=False)
-_positive_float = _number(float, positive=True)
-_nonnegative_float = _number(float, positive=False)
 
 
 def _resolve_format(args) -> str:
@@ -240,12 +219,11 @@ def cmd_simulate(args) -> int:
         base = read_config(args.config)
         config = replace(base, **settings, oracle=replace(base.oracle, **oracle_settings))
     else:
-        oracle = GPriorSpec(**oracle_settings)  # a bad value outranks a missing flag
         for f in fields(SimulationConfig):
             if f.default is MISSING and f.name not in settings:
                 flag = "--" + f.name.replace("_", "-")
                 raise _UsageError(f"missing {flag} (give the flag or a --config file)")
-        config = SimulationConfig(**settings, oracle=oracle)
+        config = SimulationConfig(**settings, oracle=GPriorSpec(**oracle_settings))
 
     from .simulate import run_simulation, write_records
 
@@ -268,13 +246,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .simulate import emit_density_data, read_records, summarize, write_density_data
+    from .simulate import (_bandwidth, emit_density_data, read_records, summarize,
+                           write_density_data)
 
     if args.density and not args.out:
         raise _UsageError("--density needs --out")
     if not args.density and (args.out is not None or args.bandwidth is not None):
         raise _UsageError("--out and --bandwidth need --density")
     fmt = _resolve_format(args)
+    if args.bandwidth is not None:
+        _bandwidth(args.bandwidth)  # refused before the results file is read
     records = read_records(args.results)
 
     wrote_density = False

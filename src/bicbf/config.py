@@ -42,7 +42,7 @@ class GPriorSpec:
     1e-200, r^2/2 underflows to 0.
 
     ``mc_samples`` and ``seed`` are ignored by the deterministic oracle;
-    they are removed with the benchmark change of ROADMAP item 1.  Until
+    they are removed with the benchmark change of ROADMAP item 23.  Until
     then they keep their old bounds, and must be integers (numpy integers
     too, a bool not), kept as ints, so that every spec writes back a config
     file ``read_config`` reads.

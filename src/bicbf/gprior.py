@@ -218,7 +218,7 @@ class GPriorBayesFactor(BayesFactorValue):
 
     ``standard_error`` is always exactly 0.0: the quadrature is
     deterministic.  The field is ignored by the deterministic oracle and
-    removed with the benchmark change of ROADMAP item 1.
+    removed with the benchmark change of ROADMAP item 23.
     """
 
     __slots__ = ("standard_error",)
@@ -244,7 +244,7 @@ def default_bf10(
 
     A deterministic function of the data, the effect and ``spec.scale``.
     ``stream_index`` is ignored by the deterministic oracle; it is removed
-    with the benchmark change of ROADMAP item 1.  Raises
+    with the benchmark change of ROADMAP item 23.  Raises
     DegenerateDataError for a constant response; when the numerator model
     fits the data exactly (zero residual sum of squares), where its
     marginal likelihood diverges; and when that residual is below about
@@ -506,7 +506,7 @@ class _Lattice:
         log_node = log_w + 0.5 * self.df * np.log(shrink)
         tau = np.exp(log_tau)
         out = np.empty(log_tau.size)
-        for n in np.unique(count):
+        for n in sorted(set(count.tolist())):
             which = np.flatnonzero(count == n)
             for part in np.array_split(which, -(-which.size * n // _NODE_VALUES)):
                 x = np.multiply(tau[part, None], shrink[:n])

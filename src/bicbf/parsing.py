@@ -88,7 +88,8 @@ def parse_stat(text: str, n: int | None = None) -> ParsedReport:
 
     Raises ParseError (with the character position) for text outside the
     grammar and DomainError for values outside the statistic's domain, e.g.
-    a negative F.  A report without a sample size parses fine but carries a
+    a negative F, or for an ``n`` that ``SummaryStat`` refuses as a count.
+    A report without a sample size parses fine but carries a
     warning; it cannot feed a Bayes factor until n is supplied.
     """
     cur = _Cursor(text)
@@ -139,15 +140,11 @@ def parse_stat(text: str, n: int | None = None) -> ParsedReport:
     if cur.pos < len(text):
         raise ParseError("unexpected trailing text", cur.pos)
 
-    n_final = n_text
-    if n is not None:
-        if n_text is not None and n_text != int(n):
-            warnings.append(f"n={n} argument overrides n={n_text} from text")
-        n_final = int(n)
-    if n_final is None:
+    stat = SummaryStat(kind, statistic, df1, df2, n_text if n is None else n, p_reported)
+    if n is not None and n_text is not None and n_text != stat.n:
+        warnings.append(f"n={stat.n} argument overrides n={n_text} from text")
+    if stat.n is None:
         warnings.append("no sample size given: supply n before computing a Bayes factor")
-
-    stat = SummaryStat(kind, statistic, df1, df2, n_final, p_reported)
     return ParsedReport(stat, text, tuple(warnings))
 
 

@@ -164,7 +164,7 @@ def _label_words(seed: int, labels: Sequence[str], indices) -> np.ndarray:
         row[:, len(prefix) + 1] = high  # zero for a one-word index
     lengths = np.array([len(p) + 1 for p in prefixes])[:, None] + (high > 0)
     out = np.empty((len(labels), indices.size, 4), dtype=np.uint64)
-    for length in np.unique(lengths):
+    for length in sorted(set(lengths.ravel().tolist())):
         rows = lengths == length
         out[rows] = _state(entropy[rows][:, : max(length, _POOL)])
     return out

@@ -499,6 +499,14 @@ def _kernel_sums(x: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
     return sums
 
 
+def _bandwidth(bandwidth) -> float:
+    """``bandwidth`` as a float: a positive real number (``_real``); else a DomainError."""
+    bandwidth = _real("bandwidth", bandwidth)
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise DomainError(f"bandwidth must be positive, got {bandwidth}")
+    return bandwidth
+
+
 def emit_density_data(
     records: RecordTable, bandwidth: float | None = None
 ) -> list[DensitySeries]:
@@ -523,9 +531,7 @@ def emit_density_data(
     if not len(records):
         raise DomainError("no records for density estimation")
     if bandwidth is not None:
-        bandwidth = _real("bandwidth", bandwidth)
-        if not (math.isfinite(bandwidth) and bandwidth > 0):
-            raise DomainError(f"bandwidth must be positive, got {bandwidth}")
+        bandwidth = _bandwidth(bandwidth)
     series = []
     for effect, bic, default in records._effect_columns():
         for bf_type, array in (("bic", bic), ("default", default)):
@@ -589,13 +595,15 @@ def read_records(path: str | Path) -> RecordTable:
     by the record rules of ``_first_fault``, decisions included.  The first
     bad row's error is its first fault in the order its fields are read and
     checked (``_leading_rows``).  A row whose (trial,
-    effect) an earlier row has is named with that row's line.  A problem of
-    the file itself (text that is not UTF-8, a field over the csv module's
-    size limit) is reported when no row read before it is bad.
+    effect) an earlier row has is named with that row's line.  A row is
+    named by the line it starts on, also after a quoted field that holds a
+    newline.  A problem of the file itself (text that is not UTF-8, a field
+    over the csv module's size limit) is reported when no row read before
+    it is bad.
     """
     path = Path(path)
     failures: list[Exception] = []
-    tables, linenos, bad = [], [], None
+    tables, ordinals, bad = [], [], None
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         rows = _rows_until_failure(reader, failures)
@@ -604,14 +612,14 @@ def read_records(path: str | Path) -> RecordTable:
             if failures:
                 raise _file_error(path, failures[0], reader)
             raise DomainError(f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}")
-        lineno = 2  # of the chunk's first row; a blank row counts only here
+        first = 2  # the csv row number of the chunk's first row; a blank row counts only here
         while chunk := list(islice(rows, _READ_ROWS)):
-            numbers = lineno + np.flatnonzero(np.fromiter(map(bool, chunk), bool, len(chunk)))
-            lineno += len(chunk)
+            numbers = first + np.flatnonzero(np.fromiter(map(bool, chunk), bool, len(chunk)))
+            first += len(chunk)
             chunk = list(filter(None, chunk))
             table, fault = _leading_rows(chunk)
             tables.append(table)
-            linenos.append(numbers[: len(table)])
+            ordinals.append(numbers[: len(table)])
             if fault is not None:
                 bad = fault, numbers[len(table)]
                 break
@@ -619,15 +627,30 @@ def read_records(path: str | Path) -> RecordTable:
     repeat = _first_repeat(table)
     if repeat is not None:
         row, earlier = repeat
-        linenos = np.concatenate(linenos)
-        raise DomainError(f"{path}:{linenos[row]}: trial {table.trial[row]}, effect "
-                          f"{EFFECTS[table.effect[row]]} repeats line {linenos[earlier]}")
+        ordinals = np.concatenate(ordinals)
+        line, earlier_line = _start_lines(path, ordinals[row], ordinals[earlier])
+        raise DomainError(f"{path}:{line}: trial {table.trial[row]}, effect "
+                          f"{EFFECTS[table.effect[row]]} repeats line {earlier_line}")
     if bad is not None:
-        fault, lineno = bad
-        raise DomainError(f"{path}:{lineno}: {fault}")
+        fault, ordinal = bad
+        raise DomainError(f"{path}:{_start_lines(path, ordinal)[0]}: {fault}")
     if failures:
         raise _file_error(path, failures[0], reader)
     return table
+
+
+def _start_lines(path: Path, *ordinals: int) -> list[int]:
+    """The line each csv row of ``ordinals`` starts on, the header being row 1.
+
+    A quoted field may hold a newline, so a row may span lines; the file
+    is read again for this, only to name a bad row.
+    """
+    starts = [1]
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        for _ in islice(reader, max(ordinals) - 1):
+            starts.append(reader.line_num + 1)
+    return [starts[ordinal - 1] for ordinal in ordinals]
 
 
 def _rows_until_failure(reader, failures: list[Exception]):

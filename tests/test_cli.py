@@ -265,13 +265,21 @@ class TestSimulate:
         assert code == 0
         assert len(short_run.read_text().splitlines()) == 1 + 6
 
-    def test_zero_trials_rejected_by_argparse(self, capsys, tmp_path):
+    def test_zero_trials_is_a_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--cell-n", "3", "--g", "0.1", "--trials", "0",
             "--seed", "1", "--out", str(tmp_path / "r.csv"),
         )
+        assert code == 1
+        assert err == "error: trials must be at least 1, got 0\n"
+
+    def test_a_missing_flag_is_reported_before_a_bad_value(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--cell-n", "0", "--prior-scale", "0",
+            "--out", str(tmp_path / "r.csv"),
+        )
         assert code == 2
-        assert "positive integer" in err
+        assert err == "usage error: missing --g (give the flag or a --config file)\n"
 
     def test_missing_required_setting(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -465,12 +473,39 @@ class TestReport:
                             r"values out of the double range\n", err), err
         assert not out_path.exists()
 
-    def test_negative_bandwidth_rejected(self, capsys, results_file):
-        code, _, _ = run_cli(
-            capsys, "report", str(results_file), "--density", "--out", "x.csv",
-            "--bandwidth", "-1",
+    def test_negative_bandwidth_is_refused_before_the_results_are_read(self, capsys,
+                                                                       tmp_path):
+        code, _, err = run_cli(
+            capsys, "report", str(tmp_path / "missing.csv"), "--density",
+            "--out", str(tmp_path / "x.csv"), "--bandwidth", "-1",
         )
-        assert code == 2
+        assert code == 1
+        assert err == "error: bandwidth must be positive, got -1.0\n"
+
+
+_BF_F = ("bf", "--f", "2.5", "--df1", "1", "--df2", "17", "--n", "18")
+_BF_T = ("bf", "--t", "2.5", "--df2", "17", "--n", "18")
+_SIMULATE = ("simulate", "--cell-n", "3", "--g", "0.1", "--trials", "2", "--seed", "1",
+             "--a-levels", "2", "--b-levels", "3", "--prior-scale", "0.7", "--out", "r.csv")
+# every number flag: a command that takes it, the flag, a value out of range, its field
+_NUMBER_FLAGS = [
+    (_BF_F, "--f", "-1", "f"),
+    (_BF_T, "--t", "inf", "t"),
+    (_BF_F, "--df1", "0", "df1"),
+    (_BF_T, "--df2", "0", "df2"),
+    (_BF_F, "--n", "1", "n"),
+    (("bf", "F(1,17)=2.5", "--n", "0"), "--n", "0", "n"),
+    (("parse", "F(1,17)=2.5", "--n", "1"), "--n", "1", "n"),
+    (_SIMULATE, "--cell-n", "1", "cell_n"),
+    (_SIMULATE, "--g", "-0.5", "g"),
+    (_SIMULATE, "--trials", "0", "trials"),
+    (_SIMULATE, "--seed", "-1", "seed"),
+    (_SIMULATE, "--a-levels", "1", "a_levels"),
+    (_SIMULATE, "--b-levels", "0", "b_levels"),
+    (_SIMULATE, "--prior-scale", "0", "scale"),
+    (("report", "r.csv", "--density", "--out", "d.csv", "--bandwidth", "0"),
+     "--bandwidth", "0", "bandwidth"),
+]
 
 
 class TestTopLevel:
@@ -499,20 +534,24 @@ class TestTopLevel:
             value = math.sqrt(2) / 2 if text == "sqrt(2)/2" else float(text)
             assert value == pytest.approx(want[flag], rel=1e-15), flag
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("simulate", "--trials", "0"), "expected a positive integer, got 0"),
-            (("simulate", "--seed", "-1"), "expected a nonnegative integer, got -1"),
-            (("report", "r.csv", "--bandwidth", "0"), "expected a positive number, got 0"),
-            (("simulate", "--g", "-0.5"), "expected a nonnegative number, got -0.5"),
-            (("bf", "--df1", "x"), "expected an integer, got 'x'"),
-        ],
-    )
-    def test_number_flags_reject_bad_values(self, capsys, argv, message):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert f"argument {argv[-2]}: {message}" in err
+    @pytest.mark.parametrize("argv, flag, value, field", _NUMBER_FLAGS,
+                             ids=[f"{a[0]}{flag}={value}" for a, flag, value, _ in _NUMBER_FLAGS])
+    def test_a_number_flag_out_of_range_is_one_domain_error(self, capsys, monkeypatch,
+                                                            tmp_path, argv, flag, value, field):
+        # the flag only reads a number; the package rule of its field refuses the range
+        monkeypatch.chdir(tmp_path)
+        at = argv.index(flag) + 1
+
+        def given(text):
+            return run_cli(capsys, *argv[:at], text, *argv[at + 1:])
+
+        code, out, err = given(value)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1, err
+        code, out, err = given("x")
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: invalid " in err
+        assert list(tmp_path.iterdir()) == []  # no results file, no density file
 
     @pytest.mark.parametrize("argv, where",
                              [(["report"], ":1"), (["simulate", "--out", "o.csv", "--config"], "")],
@@ -651,6 +690,7 @@ out = Path(sys.argv[1])
 for argv in (["--g", "0.1", "--trials", "2", "--seed", "1"],
              ["--cell-n", "3", "--g", "0.2", "--trials", "3", "--seed", "1",
               "--prior-scale", "1e200"],
+             ["--cell-n", "0", "--g", "0.2", "--trials", "3", "--seed", "1"],
              ["--config", str(out / "bad.txt")]):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -670,6 +710,7 @@ def test_simulate_refuses_a_bad_config_before_it_loads_numpy(tmp_path):
     assert [ast.literal_eval(line) for line in out.splitlines()] == [
         (2, "usage error: missing --cell-n (give the flag or a --config file)\n", []),
         (1, "error: scale must lie in [1e-100, 1e+100], got 1e+200\n", []),
+        (1, "error: cell_n must be at least 2, got 0\n", []),
         (1, "error: OUT/bad.txt:5: unknown key 'bogus'\n", []),
     ]
     assert not (tmp_path / "r.csv").exists()

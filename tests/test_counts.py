@@ -27,6 +27,7 @@ from bicbf import (
     default_bf10,
     delta_bic_10,
     fit_two_way,
+    parse_stat,
 )
 from conftest import random_dataset
 
@@ -42,6 +43,7 @@ SITES = {
                     {"df1": 1, "df2": 17, "n": 18}, {"df1": 1, "df2": 1, "n": 2}),
     "bf01_from_t": (lambda c: bf01_from_t(2.0, c["df2"], c["n"]),
                     {"df2": 17, "n": 18}, {"df2": 1, "n": 2}),
+    "parse_stat": (lambda c: parse_stat("F(1,17)=2.5", n=c["n"]), {"n": 18}, {"n": 2}),
     "delta_bic_10": (lambda c: delta_bic_10(1.0, 2.0, c["n"], c["dk"]),
                      {"n": 20, "dk": 1}, {"n": 2, "dk": 1}),
     "bf01_from_partial_eta_sq": (lambda c: bf01_from_partial_eta_sq(0.1, c["n"], c["df1"]),
@@ -67,7 +69,8 @@ def _cases():
     for site, (_, _, least) in SITES.items():
         for field, low in least.items():
             values = dict(_BAD, below=low - 1)
-            if field == "n" and site.startswith(("SummaryStat", "bf01_from_f", "bf01_from_t")):
+            if field == "n" and site.startswith(("SummaryStat", "bf01_from_f", "bf01_from_t",
+                                                     "parse_stat")):
                 del values["None"]  # an unstated n: bf01_from_stat asks for it
             for label, value in values.items():
                 yield pytest.param(site, field, value, id=f"{site}-{field}-{label}")

@@ -811,6 +811,23 @@ class TestLattice:
                                        capture_output=True, text=True).stdout.split()
         assert after == before
 
+    def test_a_study_and_its_results_file_load_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma under numpy 2.4; the study keys and nodes avoid it
+        probe = (
+            "import sys\n"
+            "import numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from bicbf import SimulationConfig, run_simulation, write_records\n"
+            "records = run_simulation(SimulationConfig(cell_n=3, g=0.2, trials=4, seed=1))\n"
+            "write_records(records, sys.argv[1])\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        before, after = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "r.csv")],
+                                       env=env, check=True, capture_output=True,
+                                       text=True).stdout.split()
+        assert after == before
+
     @given(random_tables())
     def test_the_cache_stays_within_its_bound(self, table):
         for effect in EFFECTS:

@@ -1,5 +1,6 @@
 """Reported-statistic parser: grammar coverage, positions, round trips."""
 
+import numpy as np
 import pytest
 
 from bicbf import DomainError, ParseError, parse_stat, render_stat
@@ -57,6 +58,12 @@ class TestGrammar:
         report = parse_stat("F(1,10)=2.5, n=12", n=12)
         assert report.stat.n == 12
         assert report.warnings == ()
+
+    def test_the_override_warning_compares_the_checked_n(self):
+        assert parse_stat("F(1,10)=2.5, n=12", n=np.int64(12)).warnings == ()
+        report = parse_stat("F(1,10)=2.5, n=12", n=np.int64(11))
+        assert type(report.stat.n) is int
+        assert report.warnings == ("n=11 argument overrides n=12 from text",)
 
     def test_missing_n_warns_and_leaves_none(self):
         report = parse_stat("t(5)=1.0")

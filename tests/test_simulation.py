@@ -1035,6 +1035,27 @@ class TestReadRecordsErrors:
             read_records(path)
         assert str(info.value) == f"{path}:12: trial 1, effect B repeats line 6"
 
+    @pytest.mark.parametrize("fault", ["row", "repeat"])
+    def test_a_row_after_one_that_spans_lines_is_named_by_its_first_line(self, tmp_path,
+                                                                          fault):
+        # int() reads the quoted trial "0\n", so the good row of trial 0, effect A
+        # takes lines 2-3 and every later row starts a line further down
+        path = tmp_path / "results.csv"
+        table = table_of([(t, e, 0.5 * t - 1, 1.0 - t) for t in range(2) for e in EFFECTS])
+        write_records(table, path)
+        lines = path.read_text().splitlines()
+        lines[1] = '"0\n"' + lines[1][1:]
+        if fault == "row":
+            lines[5] = lines[5].replace(",B,", ",Q,")  # trial 1, effect B: line 7
+            want = f"{path}:7: effect must be one of ('A', 'B', 'AB'), got 'Q'"
+        else:
+            lines.append(lines[2])  # trial 0, effect B again: line 9 repeats line 4
+            want = f"{path}:9: trial 0, effect B repeats line 4"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError) as info:
+            read_records(path)
+        assert str(info.value) == want
+
     def test_a_repeated_key_deep_in_a_large_file_is_named(self, big_lines, tmp_path):
         # the same (trial, effect) with other values, after a fault-free stretch
         path = tmp_path / "results.csv"
