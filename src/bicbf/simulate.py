@@ -26,8 +26,10 @@ the one-trial block.
 The records stay columns from the block to the report: ``run_simulation``
 and ``read_records`` return one ``RecordTable``, which checks the record
 rules in array passes when it is built, and which the writer, the
-summaries and the densities read column by column.  A ``SimulationRecord``
-row, of Python values, is built only when a table is iterated.
+summaries and the densities read column by column.  The reader checks
+each row's text as it reads it, in one pass over the file, so a results
+file may come through a pipe.  A ``SimulationRecord`` row, of Python
+values, is built only when a table is iterated.
 
 The study's config, ``SimulationConfig``, and its file format,
 ``write_config`` and ``read_config``, live in ``bicbf.config``, which loads
@@ -54,7 +56,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -114,7 +115,7 @@ def _decisions(log_bf10: np.ndarray) -> np.ndarray:
     return np.where(log_bf10 > 0, "H1", "H0")
 
 
-def _trial_column(trials: list) -> np.ndarray:
+def _trial_column(trials: Sequence[int]) -> np.ndarray:
     """Trial numbers as int64, or as Python ints where one does not fit."""
     try:
         return np.array(trials, dtype=np.int64)
@@ -124,7 +125,6 @@ def _trial_column(trials: list) -> np.ndarray:
 
 _EFFECT_CODES = {effect: code for code, effect in enumerate(EFFECTS)}
 _EFFECT_NAMES = np.array(EFFECTS, dtype=object)
-_DECISION_CODES = {"H0": 0, "H1": 1}  # a decision's code is its log BF10 > 0
 # The numpy kinds of the columns: integer trials (or an object column of
 # Python ints) and effect codes, and real log BFs
 _COLUMN_KINDS = ("iuO", "iu", "iuf", "iuf")
@@ -142,7 +142,8 @@ class RecordTable:
     checks them in array passes: integer trials and effect codes and real
     log BFs, then the record rules of ``_first_fault``.  A ``DomainError``
     names the first row that breaks one.  An empty column may be of any
-    kind.
+    kind.  ``read_records`` checks each row's text by the same rules and
+    its decisions (``_record``), and builds one table of the file.
 
     A table has a length, takes slices (a slice is a table), joins others
     by ``concat``, compares equal to a table of equal columns, and iterates
@@ -238,22 +239,20 @@ def _first_of_other_kind(column: np.ndarray, kinds: str) -> int | None:
     return None
 
 
-def _first_fault(trial: np.ndarray, effect: np.ndarray, bic: np.ndarray, default: np.ndarray,
-                 fields: list[Sequence[str]] | None = None) -> tuple[int, str] | None:
+def _first_fault(trial: np.ndarray, effect: np.ndarray, bic: np.ndarray,
+                 default: np.ndarray) -> tuple[int, str] | None:
     """The first row that breaks a record rule and the rule's message, or None.
 
     The rules, in the order a row is checked: a nonnegative trial, an
-    effect code that indexes ``EFFECTS``, then for each route a finite log
-    BF10 and, where the reader gives the rows' text ``fields``, a decision
-    that is the one ``decide`` takes.  The columns are numpy arrays of one
-    length; a message shows the reader's text where it has one.
+    effect code that indexes ``EFFECTS``, then a finite log BF10 of each
+    route.  The columns are numpy arrays of one length.
     """
     rules = [(trial < 0, lambda row: f"trial must be nonnegative, got {trial[row]}"),
              ((effect < 0) | (effect >= len(EFFECTS)),
-              lambda row: f"effect must index {EFFECTS}, got {effect[row]}" if fields is None
-              else f"effect must be one of {EFFECTS}, got {fields[1][row]!r}"),
-             *_route_rules("bic", bic, fields and fields[4]),
-             *_route_rules("default", default, fields and fields[5])]
+              lambda row: f"effect must index {EFFECTS}, got {effect[row]}"),
+             (~np.isfinite(bic), lambda row: f"log_bf10_bic must be finite, got {bic[row]}"),
+             (~np.isfinite(default),
+              lambda row: f"log_bf10_default must be finite, got {default[row]}")]
     firsts = [_first(bad) for bad, _ in rules]
     row = min(firsts)
     if row == len(trial):
@@ -261,14 +260,10 @@ def _first_fault(trial: np.ndarray, effect: np.ndarray, bic: np.ndarray, default
     return row, rules[firsts.index(row)][1](row)
 
 
-def _route_rules(label: str, log_bf: np.ndarray, decisions: Sequence[str] | None):
-    """The rules of one route, (rows that break it, message of a row), in order."""
-    yield ~np.isfinite(log_bf), lambda row: f"log_bf10_{label} must be finite, got {log_bf[row]}"
-    if decisions is not None:
-        decisions = decisions[: len(log_bf)]
-        yield (_codes(_DECISION_CODES, decisions) != (log_bf > 0),
-               lambda row: f"decision_{label}={decisions[row]!r} contradicts "
-                           f"log_bf10_{label}={log_bf[row]}")
+def _first(bad: np.ndarray) -> int:
+    """The index of the first true value, or the length when there is none."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else bad.size
 
 
 def generate_dataset(config: SimulationConfig, trial: int) -> FactorialDataset:
@@ -500,9 +495,12 @@ def _kernel_sums(x: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _bandwidth(bandwidth) -> float:
-    """``bandwidth`` as a float: a positive real number (``_real``); else a DomainError."""
+    """``bandwidth`` as a float: a finite positive real number (``_real``); else a
+    DomainError."""
     bandwidth = _real("bandwidth", bandwidth)
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
+    if not math.isfinite(bandwidth):
+        raise DomainError(f"bandwidth must be finite, got {bandwidth}")
+    if bandwidth <= 0:
         raise DomainError(f"bandwidth must be positive, got {bandwidth}")
     return bandwidth
 
@@ -585,80 +583,95 @@ def write_records(records: RecordTable, path: str | Path) -> None:
             handle.write((_RESULTS_ROW * len(part)) % tuple(fields.ravel().tolist()))
 
 
-_READ_ROWS = 2**14  # rows parsed at once, which bound the reader's memory
+_READ_ROWS = 2**14  # rows held as Python values at once, which bound the reader's memory
 
 
 def read_records(path: str | Path) -> RecordTable:
     """Read a results file back; the first malformed or repeated row is named on error.
 
-    The rows are parsed and checked in arrays, ``_READ_ROWS`` at a time,
-    by the record rules of ``_first_fault``, decisions included.  The first
-    bad row's error is its first fault in the order its fields are read and
-    checked (``_leading_rows``).  A row whose (trial,
-    effect) an earlier row has is named with that row's line.  A row is
-    named by the line it starts on, also after a quoted field that holds a
-    newline.  A problem of the file itself (text that is not UTF-8, a field
-    over the csv module's size limit) is reported when no row read before
-    it is bad.
+    The file is read once, row by row.  Each row that is not blank is read
+    and checked by ``_record``, and the rows are kept as columns,
+    ``_READ_ROWS`` at a time, with the line each starts on: the line after
+    the one the previous row ended on, so also after a quoted field that
+    holds a newline.  A pipe reads as a file does, but for text that is
+    not UTF-8: ``_file_error`` reads the file again to name its line, and
+    a pipe has no line to give.  Reading stops at the first bad row, and
+    the rows before it make one table, which checks its record rules
+    once.  A row whose (trial, effect) an earlier row has is named with
+    that row's line.  Of a repeat, a bad row and a problem of the file
+    itself (text that is not UTF-8, a field over the csv module's size
+    limit), the error is the first in the file.
     """
     path = Path(path)
-    failures: list[Exception] = []
-    tables, ordinals, bad = [], [], None
+    chunks, rows, starts, fault, failure = [], [], [], None, None
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
-        rows = _rows_until_failure(reader, failures)
-        header = next(rows, None)
-        if header is None or tuple(col.strip() for col in header) != RESULTS_HEADER:
-            if failures:
-                raise _file_error(path, failures[0], reader)
-            raise DomainError(f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}")
-        first = 2  # the csv row number of the chunk's first row; a blank row counts only here
-        while chunk := list(islice(rows, _READ_ROWS)):
-            numbers = first + np.flatnonzero(np.fromiter(map(bool, chunk), bool, len(chunk)))
-            first += len(chunk)
-            chunk = list(filter(None, chunk))
-            table, fault = _leading_rows(chunk)
-            tables.append(table)
-            ordinals.append(numbers[: len(table)])
-            if fault is not None:
-                bad = fault, numbers[len(table)]
-                break
-    table = RecordTable.concat(tables)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(col.strip() for col in header) != RESULTS_HEADER:
+                raise DomainError(f"{path}: expected header {','.join(RESULTS_HEADER)}, "
+                                  f"got {header}")
+            start = reader.line_num + 1
+            for fields in reader:
+                if fields:
+                    try:
+                        rows.append(_record(fields))
+                    except ValueError as exc:
+                        fault = f"{path}:{start}: {exc}"
+                        break
+                    starts.append(start)
+                    if len(rows) == _READ_ROWS:
+                        chunks.append(_columns(rows, starts))
+                        rows, starts = [], []
+                start = reader.line_num + 1
+        except (UnicodeDecodeError, csv.Error) as exc:  # e.g. a field over the size limit
+            failure = exc
+    chunks.append(_columns(rows, starts))
+    *columns, starts = (np.concatenate(column) for column in zip(*chunks))
+    table = RecordTable(*columns)
     repeat = _first_repeat(table)
     if repeat is not None:
         row, earlier = repeat
-        ordinals = np.concatenate(ordinals)
-        line, earlier_line = _start_lines(path, ordinals[row], ordinals[earlier])
-        raise DomainError(f"{path}:{line}: trial {table.trial[row]}, effect "
-                          f"{EFFECTS[table.effect[row]]} repeats line {earlier_line}")
-    if bad is not None:
-        fault, ordinal = bad
-        raise DomainError(f"{path}:{_start_lines(path, ordinal)[0]}: {fault}")
-    if failures:
-        raise _file_error(path, failures[0], reader)
+        raise DomainError(f"{path}:{starts[row]}: trial {table.trial[row]}, effect "
+                          f"{EFFECTS[table.effect[row]]} repeats line {starts[earlier]}")
+    if fault is not None:
+        raise DomainError(fault)
+    if failure is not None:
+        raise _file_error(path, failure, reader)
     return table
 
 
-def _start_lines(path: Path, *ordinals: int) -> list[int]:
-    """The line each csv row of ``ordinals`` starts on, the header being row 1.
+def _record(fields: list[str]) -> tuple[int, int, float, float]:
+    """A results row's trial, effect code and two log BF10s; else a ValueError
+    naming its first fault.
 
-    A quoted field may hold a newline, so a row may span lines; the file
-    is read again for this, only to name a bad row.
+    The row is read and checked in this order: its number of fields, the
+    trial as an int, the log BFs as floats, a nonnegative trial, an effect
+    of ``EFFECTS``, then for each route a finite log BF10 and the decision
+    ``decide`` takes of it.
     """
-    starts = [1]
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        for _ in islice(reader, max(ordinals) - 1):
-            starts.append(reader.line_num + 1)
-    return [starts[ordinal - 1] for ordinal in ordinals]
+    if len(fields) != len(RESULTS_HEADER):
+        raise ValueError(f"expected {len(RESULTS_HEADER)} fields, got {len(fields)}")
+    trial, bic, default = int(fields[0]), float(fields[2]), float(fields[3])
+    if trial < 0:
+        raise ValueError(f"trial must be nonnegative, got {trial}")
+    effect = _EFFECT_CODES.get(fields[1])
+    if effect is None:
+        raise ValueError(f"effect must be one of {EFFECTS}, got {fields[1]!r}")
+    for label, log_bf, decision in (("bic", bic, fields[4]), ("default", default, fields[5])):
+        if not math.isfinite(log_bf):
+            raise ValueError(f"log_bf10_{label} must be finite, got {log_bf}")
+        if decision != decide(log_bf):
+            raise ValueError(f"decision_{label}={decision!r} contradicts "
+                             f"log_bf10_{label}={log_bf}")
+    return trial, effect, bic, default
 
 
-def _rows_until_failure(reader, failures: list[Exception]):
-    """The reader's rows up to a problem of the file itself, which goes to ``failures``."""
-    try:
-        yield from reader
-    except (UnicodeDecodeError, csv.Error) as exc:  # e.g. a field over the size limit
-        failures.append(exc)
+def _columns(rows: list[tuple], starts: list[int]) -> tuple[np.ndarray, ...]:
+    """The columns of ``_record`` rows, then their start lines."""
+    trial, effect, bic, default = zip(*rows) if rows else ((),) * 4
+    return (_trial_column(trial), np.array(effect, np.int8), np.array(bic, np.float64),
+            np.array(default, np.float64), np.array(starts, np.int64))
 
 
 def _file_error(path: Path, exc: Exception, reader) -> DomainError:
@@ -677,57 +690,6 @@ def _file_error(path: Path, exc: Exception, reader) -> DomainError:
     error = DomainError(f"{path}{where}: {what}")
     error.__cause__ = exc
     return error
-
-
-def _converted(kind: Callable[[str], object], fields: Sequence[str]) -> tuple[list, str | None]:
-    """``kind`` of each field up to the first it cannot convert, and that one's error."""
-    try:
-        return list(map(kind, fields)), None
-    except ValueError:
-        values = []
-        for text in fields:
-            try:
-                values.append(kind(text))
-            except ValueError as exc:
-                return values, str(exc)
-        raise
-
-
-def _codes(mapping: dict[str, int], fields: Sequence[str]) -> np.ndarray:
-    """The code of each field, -1 for a field that has none."""
-    return np.fromiter(map(mapping.get, fields, repeat(-1)), np.int8, len(fields))
-
-
-def _first(bad: np.ndarray) -> int:
-    """The index of the first true value, or the length when there is none."""
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else bad.size
-
-
-def _leading_rows(rows: list[list[str]]) -> tuple[RecordTable, str | None]:
-    """The rows before the first bad one, as a table, and that row's fault.
-
-    Each check runs over a column of the rows before the first fault so
-    far, in the order a row's fields are read and checked: the number of
-    fields, the trial, the log BFs as numbers, then the record rules; so
-    the fault is the first of the first bad row.
-    """
-    good = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != len(RESULTS_HEADER))
-    fault = f"expected 6 fields, got {len(rows[good])}" if good < len(rows) else None
-    fields = list(zip(*rows[:good])) or [()] * len(RESULTS_HEADER)
-    numbers = []
-    for kind, index in ((int, 0), (float, 2), (float, 3)):
-        values, error = _converted(kind, fields[index][:good])
-        if error is not None:
-            good, fault = len(values), error
-        numbers.append(values)
-    trial, bic, default = (_trial_column(numbers[0][:good]), np.array(numbers[1][:good]),
-                           np.array(numbers[2][:good]))
-    effect = _codes(_EFFECT_CODES, fields[1][:good])
-    rule = _first_fault(trial, effect, bic, default, fields)
-    if rule is not None:
-        good, fault = rule
-    return RecordTable(trial[:good], effect[:good], bic[:good], default[:good]), fault
 
 
 def _first_repeat(table: RecordTable) -> tuple[int, int] | None:

@@ -413,6 +413,22 @@ class TestReport:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith(f"error: {path}:2: field larger than field limit")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("fault", ["row", "repeat"])
+    def test_a_fault_in_a_piped_results_file_is_one_error_line(self, results_file, fault):
+        lines = results_file.read_bytes().decode().split("\r\n")
+        if fault == "row":
+            lines[2] = lines[2].replace(",B,", ",Q,")
+            want = "error: /dev/stdin:3: effect must be one of ('A', 'B', 'AB'), got 'Q'\n"
+        else:
+            lines[3] = lines[1]
+            want = "error: /dev/stdin:4: trial 0, effect A repeats line 2\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "bicbf.cli", "report", "/dev/stdin"],
+                              input="\r\n".join(lines).encode(), env=env,
+                              capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", want)
+
     def test_density_output(self, capsys, results_file, tmp_path):
         out_path = tmp_path / "density.csv"
         code, _, err = run_cli(
@@ -481,6 +497,17 @@ class TestReport:
         )
         assert code == 1
         assert err == "error: bandwidth must be positive, got -1.0\n"
+
+    @pytest.mark.parametrize("bandwidth", ["inf", "-inf", "nan"])
+    def test_a_bandwidth_that_is_not_finite_is_refused_before_the_results_are_read(
+            self, capsys, tmp_path, bandwidth):
+        code, out, err = run_cli(
+            capsys, "report", str(tmp_path / "missing.csv"), "--density",
+            "--out", str(tmp_path / "x.csv"), f"--bandwidth={bandwidth}",  # "-inf" is no flag
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: bandwidth must be finite, got {float(bandwidth)}\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 _BF_F = ("bf", "--f", "2.5", "--df1", "1", "--df2", "17", "--n", "18")

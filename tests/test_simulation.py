@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -394,6 +395,15 @@ class TestDensity:
             emit_density_data(records, bandwidth=0.0)
         with pytest.raises(DomainError, match="bandwidth"):
             emit_density_data(records, bandwidth=math.nan)
+
+    @pytest.mark.parametrize("bandwidth, fault", [
+        (math.inf, "finite"), (-math.inf, "finite"), (math.nan, "finite"),
+        (0, "positive"), (-1.0, "positive"), (-1e-300, "positive")])
+    def test_a_bandwidth_out_of_range_is_named_by_its_fault(self, bandwidth, fault):
+        table = table_of([(0, "A", 1.0, 1.0), (1, "A", 2.0, 2.0)])
+        with pytest.raises(DomainError) as info:
+            emit_density_data(table, bandwidth=bandwidth)
+        assert str(info.value) == f"bandwidth must be {fault}, got {float(bandwidth)}"
 
     @pytest.mark.parametrize("bandwidth", [1e308, 1e-320], ids=["grid", "density"])
     def test_bandwidth_beyond_the_double_range_is_named(self, bandwidth):
@@ -1074,3 +1084,87 @@ class TestReadRecordsErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {path}:5: trial 0, effect A repeats line 2\n"
+
+
+HEADER = ",".join(bicbf.simulate.RESULTS_HEADER)
+GOOD = ("0,A,1.5,-0.5,H1,H0", "0,B,-2.0,0.25,H0,H1", "0,AB,0.5,0.5,H1,H1")
+OVER_THE_LIMIT = "0,AB,0.5," + "1" * (csv.field_size_limit() + 1) + ",H1,H1"
+# data lines after the header, then the line and the message of the error
+FIRST_FAULTS = {
+    # two faults in one row: the first in the order the row is read and checked
+    "fields+effect": ([GOOD[0], "0,Q,1.5,-0.5,H1"], 3, "expected 6 fields, got 5"),
+    "int+float": ([GOOD[0], "x,A,nope,-0.5,H1,H0"], 3,
+                  "invalid literal for int() with base 10: 'x'"),
+    "float+float": ([GOOD[0], "1,A,a,b,H1,H0"], 3, "could not convert string to float: 'a'"),
+    "negative-trial+effect": ([GOOD[0], "-1,Q,1.5,-0.5,H1,H0"], 3,
+                              "trial must be nonnegative, got -1"),
+    "negative-trial+float": ([GOOD[0], "-1,A,1.5,x,H1,H0"], 3,
+                             "could not convert string to float: 'x'"),
+    "effect+nan": ([GOOD[0], "0,Q,nan,-0.5,H1,H0"], 3,
+                   "effect must be one of ('A', 'B', 'AB'), got 'Q'"),
+    "effect+float": ([GOOD[0], "0,Q,oops,-0.5,H1,H0"], 3,
+                     "could not convert string to float: 'oops'"),
+    "nan-bic+default-decision": ([GOOD[0], "1,A,nan,-0.5,H0,H1"], 3,
+                                 "log_bf10_bic must be finite, got nan"),
+    "bic-decision+nan-default": ([GOOD[0], "1,A,1.5,nan,H0,H0"], 3,
+                                 "decision_bic='H0' contradicts log_bf10_bic=1.5"),
+    # a repeat and a bad row: the first of them in the file
+    "repeat-then-bad-row": ([*GOOD[:2], GOOD[0], "1,Q,1.5,-0.5,H1,H0"], 4,
+                            "trial 0, effect A repeats line 2"),
+    "bad-row-then-repeat": ([*GOOD[:2], "1,Q,1.5,-0.5,H1,H0", GOOD[0]], 4,
+                            "effect must be one of ('A', 'B', 'AB'), got 'Q'"),
+    "bad-row-that-repeats": ([*GOOD[:2], "0,A,1.5,-0.5,H0,H0"], 4,
+                             "decision_bic='H0' contradicts log_bf10_bic=1.5"),
+    # a repeat before a problem of the file itself
+    "repeat-then-oversize": ([*GOOD[:2], GOOD[1], OVER_THE_LIMIT], 4,
+                             "trial 0, effect B repeats line 3"),
+    # blank lines count as lines
+    "blank-lines-then-repeat": ([GOOD[0], "", "", GOOD[1], "", GOOD[1]], 7,
+                                "trial 0, effect B repeats line 5"),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAULTS))
+def test_the_first_fault_of_a_file_is_the_error(tmp_path, case):
+    lines, line, message = FIRST_FAULTS[case]
+    path = tmp_path / "results.csv"
+    path.write_text("\r\n".join([HEADER, *lines]) + "\r\n", newline="")
+    with pytest.raises(DomainError) as info:
+        read_records(path)
+    assert str(info.value) == f"{path}:{line}: {message}"
+
+
+@pytest.fixture
+def piped():
+    """A function that puts a text in a pipe and gives its /dev/fd path,
+    which reads it once."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    ends = []
+
+    def pipe(text):
+        read_end, write_end = os.pipe()
+        ends.append(read_end)
+        with os.fdopen(write_end, "w", newline="") as handle:  # less than the pipe's buffer
+            handle.write(text)
+        return f"/dev/fd/{read_end}"
+
+    yield pipe
+    for end in ends:
+        os.close(end)
+
+
+@pytest.mark.parametrize("case", ["bad-row-then-repeat", "repeat-then-bad-row"])
+def test_a_fault_read_through_a_pipe_is_one_error_naming_its_line(piped, case):
+    lines, line, message = FIRST_FAULTS[case]
+    path = piped("\r\n".join([HEADER, *lines]) + "\r\n")
+    with pytest.raises(DomainError) as info:
+        read_records(path)
+    assert str(info.value) == f"{path}:{line}: {message}"
+
+
+def test_a_good_file_read_through_a_pipe_is_the_file(piped, tmp_path):
+    table = run_simulation(SimulationConfig(cell_n=3, g=0.2, trials=5, seed=4))
+    path = tmp_path / "results.csv"
+    write_records(table, path)
+    assert read_records(piped(path.read_bytes().decode())) == table
