@@ -12,9 +12,10 @@ file per condition.
 
 The full study (three cell sizes, 1000 trials) runs in one process, in
 about 1 s on one core of a 2-vCPU x86-64 host; pass --quick for a
-100-trial smoke run.  The
-nine conditions are independent, so for more cores run them as separate
-`bicbf simulate` calls.
+100-trial smoke run.  In one process the g = 0.05 and 0.2 runs of a cell
+size reuse the g = 0 run's draws, so they draw nothing.  The nine
+conditions are independent, so with more cores they may run as separate
+`bicbf simulate` calls, but each such call draws its own.
 """
 
 from __future__ import annotations

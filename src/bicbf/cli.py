@@ -14,9 +14,10 @@ reads back to the same double, so csv and json show the same digits; None
 is an empty cell.  A non-finite value is ``inf`` in plain and csv output and
 ``null`` in json.  Results and density files are not this output: they keep
 17 significant digits.  Exit codes: 0 success, 1 domain or runtime error,
-2 usage error.  A number flag only reads an int or a float, so text that
-is not one is a usage error; the package rule of the flag's field refuses
-a value out of range, a domain error.
+2 usage error.  A reader that closes the output early (``| head -1``) ends
+the command with 1 and no message.  A number flag only reads an int or a
+float, so text that is not one is a usage error; the package rule of the
+flag's field refuses a value out of range, a domain error.
 """
 
 from __future__ import annotations
@@ -49,7 +50,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits itself: 2 on usage, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early is met here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed the output early: `| head -1`
+        _drop_stdout()
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -60,6 +66,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
+
+
+def _drop_stdout() -> None:
+    """Point standard output at the null device, so what is left in its
+    buffer goes there at exit, not into the closed pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file: nothing is flushed to it
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -23,6 +23,12 @@ its two halves in order, recursively, so the error names its lowest
 failing trial with the message it gives alone.  ``generate_dataset`` is
 the one-trial block.
 
+A block's standard normals do not depend on g, so the process keeps the
+draws of the blocks it used last (``_DRAWS``, at most ``_DRAWS_BYTES``,
+read-only), and a run of another g only scales and adds them: the g =
+0.05 and 0.2 runs of a coupled study draw nothing.  The output is the
+same, bit for bit.
+
 The records stay columns from the block to the report: ``run_simulation``
 and ``read_records`` return one ``RecordTable``, which checks the record
 rules in array passes when it is built, and which the writer, the
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -65,7 +72,7 @@ from .anova import EFFECTS, FactorialDataset, _bic_log_bf10, _fit_block, _term_s
 from .config import SimulationConfig, read_config, write_config  # noqa: F401
 from .errors import BicbfError, DomainError, SimulationError
 from .gprior import _evaluate, _setup
-from .summary import _real
+from .summary import _count, _real
 
 __all__ = [
     "SimulationRecord",
@@ -273,37 +280,111 @@ def generate_dataset(config: SimulationConfig, trial: int) -> FactorialDataset:
 
 
 def _block_data(config: SimulationConfig, trials: Sequence[int]) -> np.ndarray:
-    """The stacked (len(trials), a, b, cell_n) observations of the trials.
+    """The stacked (len(trials), a, b, cell_n) observations of the trials, in a
+    fresh array.
 
-    A trial's effects are one draw of a + b + a*b scaled standard normals
-    (the terms in ``EFFECTS`` order, each term's cells row-major; exactly
-    zero when g = 0) from its "effects" substream, its noise one draw from
-    its "noise" substream.  Both streams of every trial are keyed in one
-    array pass (``bicbf.rng._label_words``), and a trial's two generators
-    are built from its words only for its draws, so a block holds one
-    trial's generators at a time.  Each trial's values are drawn into its
-    own rows and composed elementwise, so a row is bitwise the same in any
-    block.
+    A trial's effects are its a + b + a*b standard normals (``_draws``; the
+    terms in ``EFFECTS`` order, each term's cells row-major) times sqrt(g),
+    so exactly zero when g = 0, and its observations are each cell's sum of
+    its terms plus the trial's noise.  The draws do not depend on g: a
+    block's draws kept from an earlier call of another g (``_DRAWS``) are
+    only rescaled and added, and a block drawn for this call alone is
+    composed in place.  Each trial's values are composed elementwise from
+    its own draws, so a row is bitwise the same in any block and whether
+    its draws were kept or not.
     """
-    # here, at the first draw: reading or writing results loads no engine
-    from .rng import _generator, _label_words
-
     levels = (config.a_levels, config.b_levels)
     shapes = [_term_shape(levels, term) for term in EFFECTS]
     sizes = [math.prod(shape) for shape in shapes]
-    effects = np.empty((len(trials), sum(sizes)))
-    y = np.empty((len(trials), *levels, config.cell_n))
-    words = _label_words(config.seed, ("effects", "noise"), trials)
-    for row, (effects_words, noise_words) in enumerate(zip(*words)):
-        _generator(effects_words).standard_normal(out=effects[row])
-        _generator(noise_words).standard_normal(out=y[row])
-    effects *= math.sqrt(config.g)
+    effects, noise = _draws(config, trials, sum(sizes))
+    own = noise.flags.writeable  # not kept: no later call reads it
+    effects = np.multiply(effects, math.sqrt(config.g), out=effects if own else None)
     terms = np.split(effects, np.cumsum(sizes)[:-1], axis=1)
     cells = reduce(np.add, (term.reshape(-1, *shape, 1) for term, shape in zip(terms, shapes)))
-    return np.add(cells, y, out=y)
+    return np.add(cells, noise, out=noise if own else None)
+
+
+def _draws(config: SimulationConfig, trials: Sequence[int],
+           size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (len(trials), size) standard-normal effects and (len(trials), a, b,
+    cell_n) noise of the trials, read-only where they are kept.
+
+    A trial's effects are one draw from its "effects" substream and its
+    noise one draw from its "noise" substream.  The trials and the seed are
+    checked before the block's key is made: a bad one is the DomainError of
+    ``bicbf.rng._label_words``.  A block of at most ``_BLOCK_VALUES``
+    observations is looked up in ``_DRAWS`` by (seed, levels, cell_n,
+    trials), and kept there once it is drawn whole.  Both streams of every
+    trial are keyed in one array pass, and a trial's two generators are
+    built from its words only for its draws, so a block holds one trial's
+    generators at a time.
+    """
+    # here, at the first draw: reading or writing results loads no engine
+    from .rng import _generator, _indices, _label_words
+
+    indices = _indices(trials)
+    seed = _count("seed", config.seed, 0)
+    key = (seed, config.a_levels, config.b_levels, config.cell_n, indices.tobytes())
+    shape = (indices.size, config.a_levels, config.b_levels, config.cell_n)
+    keep = math.prod(shape) <= _BLOCK_VALUES
+    drawn = _DRAWS.get(key) if keep else None
+    if drawn is not None:
+        return drawn
+    effects, noise = np.empty((indices.size, size)), np.empty(shape)
+    words = _label_words(seed, ("effects", "noise"), indices)
+    for row, (effects_words, noise_words) in enumerate(zip(*words)):
+        _generator(effects_words).standard_normal(out=effects[row])
+        _generator(noise_words).standard_normal(out=noise[row])
+    if keep:
+        effects.flags.writeable = noise.flags.writeable = False
+        _DRAWS.put(key, (effects, noise))
+    return effects, noise
 
 
 _BLOCK_VALUES = 2**18  # observations stacked in a block, which bound its memory
+# Bytes of draws kept between calls: both blocks of any condition of the
+# paper's study (cell_n 80: 3.9 MB), and always one whole block, whose
+# effects are at most as many values as its observations
+_DRAWS_BYTES = 2**23
+_DRAWS_ENTRY = 1024  # bytes a kept block costs beyond its arrays: key, tuple, array objects
+
+
+def _cost(drawn: tuple[np.ndarray, ...]) -> int:
+    return _DRAWS_ENTRY + sum(array.nbytes for array in drawn)
+
+
+class _KeptDraws:
+    """The draws of the blocks used last, at most ``_DRAWS_BYTES`` by ``_cost``.
+
+    A block used once more moves to the end; the first is dropped first.
+    A lock guards the table, not the draws: two threads may draw one block
+    at once, and both draws are the same.
+    """
+
+    def __init__(self):
+        self.blocks: dict = {}
+        self.nbytes = 0
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            drawn = self.blocks.pop(key, None)
+            if drawn is not None:
+                self.blocks[key] = drawn
+            return drawn
+
+    def put(self, key, drawn) -> None:
+        cost = _cost(drawn)
+        with self.lock:
+            if key in self.blocks or cost > _DRAWS_BYTES:
+                return
+            while self.nbytes + cost > _DRAWS_BYTES:
+                self.nbytes -= _cost(self.blocks.pop(next(iter(self.blocks))))
+            self.blocks[key] = drawn
+            self.nbytes += cost
+
+
+_DRAWS = _KeptDraws()
 
 
 def run_simulation(
@@ -369,6 +450,34 @@ def _block_records(config: SimulationConfig, trials: range) -> RecordTable:
                                _block_records(config, trials[half:])])
 
 
+_FIVE = np.array([0.0, 0.25, 0.5, 0.75, 1.0])  # the five numbers' percentiles / 100
+
+
+def _quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.percentile(values, 100 * q)`` bit for bit, of a nonempty float array:
+    numpy's linear rule (type 7) and its ``_lerp``, on ``np.sort``.
+
+    ``np.percentile`` partitions at indices it takes through ``np.unique``,
+    which loads numpy.ma.  As numpy's, a value at the last index is taken
+    from both sides, and a NaN anywhere is every quantile.
+    """
+    ordered = np.sort(values, axis=None)
+    n = ordered.size
+    virtual = (n - 1) * q
+    low = np.floor(virtual)
+    high = low + 1
+    top = virtual >= n - 1
+    low[top] = high[top] = -1
+    gamma = virtual - low
+    a, b = ordered[low.astype(np.intp)], ordered[high.astype(np.intp)]
+    diff = b - a
+    out = np.add(a, diff * gamma)
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    if np.isnan(ordered[-1]):
+        out[:] = ordered[-1]
+    return out
+
+
 @dataclass(frozen=True)
 class FiveNumber:
     """Min, quartiles, and max; quartiles by linear interpolation (type 7)."""
@@ -383,7 +492,7 @@ class FiveNumber:
     def of(cls, values: Sequence[float]) -> "FiveNumber":
         if len(values) == 0:
             raise DomainError("no values to summarize")
-        points = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100])
+        points = _quantiles(np.asarray(values, dtype=float), _FIVE)
         return cls(*(float(v) for v in points))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
@@ -424,7 +533,7 @@ def silverman_bandwidth(values: Sequence[float]) -> float:
     if array.size < 2 or np.all(array == array.flat[0]):
         raise DomainError("need at least two distinct values for a bandwidth")
     sd = float(np.std(array, ddof=1))
-    q1, q3 = np.percentile(array, [25, 75])
+    q1, q3 = _quantiles(array, _FIVE[1::2])
     iqr = float(q3 - q1)
     spread = min(sd, iqr / 1.349) if iqr > 0 else sd
     return 0.9 * spread * array.size ** (-0.2)

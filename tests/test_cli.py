@@ -429,6 +429,37 @@ class TestReport:
                               capture_output=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", want)
 
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+    def test_a_reader_that_closes_the_pipe_after_one_line_gets_no_error(self, results_file):
+        # the density series are some 150 KB, more than a pipe holds, so
+        # the writer meets the closed pipe while it writes
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "bicbf.cli", "report", str(results_file), "--density",
+                "--out", "/dev/stdout"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert first == b"effect,bf_type,x,density\r\n"
+        assert (code, err) == (1, b"")
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_a_pipe_closed_before_the_table_is_written_gets_no_error(self, results_file, fmt):
+        # the table is small, so it is written when it is flushed: at exit,
+        # unless the command flushes it first
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        try:
+            done = subprocess.run([sys.executable, "-m", "bicbf.cli", "report",
+                                   str(results_file), "--format", fmt],
+                                  env=env, stdout=write, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
+
     def test_density_output(self, capsys, results_file, tmp_path):
         out_path = tmp_path / "density.csv"
         code, _, err = run_cli(

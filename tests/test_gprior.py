@@ -828,6 +828,29 @@ class TestLattice:
                                        text=True).stdout.split()
         assert after == before
 
+    def test_a_report_loads_no_numpy_ma(self, tmp_path):
+        # the five numbers and Silverman's quartiles are taken on np.sort,
+        # not by np.percentile, whose np.unique imports numpy.ma
+        bicbf.write_records(bicbf.run_simulation(SimulationConfig(cell_n=3, g=0.2, trials=20,
+                                                                  seed=1)), tmp_path / "r.csv")
+        probe = (
+            "import contextlib, io, sys\n"
+            "import numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from bicbf.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert main(['report', sys.argv[1]]) == 0\n"
+            "    assert main(['report', sys.argv[1], '--format', 'json']) == 0\n"
+            "    assert main(['report', sys.argv[1], '--density', '--out', sys.argv[2]]) == 0\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bicbf.__file__).resolve().parents[1]))
+        before, after = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "r.csv"), str(tmp_path / "d.csv")],
+            env=env, check=True, capture_output=True, text=True).stdout.split()
+        assert after == before
+
     @given(random_tables())
     def test_the_cache_stays_within_its_bound(self, table):
         for effect in EFFECTS:

@@ -340,6 +340,42 @@ class TestSummaries:
         with pytest.raises(DomainError, match="no records"):
             summarize(table_of([]))
 
+    @pytest.mark.parametrize("kind", ["random", "tied", "two-values", "wide-range"])
+    def test_the_quantiles_are_numpys_percentiles_bit_for_bit(self, kind):
+        # np.percentile loads numpy.ma through np.unique; its linear rule is
+        # reproduced on np.sort, interpolation included
+        rng = np.random.default_rng(["random", "tied", "two-values", "wide-range"].index(kind))
+        for n in [*range(1, 41), 99, 100, 101, 300, 873, 1000, 1001]:
+            values = {"random": lambda: rng.standard_normal(n),
+                      "tied": lambda: rng.integers(-2, 3, n).astype(float),
+                      "two-values": lambda: np.where(rng.random(n) < 0.5, 1.5, -2.25),
+                      "wide-range": lambda: rng.standard_normal(n) * 10.0 ** rng.integers(
+                          -300, 300, n)}[kind]()
+            for q in (bicbf.simulate._FIVE, np.array([0.25, 0.75])):
+                mine = bicbf.simulate._quantiles(values, q)
+                assert mine.tobytes() == np.percentile(values, 100 * q).tobytes(), (n, q)
+            assert FiveNumber.of(values.tolist()).as_tuple() == tuple(
+                np.percentile(values, [0, 25, 50, 75, 100]).tolist())
+
+    def test_the_quantiles_of_nan_and_infinities_are_numpys(self):
+        for values in ([1.0, math.nan, 2.0], [0.0, math.inf], [-math.inf, 1.0, math.inf],
+                       [math.nan]):
+            array = np.array(values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                mine = bicbf.simulate._quantiles(array, bicbf.simulate._FIVE)
+                theirs = np.percentile(array, [0, 25, 50, 75, 100])
+            assert mine.tobytes() == theirs.tobytes(), values
+
+    def test_silverman_bandwidth_takes_numpys_quartiles(self):
+        rng = np.random.default_rng(4)
+        for values in (rng.standard_normal(300), rng.integers(0, 4, 51).astype(float)):
+            q1, q3 = np.percentile(values, [25, 75])
+            iqr = float(q3 - q1)
+            sd = float(np.std(values, ddof=1))
+            spread = min(sd, iqr / 1.349) if iqr > 0 else sd
+            assert silverman_bandwidth(values) == 0.9 * spread * values.size ** (-0.2)
+
 
 class TestDensity:
     def test_two_point_closed_form(self):
